@@ -1,10 +1,9 @@
-"""Beam search: hypotheses, hard-constraint successor functions, top-K
-selection and test-time decoding.
+"""Beam search: hypotheses, hard-constraint successor sets, top-K
+selection, the beam step and test-time decoding.
 
-Successor sets are represented two ways: a boolean mask over the target
-vocabulary (used by the decoder hot path) and explicit expansion lists
-(the ``succ_*`` functions, mirroring how the search procedure is usually
-written down). Both views agree by construction.
+A constraint state gives its successor set as a boolean mask over the
+target vocabulary. :func:`beam_step` is the one search step: test-time
+decoding and BSO training both expand hypotheses only through it.
 
 Ranking uses cumulative scores accumulated in float64 so that a
 from-scratch rescoring of the same prefix reproduces bit-identical totals.
@@ -15,7 +14,7 @@ then lower parent index.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +31,20 @@ class DecodeError(RuntimeError):
         self.prefix = tuple(prefix)
 
 
+class NonFiniteScoreError(FloatingPointError):
+    """A search step was given NaN or infinite f-scores."""
+
+    def __init__(self, step):
+        super().__init__(f"non-finite f-scores at output step {step}")
+        self.step = step
+
+
 # ---------------------------------------------------------------------------
 # Constraint states
 
 
 class NoConstraint:
     """Unconstrained successors: any vocabulary word except pad/bos."""
-
-    variant = "none"
 
     def __init__(self, vocab_size, blocked=()):
         self.vocab_size = vocab_size
@@ -59,8 +64,6 @@ class NoConstraint:
 
 class PermutationConstraint:
     """Only unused source words may be emitted; EOS once all are used."""
-
-    variant = "permutation"
 
     def __init__(self, vocab_size, source_ids, eos_id, _remaining=None):
         self.vocab_size = vocab_size
@@ -98,8 +101,6 @@ class ArcStandardConstraint:
     at least 2; EOS only once every word is emitted and a single item (the
     root) remains on the stack.
     """
-
-    variant = "arc_standard"
 
     def __init__(self, vocab_size, source_ids, reduce_ids, eos_id,
                  next_idx=0, stack_depth=0):
@@ -182,35 +183,11 @@ class ChainNode:
 @dataclass
 class Hypothesis:
     tokens: tuple
-    score: float                 # cumulative f over all emitted tokens
+    score: float                 # cumulative f of the tokens search appended
     constraint: object
-    row: int = 0                 # row in the current batched DecoderState
     seg_score: float = 0.0       # cumulative f since the last search reset
     chain: ChainNode = None
     last_f: float = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Successor functions (expansion-list view, used by tests and documentation)
-
-
-def succ_unconstrained(hyp, vocab_size, blocked=()):
-    mask = NoConstraint(vocab_size, blocked).allowed_mask()
-    return [(hyp, w) for w in range(vocab_size) if mask[w]]
-
-
-def succ_permutation(hyp):
-    if hyp.constraint.variant != "permutation":
-        raise ConstraintError("hypothesis does not carry a permutation constraint")
-    mask = hyp.constraint.allowed_mask()
-    return [(hyp, w) for w in np.flatnonzero(mask)]
-
-
-def succ_arc_standard(hyp):
-    if hyp.constraint.variant != "arc_standard":
-        raise ConstraintError("hypothesis does not carry an arc-standard constraint")
-    mask = hyp.constraint.allowed_mask()
-    return [(hyp, w) for w in np.flatnonzero(mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +216,29 @@ def top_k(scores, valid, k):
     return [(int(parents[i]), int(words[i])) for i in take]
 
 
+def beam_step(hyps, f, k):
+    """Expand hypotheses by one token: the K best successors.
+
+    f: [n, V] float64 f-scores, row i scoring the next word of hyps[i].
+    Successors rank by segment score (cumulative f since the last search
+    reset); each carries its parent's constraint advanced by its word.
+    Returns (successors, parent row of each) in rank order.
+    """
+    if not np.isfinite(f).all():
+        raise NonFiniteScoreError(len(hyps[0].tokens) + 1)
+    cum = f + np.array([h.seg_score for h in hyps])[:, None]
+    valid = np.stack([h.constraint.allowed_mask() for h in hyps])
+    succ, rows = [], []
+    for parent, w in top_k(cum, valid, k):
+        h = hyps[parent]
+        fw = float(f[parent, w])
+        # seg_score is cum[parent, w] bit for bit: the same float64 sum
+        succ.append(Hypothesis(h.tokens + (w,), h.score + fw, h.constraint.advance(w),
+                               seg_score=h.seg_score + fw, last_f=fw))
+        rows.append(parent)
+    return succ, rows
+
+
 # ---------------------------------------------------------------------------
 # Test-time decoding
 
@@ -251,40 +251,32 @@ def beam_decode(model, enc, k, constraint, max_len, bos_id, eos_id, masks=None,
     surviving hypotheses until the beam empties or max_len is reached; the
     highest-scoring completed hypothesis wins (completed sequences are
     preferred over incomplete ones). With k=1 this reduces to greedy
-    argmax stepping.
+    argmax stepping. Decoding never resets, so segment and total scores
+    coincide.
     """
     if k < 1:
         raise ValueError("beam size must be >= 1")
-    v = model.config.tgt_vocab
     states = model.init_state(enc)
-    hyps = [Hypothesis(tokens=(), score=0.0, constraint=constraint, row=0)]
+    hyps = [Hypothesis(tokens=(), score=0.0, constraint=constraint)]
     finished = []
     for step in range(max_len):
         words = np.array([h.tokens[-1] if h.tokens else bos_id for h in hyps])
         out, _ = model.decode_step(states, words, enc, step=step, masks=masks)
-        f = model.score_f(out).astype(np.float64)
-        cum = f + np.array([h.score for h in hyps])[:, None]
-        valid = np.stack([h.constraint.allowed_mask() for h in hyps])
-        picks = top_k(cum, valid, k)
-        if not picks:
+        succ, rows = beam_step(hyps, model.score_f(out).astype(np.float64), k)
+        if not succ:
             if finished:
                 break
             raise DecodeError(hyps[0].tokens)
-        live, keep_rows = [], []
-        for parent, w in picks:
-            h = hyps[parent]
-            nh = Hypothesis(h.tokens + (w,), float(cum[parent, w]),
-                            h.constraint.advance(w))
-            if w == eos_id:
-                finished.append(nh)
+        hyps, keep_rows = [], []
+        for h, row in zip(succ, rows):
+            if h.tokens[-1] == eos_id:
+                finished.append(h)
             else:
-                nh.row = len(keep_rows)
-                keep_rows.append(parent)
-                live.append(nh)
-        if not live:
+                hyps.append(h)
+                keep_rows.append(row)
+        if not hyps:
             break
         states = out.state.select(keep_rows)
-        hyps = live
     best = max(finished, key=lambda h: h.score) if finished \
         else max(hyps, key=lambda h: h.score)
     if return_score:

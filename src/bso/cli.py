@@ -100,12 +100,11 @@ class RunConfig:
 
     def train_config(self):
         return training.TrainConfig(
-            k_tr=self.k_tr, k_te=self.k_te, lr_main=self.lr_main,
+            k_tr=self.k_tr, lr_main=self.lr_main,
             lr_out=self.lr_out, clip_norm=self.clip_norm, dropout=self.dropout,
             batch_size=self.batch_size, margin_score=self.margin_score,
             delta=self.delta, curriculum_start=self.curriculum_start,
-            curriculum_epochs_per_increment=self.curriculum_epochs_per_increment,
-            seed=self.seed)
+            curriculum_epochs_per_increment=self.curriculum_epochs_per_increment)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def encode_pairs(examples, src_vocab, tgt_vocab):
             for s, t in examples]
 
 
-def constraint_factory(cfg, tgt_vocab, src_tokens=None):
+def constraint_factory(cfg, tgt_vocab):
     """Build the initial constraint state for one example.
 
     Returns a callable taking the source token list (words, not ids).
@@ -232,8 +231,7 @@ def cmd_pretrain(cfg, model_out):
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     dev_pairs = encode_pairs(dev_examples, src_vocab, tgt_vocab)
     mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
-                       d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers,
-                       dropout=cfg.dropout)
+                       d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
     rng = np.random.default_rng(cfg.seed)
     model = Seq2SeqModel(mcfg, rng=rng)
     tcfg = cfg.train_config()
@@ -261,34 +259,24 @@ def cmd_pretrain(cfg, model_out):
 
 def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     cfg.validate()
+    if model_in is None and not allow_cold_start:
+        raise ConfigError("train-bso requires a pretrained checkpoint "
+                          "(use --allow-cold-start to override)")
+    train_examples, src_sents, tgt_sents = load_pairs(cfg, "train")
     if model_in is None:
-        if not allow_cold_start:
-            raise ConfigError("train-bso requires a pretrained checkpoint "
-                              "(use --allow-cold-start to override)")
         print("# warning: cold start; BSO training from random initialization "
               "is expected to fail to learn", file=sys.stderr)
-        return cmd_pretrain_then_bso_cold(cfg, model_out)
-    model, extra = Seq2SeqModel.load(model_in, with_extra=True)
-    src_vocab = Vocab(extra["src_vocab"][len(tasks.RESERVED):])
-    tgt_vocab = Vocab(extra["tgt_vocab"][len(tasks.RESERVED):])
-    return _run_bso(cfg, model, src_vocab, tgt_vocab, model_out, extra)
-
-
-def cmd_pretrain_then_bso_cold(cfg, model_out):
-    # cold start: fresh random model, no cross-entropy phase
-    train_examples, src_sents, tgt_sents = load_pairs(cfg, "train")
-    src_vocab, tgt_vocab = build_vocabs(cfg, src_sents, tgt_sents)
-    mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
-                       d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers,
-                       dropout=cfg.dropout)
-    model = Seq2SeqModel(mcfg, rng=np.random.default_rng(cfg.seed))
-    extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
-             "task": cfg.task}
-    return _run_bso(cfg, model, src_vocab, tgt_vocab, model_out, extra)
-
-
-def _run_bso(cfg, model, src_vocab, tgt_vocab, model_out, extra):
-    train_examples, _, _ = load_pairs(cfg, "train")
+        # fresh random model, no cross-entropy phase
+        src_vocab, tgt_vocab = build_vocabs(cfg, src_sents, tgt_sents)
+        mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
+                           d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
+        model = Seq2SeqModel(mcfg, rng=np.random.default_rng(cfg.seed))
+        extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
+                 "task": cfg.task}
+    else:
+        model, extra = Seq2SeqModel.load(model_in, with_extra=True)
+        src_vocab = Vocab(extra["src_vocab"][len(tasks.RESERVED):])
+        tgt_vocab = Vocab(extra["tgt_vocab"][len(tasks.RESERVED):])
     dev_examples, _, _ = load_pairs(cfg, "dev")
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     tcfg = cfg.train_config()

@@ -16,10 +16,9 @@ be sliced out for per-hypothesis backward work.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,9 @@ from . import nn
 from .nn import DimensionError, ParamSlot
 
 ATTN_NEG = -1e9
+
+# ModelConfig fields that older checkpoint headers carry and nothing read
+LEGACY_CONFIG_KEYS = ("dropout", "attention")
 
 
 class InputError(ValueError):
@@ -40,13 +42,10 @@ class ModelConfig:
     d_emb: int = 64
     d_h: int = 64
     layers: int = 1
-    dropout: float = 0.0
-    attention: str = "dot"
 
     def to_dict(self):
         return {"src_vocab": self.src_vocab, "tgt_vocab": self.tgt_vocab,
-                "d_emb": self.d_emb, "d_h": self.d_h, "layers": self.layers,
-                "dropout": self.dropout, "attention": self.attention}
+                "d_emb": self.d_emb, "d_h": self.d_h, "layers": self.layers}
 
 
 @dataclass
@@ -68,18 +67,6 @@ class DecoderState:
             raise IndexError("state row index out of range")
         return DecoderState([h[idx] for h in self.h], [c[idx] for c in self.c],
                             self.input_feed[idx])
-
-
-def select_states(states, indices):
-    """Permute/duplicate a list of single-row DecoderStates."""
-    out = []
-    for i in indices:
-        if not 0 <= i < len(states):
-            raise IndexError("state index out of range")
-        s = states[i]
-        out.append(DecoderState([h.copy() for h in s.h], [c.copy() for c in s.c],
-                                s.input_feed.copy()))
-    return out
 
 
 @dataclass
@@ -155,8 +142,6 @@ def _softmax(x):
 
 class Seq2SeqModel:
     """Attention encoder-decoder over a flat set of named ParamSlots."""
-
-    ENCODER_GROUP = ("src_embed", "tgt_embed", "enc", "dec", "attn")
 
     def __init__(self, config, rng=None, dtype=np.float32, init=True):
         self.config = config
@@ -453,7 +438,8 @@ class Seq2SeqModel:
                 raise ValueError(f"bad model checkpoint magic {magic!r}")
             (clen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(clen).decode("utf-8"))
-            cfg = ModelConfig(**header["config"])
+            cfg = ModelConfig(**{k: v for k, v in header["config"].items()
+                                 if k not in LEGACY_CONFIG_KEYS})
             tensors = nn.read_fragment(fh)
         model = cls(cfg, dtype=dtype, init=False)
         for name, arr in tensors.items():

@@ -18,14 +18,14 @@ compute, in O(T) instead of O(T^2).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .beam import ConstraintError, Hypothesis, ChainNode, top_k, validate_gold
+from .beam import ChainNode, Hypothesis, beam_step, validate_gold
 from .metrics import sentence_bleu_smoothed
-from .model import MaskSet, StateGrad
+from .model import MaskSet
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,6 @@ class ForwardResult:
     gold_f: list                  # f(y_t, h_{t-1}) per step
     gold_tokens: tuple
     enc: object
-    steps_total: int
     margin_score: str = "cumulative"
 
 
@@ -110,7 +109,6 @@ def bso_forward(model, enc, gold, k_tr, constraint, delta_fn, bos_id,
         raise ValueError("empty gold sequence")
     validate_gold(constraint, gold)
 
-    v = model.config.tgt_vocab
     gold_state = model.init_state(enc)
     gold_constraints = [constraint]          # constraint state after y_{1:t}
     cstate = constraint
@@ -129,50 +127,27 @@ def bso_forward(model, enc, gold, k_tr, constraint, delta_fn, bos_id,
         in_w = bos_id if t == 1 else gold[t - 2]
         out_g, cache_g = model.decode_step(gold_state, [in_w], enc,
                                            step=t - 1, masks=masks)
-        f_g = model.score_f(out_g)[0].astype(np.float64)
-        fy = float(f_g[gold[t - 1]])
+        f_g = model.score_f(out_g).astype(np.float64)
+        fy = float(f_g[0, gold[t - 1]])
         gold_caches.append(cache_g)
         gold_f.append(fy)
 
         if hyps is None:
-            # beam (re)seeded from the gold prefix y_{1:r}; expansions reuse
-            # the gold step's decoder cache, which consumed the same state
+            # beam (re)seeded from the gold prefix y_{1:r}: a beam of one
+            # whose step is the gold step, which consumed the same state
             # and word
-            cum = f_g[None, :]
-            valid = gold_constraints[r].allowed_mask()[None, :]
-            picks = top_k(cum, valid, k_tr)
-            new_hyps, keep_rows = [], []
-            for parent, w in picks:
-                node = ChainNode(None, cache_g, 0, w, float(f_g[w]))
-                new_hyps.append(Hypothesis(
-                    tokens=gold[:r] + (w,), score=float(f_g[w]),
-                    constraint=gold_constraints[r].advance(w),
-                    seg_score=float(f_g[w]), chain=node, last_f=float(f_g[w])))
-                keep_rows.append(0)
-            hyps = new_hyps
-            beam_states = out_g.state.select(keep_rows)
+            hyps = [Hypothesis(gold[:r], 0.0, gold_constraints[r])]
+            out, cache, f = out_g, cache_g, f_g
         else:
             words = np.array([h.tokens[-1] for h in hyps])
-            out_b, cache_b = model.decode_step(beam_states, words, enc,
-                                               step=t - 1, masks=masks)
-            f_b = model.score_f(out_b).astype(np.float64)
-            cum = f_b + np.array([h.seg_score for h in hyps])[:, None]
-            valid = np.stack([h.constraint.allowed_mask() for h in hyps])
-            picks = top_k(cum, valid, k_tr)
-            new_hyps, keep_rows = [], []
-            for parent, w in picks:
-                h = hyps[parent]
-                node = ChainNode(h.chain, cache_b, parent, w, float(f_b[parent, w]))
-                new_hyps.append(Hypothesis(
-                    tokens=h.tokens + (w,), score=h.score + float(f_b[parent, w]),
-                    constraint=h.constraint.advance(w),
-                    seg_score=float(cum[parent, w]), chain=node,
-                    last_f=float(f_b[parent, w])))
-                keep_rows.append(parent)
-            hyps = new_hyps
-            beam_states = out_b.state.select(keep_rows)
-        for i, h in enumerate(hyps):
-            h.row = i
+            out, cache = model.decode_step(beam_states, words, enc,
+                                           step=t - 1, masks=masks)
+            f = model.score_f(out).astype(np.float64)
+        parents = hyps
+        hyps, rows = beam_step(parents, f, k_tr)
+        for h, row in zip(hyps, rows):
+            h.chain = ChainNode(parents[row].chain, cache, row, h.tokens[-1], h.last_f)
+        beam_states = out.state.select(rows)
 
         gold_seg_t = gold_seg + fy
 
@@ -217,7 +192,7 @@ def bso_forward(model, enc, gold, k_tr, constraint, delta_fn, bos_id,
 
     return ForwardResult(records=records, gold_caches=gold_caches,
                          gold_f=gold_f, gold_tokens=gold, enc=enc,
-                         steps_total=T, margin_score=margin_score)
+                         margin_score=margin_score)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +219,7 @@ def bso_backward(model, fwd):
     """
     enc = fwd.enc
     gold = fwd.gold_tokens
-    T = fwd.steps_total
+    T = len(gold)
     v = model.config.tgt_vocab
     dtype = model.dtype
     d_ann = np.zeros_like(enc.annotations)
@@ -417,7 +392,6 @@ def curriculum_beam(epoch, sched):
 @dataclass
 class TrainConfig:
     k_tr: int = 6
-    k_te: int = 5
     lr_main: float = 0.02
     lr_out: float = 0.1
     clip_norm: float = 5.0
@@ -427,7 +401,6 @@ class TrainConfig:
     delta: str = "zero_one"
     curriculum_start: int = 2
     curriculum_epochs_per_increment: int = 2
-    seed: int = 0
 
     def schedule(self):
         return CurriculumSchedule(target=self.k_tr, start=self.curriculum_start,
@@ -435,7 +408,9 @@ class TrainConfig:
 
 
 def optimizer_step(model, config):
-    nn.clip_global_norm(model.slots(), config.clip_norm)
+    norm = nn.clip_global_norm(model.slots(), config.clip_norm)
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"non-finite gradient norm {norm} before clipping")
     for slot in model.slots():
         lr = config.lr_out if model.lr_group(slot.name) == "output" else config.lr_main
         nn.adagrad_step(slot, lr)
@@ -541,7 +516,7 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
             batch_loss += margin_loss(fwd.records)
             bso_backward(model, fwd)
             stats.violations += sum(1 for r in fwd.records if r.delta > 0)
-            stats.margin_steps += fwd.steps_total
+            stats.margin_steps += len(gold)
             stats.tokens += len(src) + len(gold)
         optimizer_step(model, config)
         stats.loss += batch_loss

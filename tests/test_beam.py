@@ -7,48 +7,39 @@ from hypothesis import strategies as st
 
 from bso import tasks
 from bso.beam import (ArcStandardConstraint, ConstraintError, DecodeError,
-                      Hypothesis, NoConstraint, PermutationConstraint,
-                      beam_decode, succ_arc_standard, succ_permutation,
-                      succ_unconstrained, top_k, validate_gold)
+                      Hypothesis, NonFiniteScoreError, NoConstraint,
+                      PermutationConstraint, beam_decode, beam_step, top_k,
+                      validate_gold)
 from bso.model import ModelConfig, Seq2SeqModel
 from bso.tasks import BOS_ID, EOS_ID, PAD_ID
 
 V = 10
 
 
-def hyp_with(constraint, tokens=()):
-    return Hypothesis(tokens=tuple(tokens), score=0.0, constraint=constraint)
+def successors(constraint):
+    """The successor set of a constraint state, as sorted word ids."""
+    return np.flatnonzero(constraint.allowed_mask()).tolist()
 
 
 class TestSuccUnconstrained:
     def test_count_excludes_reserved(self):
-        h = hyp_with(NoConstraint(5, blocked=(0, 2)))
-        exps = succ_unconstrained(h, 5, blocked=(0, 2))
-        assert len(exps) == 3
-        assert all(e[0] is h for e in exps)
+        assert successors(NoConstraint(5, blocked=(0, 2))) == [1, 3, 4]
 
     def test_beam_union_size(self):
-        hyps = [hyp_with(NoConstraint(5)) for _ in range(3)]
-        union = [e for h in hyps for e in succ_unconstrained(h, 5)]
-        assert len(union) == 15
+        valid = np.stack([NoConstraint(5).allowed_mask() for _ in range(3)])
+        assert np.count_nonzero(valid) == 15
 
 
 class TestSuccPermutation:
     def test_remaining_words(self):
         c = PermutationConstraint(V, [4, 4, 5], EOS_ID).advance(4)
-        words = sorted(w for _, w in succ_permutation(hyp_with(c, (4,))))
-        assert words == [4, 5]
+        assert successors(c) == [4, 5]
 
     def test_eos_only_when_done(self):
         c = PermutationConstraint(V, [4, 4, 5], EOS_ID)
         for w in (4, 4, 5):
             c = c.advance(w)
-        words = [w for _, w in succ_permutation(hyp_with(c))]
-        assert words == [EOS_ID]
-
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(ConstraintError):
-            succ_permutation(hyp_with(NoConstraint(V)))
+        assert successors(c) == [EOS_ID]
 
     def test_illegal_advance_raises(self):
         c = PermutationConstraint(V, [4], EOS_ID)
@@ -79,20 +70,17 @@ class TestSuccArcStandard:
 
     def test_empty_prefix_only_first_word(self):
         c = ArcStandardConstraint(V, [4, 5, 6], self.reduce_ids(), EOS_ID)
-        words = [w for _, w in succ_arc_standard(hyp_with(c))]
-        assert words == [4]
+        assert successors(c) == [4]
 
     def test_after_two_shifts_reduces_allowed(self):
         c = ArcStandardConstraint(V, [4, 5, 6], self.reduce_ids(), EOS_ID)
         c = c.advance(4).advance(5)
-        words = sorted(w for _, w in succ_arc_standard(hyp_with(c)))
-        assert words == [6, 8, 9]
+        assert successors(c) == [6, 8, 9]
 
     def test_eos_requires_complete_parse(self):
         c = ArcStandardConstraint(V, [4, 5], self.reduce_ids(), EOS_ID)
         c = c.advance(4).advance(5).advance(8)
-        words = sorted(w for _, w in succ_arc_standard(hyp_with(c)))
-        assert words == [EOS_ID]
+        assert successors(c) == [EOS_ID]
         assert c.advance(EOS_ID) is c
 
     def test_exhaustive_sequences_decode_to_projective_trees(self):
@@ -167,6 +155,37 @@ class TestTopK:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             top_k(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 0)
+
+
+class TestBeamStep:
+    def test_successors_in_rank_order(self):
+        hyps = [Hypothesis((4,), 2.0, PermutationConstraint(V, [4, 5, 6], EOS_ID).advance(4),
+                           seg_score=1.5),
+                Hypothesis((5,), 1.0, PermutationConstraint(V, [4, 5, 6], EOS_ID).advance(5),
+                           seg_score=1.0)]
+        f = np.zeros((2, V))
+        f[0, 5], f[0, 6] = 0.25, 0.5
+        f[1, 4], f[1, 6] = 1.5, -1.0
+        succ, rows = beam_step(hyps, f, 3)
+        assert [h.tokens for h in succ] == [(5, 4), (4, 6), (4, 5)]
+        assert rows == [1, 0, 0]
+        assert [h.seg_score for h in succ] == [2.5, 2.0, 1.75]
+        assert [h.score for h in succ] == [2.5, 2.5, 2.25]
+        assert [h.last_f for h in succ] == [1.5, 0.5, 0.25]
+        assert successors(succ[0].constraint) == [6]
+
+    def test_no_valid_expansion_gives_empty_beam(self):
+        hyps = [Hypothesis((), 0.0, NoConstraint(V, blocked=range(V)))]
+        assert beam_step(hyps, np.zeros((1, V)), 2) == ([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_raise_naming_the_step(self, bad):
+        hyps = [Hypothesis((4, 5), 0.0, NoConstraint(V))]
+        f = np.zeros((1, V))
+        f[0, 7] = bad
+        with pytest.raises(NonFiniteScoreError, match="step 3") as err:
+            beam_step(hyps, f, 2)
+        assert isinstance(err.value, FloatingPointError)
 
 
 def toy_model(tgt_vocab=6, seed=0):
@@ -244,8 +263,6 @@ class TestBeamDecode:
         enc = model.encode(np.array([[1]]))
 
         class Stuck:
-            variant = "stuck"
-
             def allowed_mask(self):
                 return np.zeros(6, dtype=bool)
 
@@ -254,6 +271,14 @@ class TestBeamDecode:
 
         with pytest.raises(DecodeError):
             beam_decode(model, enc, 2, Stuck(), 4, BOS_ID, EOS_ID)
+
+    def test_nan_scores_raise(self):
+        model = toy_model(seed=3)
+        model.params["out.w"].value[...] = np.nan
+        enc = model.encode(np.array([[2, 3, 4]]))
+        with pytest.raises(NonFiniteScoreError, match="step 1"):
+            beam_decode(model, enc, 4, NoConstraint(6, blocked=(PAD_ID, BOS_ID)), 6,
+                        BOS_ID, EOS_ID)
 
     def test_deterministic(self):
         model = toy_model(seed=3)

@@ -174,6 +174,24 @@ class TestCommands:
         assert rc == 1
         assert "cold" in capsys.readouterr().err.lower()
 
+    def test_cold_start_reads_each_split_once(self, tmp_path, capsys, monkeypatch):
+        write_word_order_data(tmp_path)
+        cfg_path = base_config(tmp_path, bso_epochs=1)
+        splits = []
+        real = cli.load_pairs
+
+        def counting(cfg, split):
+            splits.append(split)
+            return real(cfg, split)
+
+        monkeypatch.setattr(cli, "load_pairs", counting)
+        rc = cli.main(["train-bso", "--config", str(cfg_path), "--allow-cold-start",
+                       "--model-out", str(tmp_path / "m.bso")])
+        assert rc == 0
+        assert (tmp_path / "m.bso").exists()
+        assert sorted(splits) == ["dev", "train"]
+        assert "cold start" in capsys.readouterr().err
+
     def test_missing_data_is_clean_error(self, tmp_path, capsys):
         cfg_path = base_config(tmp_path)
         rc = cli.main(["pretrain", "--config", str(cfg_path),

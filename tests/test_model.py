@@ -1,18 +1,20 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from bso import nn, training
 from bso.gradcheck import max_relative_error, numerical_grad
-from bso.model import (DecoderState, MaskSet, ModelConfig, Seq2SeqModel,
-                       InputError, select_states)
+from bso.model import MaskSet, ModelConfig, Seq2SeqModel, InputError
 
 BOS = 2
 
 
 def toy_model(src_vocab=7, tgt_vocab=9, d_emb=4, d_h=5, layers=1, seed=0,
-              dtype=np.float64, dropout=0.0):
+              dtype=np.float64):
     cfg = ModelConfig(src_vocab=src_vocab, tgt_vocab=tgt_vocab, d_emb=d_emb,
-                      d_h=d_h, layers=layers, dropout=dropout)
+                      d_h=d_h, layers=layers)
     return Seq2SeqModel(cfg, rng=np.random.default_rng(seed), dtype=dtype)
 
 
@@ -76,7 +78,7 @@ class TestDecodeStep:
         assert np.array_equal(out.state.input_feed, out.attn_hidden)
 
     def test_missing_dropout_mask_is_usage_error(self):
-        m = toy_model(layers=2, dropout=0.5)
+        m = toy_model(layers=2)
         enc_masks = MaskSet.build(0.5, 2, 2, np.random.default_rng(0), 5,
                                   dtype=np.float64)
         enc = m.encode(np.array([[1, 2]]), masks=enc_masks)
@@ -131,14 +133,6 @@ class TestSelectStates:
         with pytest.raises(IndexError):
             s.select([3])
 
-    def test_list_form(self):
-        m = toy_model()
-        enc = m.encode(np.array([[1, 2]]))
-        s = m.init_state(enc)
-        out = select_states([s], [0, 0])
-        out[0].h[0] += 1.0
-        assert not np.array_equal(out[0].h[0], out[1].h[0])
-
 
 class TestEndToEndGradients:
     """Cross-entropy gradient through encode + T decode steps vs finite
@@ -147,7 +141,7 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.0), (2, 0.4)])
     def test_xent_grad_matches_fd(self, layers, dropout):
         m = toy_model(src_vocab=6, tgt_vocab=8, d_emb=3, d_h=4, layers=layers,
-                      seed=3, dtype=np.float64, dropout=dropout)
+                      seed=3, dtype=np.float64)
         src = np.array([[1, 4, 2]])
         tgt = np.array([[5, 1, 7, 3]])
         masks = None
@@ -216,3 +210,24 @@ class TestCheckpoint:
         out_a, _ = m.decode_step(m.init_state(a), [BOS], a)
         out_b, _ = loaded.decode_step(loaded.init_state(b), [BOS], b)
         assert np.array_equal(m.score_f(out_a), loaded.score_f(out_b))
+
+    def test_loads_header_with_legacy_config_fields(self, tmp_path):
+        # older checkpoints carry ModelConfig fields the model never read
+        m = toy_model(dtype=np.float32)
+        tensors = {}
+        for name, slot in m.params.items():
+            tensors[name] = slot.value
+            tensors[name + ".accum"] = slot.adagrad_accum
+        config = dict(m.config.to_dict(), dropout=0.3, attention="dot")
+        header = json.dumps({"config": config, "extra": {"task": "parse"}}).encode("utf-8")
+        path = tmp_path / "old.bso"
+        with open(path, "wb") as fh:
+            fh.write(b"BSOC")
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            nn.write_fragment(fh, tensors)
+        loaded, extra = Seq2SeqModel.load(path, with_extra=True)
+        assert extra == {"task": "parse"}
+        assert loaded.config == m.config
+        for name, slot in m.params.items():
+            assert np.array_equal(loaded.params[name].value, slot.value)

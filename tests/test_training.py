@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bso import training
-from bso.beam import NoConstraint, PermutationConstraint
+from bso.beam import NonFiniteScoreError, NoConstraint, PermutationConstraint
 from bso.gradcheck import max_relative_error, numerical_grad
 from bso.model import ModelConfig, Seq2SeqModel
 from bso.training import (CurriculumSchedule, TrainConfig, ViolationRecord,
                           bso_backward, bso_forward, bso_frozen_loss,
                           curriculum_beam, delta_01, delta_sentence_bleu,
-                          make_batches, margin_loss, train_bso_epoch,
-                          train_xent_epoch, xent_loss)
+                          make_batches, margin_loss, optimizer_step,
+                          train_bso_epoch, train_xent_epoch, xent_loss)
 from oracles import grad_snapshot, naive_bso_backward, oracle_bso_forward
 
 BOS = 2
@@ -226,6 +226,28 @@ class TestForwardOracle:
             assert rec.gold_score_seg == ref["gold_seg"]
             assert rec.viol_score_seg == ref["viol_seg"]
             assert rec.delta == ref["delta"]
+
+
+
+class TestNonFinite:
+    def test_nan_scores_raise_in_forward(self):
+        # every margin comparison with NaN is False, so without the check a
+        # diverged model reports no violations and zero loss
+        model, src, gold, k, constraint = random_case(1)
+        model.params["out.w"].value[...] = np.nan
+        enc = model.encode(np.asarray(src)[None, :])
+        with pytest.raises(NonFiniteScoreError, match="step 1"):
+            bso_forward(model, enc, gold, k, constraint, delta_01, BOS)
+
+    def test_optimizer_step_rejects_non_finite_gradient_norm(self):
+        model = toy_model(0)
+        model.params["dec0.b"].grad[0] = np.inf
+        before = {n: s.value.copy() for n, s in model.params.items()}
+        with pytest.raises(FloatingPointError, match="gradient norm"), \
+                np.errstate(invalid="ignore"):
+            optimizer_step(model, TrainConfig())
+        for name, slot in model.params.items():
+            assert np.array_equal(slot.value, before[name])
 
 
 # ---------------------------------------------------------------------------
