@@ -32,11 +32,17 @@ class DecodeError(RuntimeError):
 
 
 class NonFiniteScoreError(FloatingPointError):
-    """A search step was given NaN or infinite f-scores."""
+    """A search step was given NaN or infinite f-scores.
 
-    def __init__(self, step):
-        super().__init__(f"non-finite f-scores at output step {step}")
+    ``sentence`` is the index of the offending sentence in its batch, or
+    None where the search covers one sentence only (decoding).
+    """
+
+    def __init__(self, step, sentence=None):
+        where = "" if sentence is None else f" of sentence {sentence}"
+        super().__init__(f"non-finite f-scores at output step {step}{where}")
         self.step = step
+        self.sentence = sentence
 
 
 # ---------------------------------------------------------------------------
@@ -162,31 +168,11 @@ def validate_gold(constraint, tokens):
 
 
 @dataclass
-class ChainNode:
-    """One decoder step on some hypothesis' path since the last reset."""
-
-    prev: object
-    cache: dict
-    row: int
-    word: int
-    f: float
-
-    def to_list(self):
-        nodes, n = [], self
-        while n is not None:
-            nodes.append(n)
-            n = n.prev
-        nodes.reverse()
-        return nodes
-
-
-@dataclass
 class Hypothesis:
     tokens: tuple
     score: float                 # cumulative f of the tokens search appended
     constraint: object
     seg_score: float = 0.0       # cumulative f since the last search reset
-    chain: ChainNode = None
     last_f: float = 0.0
 
 

@@ -8,10 +8,10 @@ The model exposes two scoring heads over the same parameters:
   sequence scorer during beam-search training and decoding.
 
 All forward functions keep caches so the matching hand-derived backward
-passes can be replayed later; beam search keeps many states alive per
-time-step, so caches are plain read-only structures that can be revisited.
-States and caches are batched along the first axis and individual rows can
-be sliced out for per-hypothesis backward work.
+passes can be replayed later. States and caches are batched along the first
+axis. Decoder rows need not map one to one onto encoded sources: each state
+row carries the index of the source it attends to, so the rows of many
+hypotheses of many sentences can share one decoder step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import DimensionError, ParamSlot
+from .nn import ParamSlot
 
 ATTN_NEG = -1e9
 
@@ -50,11 +50,16 @@ class ModelConfig:
 
 @dataclass
 class DecoderState:
-    """Per-hypothesis recurrent state: (h, c) per layer plus input feed."""
+    """Per-hypothesis recurrent state: (h, c) per layer plus input feed.
+
+    ``src`` holds, for each row, the index of its source in the encoded
+    batch.
+    """
 
     h: list
     c: list
     input_feed: np.ndarray
+    src: np.ndarray
 
     @property
     def batch(self):
@@ -66,7 +71,7 @@ class DecoderState:
         if idx.size and (idx.min() < 0 or idx.max() >= self.batch):
             raise IndexError("state row index out of range")
         return DecoderState([h[idx] for h in self.h], [c[idx] for c in self.c],
-                            self.input_feed[idx])
+                            self.input_feed[idx], self.src[idx])
 
 
 @dataclass
@@ -83,13 +88,16 @@ class StateGrad:
                    [np.zeros((batch, d_h), dtype=dtype) for _ in range(layers)],
                    np.zeros((batch, d_h), dtype=dtype))
 
-    def add_(self, other):
-        for a, b in zip(self.h, other.h):
-            a += b
-        for a, b in zip(self.c, other.c):
-            a += b
-        self.input_feed += other.input_feed
-        return self
+    def scatter(self, rows, batch):
+        """The adjoint of ``DecoderState.select(rows)``: the gradient w.r.t.
+        the ``batch``-row state the rows were gathered from. Rows gathered
+        more than once sum their gradients."""
+        def back(g):
+            out = np.zeros((batch,) + g.shape[1:], dtype=g.dtype)
+            np.add.at(out, rows, g)
+            return out
+        return StateGrad([back(g) for g in self.h], [back(g) for g in self.c],
+                         back(self.input_feed))
 
 
 @dataclass
@@ -99,10 +107,6 @@ class EncodedSource:
     lengths: np.ndarray              # [B]
     attn_bias: np.ndarray | None     # [B, S], 0 for real tokens, ATTN_NEG for pad
     cache: object = None
-
-    @property
-    def batch(self):
-        return self.annotations.shape[0]
 
 
 @dataclass
@@ -138,6 +142,18 @@ def _softmax(x):
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attend(enc, src, top):
+    """Attention weights [B, S] and context [B, H] of each row over the
+    annotations of its own source ``src[row]``. The gathered annotations,
+    the largest array of a wide decoder step, live only in here."""
+    ann = enc.annotations[src]                          # [B, S, H]
+    scores = np.einsum("bsh,bh->bs", ann, top)
+    if enc.attn_bias is not None:
+        scores += enc.attn_bias[src]
+    attn = _softmax(scores)
+    return attn, np.einsum("bs,bsh->bh", attn, ann)
 
 
 class Seq2SeqModel:
@@ -237,7 +253,8 @@ class Seq2SeqModel:
                                  0.0, ATTN_NEG).astype(self.dtype)
         init_state = DecoderState([a.copy() for a in final_h],
                                   [a.copy() for a in final_c],
-                                  np.zeros((B, cfg.d_h), dtype=self.dtype))
+                                  np.zeros((B, cfg.d_h), dtype=self.dtype),
+                                  np.arange(B))
         cache = {"src": src, "lengths": lengths, "steps": step_caches}
         return EncodedSource(annotations, init_state, lengths, attn_bias, cache)
 
@@ -279,20 +296,20 @@ class Seq2SeqModel:
     def init_state(self, enc):
         s = enc.init_state
         return DecoderState([h.copy() for h in s.h], [c.copy() for c in s.c],
-                            s.input_feed.copy())
+                            s.input_feed.copy(), s.src.copy())
 
     def decode_step(self, state, words, enc, step=0, masks=None):
         """Advance one decoder step for a batch of hypotheses.
 
         ``words`` are the tokens being consumed (the previous outputs); the
         returned StepOutput scores candidates for the next position via
-        score_f/score_g. Returns (StepOutput, cache).
+        score_f/score_g. Row i attends to source ``state.src[i]`` of enc.
+        Returns (StepOutput, cache).
         """
         words = np.atleast_1d(np.asarray(words))
         if words.min() < 0 or words.max() >= self.config.tgt_vocab:
             raise InputError("target token id out of vocabulary range")
         cfg = self.config
-        B = state.batch
         p = self.params
         emb = p["tgt_embed"].value[words]                  # [B, E]
         x = np.concatenate([emb, state.input_feed], axis=1)
@@ -309,28 +326,13 @@ class Seq2SeqModel:
                 x = hl * m if m is not None else hl
                 layer_caches[-1]["drop_mask"] = m
         top = new_h[-1]                                     # [B, H]
-        ann = enc.annotations
-        if enc.batch == B:
-            scores = np.einsum("bsh,bh->bs", ann, top)
-            bias = enc.attn_bias
-        elif enc.batch == 1:
-            scores = top @ ann[0].T
-            bias = None if enc.attn_bias is None else enc.attn_bias[0:1]
-        else:
-            raise DimensionError("state batch incompatible with encoded source batch")
-        if bias is not None:
-            scores = scores + bias
-        attn = _softmax(scores)                             # [B, S]
-        if enc.batch == B:
-            context = np.einsum("bs,bsh->bh", attn, ann)
-        else:
-            context = attn @ ann[0]
+        attn, context = _attend(enc, state.src, top)
         attn_in = np.concatenate([context, top], axis=1)
         attn_hidden = np.tanh(nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value))
-        out_state = DecoderState(new_h, new_c, attn_hidden)
+        out_state = DecoderState(new_h, new_c, attn_hidden, state.src)
         cache = {"words": words, "layers": layer_caches, "top": top,
-                 "attn": attn, "attn_in": attn_in, "attn_hidden": attn_hidden,
-                 "enc": enc, "step": step}
+                 "attn": attn, "context": context, "attn_hidden": attn_hidden,
+                 "enc": enc, "src": state.src}
         return StepOutput(out_state, attn, attn_hidden), cache
 
     def score_f(self, out):
@@ -342,54 +344,46 @@ class Seq2SeqModel:
         """Log-probabilities [B, V]: log-softmax over score_f."""
         return nn.log_softmax(self.score_f(out))
 
-    def decode_step_backward(self, cache, d_state, d_f=None, rows=None,
+    def decode_step_backward(self, cache, d_state, d_f=None,
                              d_annotations=None, masks=None):
-        """Backprop one decoder step (optionally a row slice of its batch).
+        """Backprop one decoder step.
 
         d_state is the StateGrad w.r.t. the step's output state; d_f, if
-        given, is the gradient w.r.t. score_f for those rows. Parameter
-        grads accumulate in place; annotation grads accumulate into
-        d_annotations (shape [enc_batch, S, H]). Returns the StateGrad
+        given, is the gradient w.r.t. score_f. Parameter grads accumulate in
+        place; annotation grads accumulate into d_annotations (shape
+        [enc_batch, S, H]) at each row's source. Returns the StateGrad
         w.r.t. the input state.
         """
-        if rows is None:
-            rows = slice(None)
         cfg = self.config
         p = self.params
-        enc = cache["enc"]
-        ah = cache["attn_hidden"][rows]
+        src = cache["src"]
+        ah = cache["attn_hidden"]
         d_ah = d_state.input_feed.copy()
         if d_f is not None:
             d_ah += nn.affine_backward(ah, p["out.w"].value, d_f,
                                        p["out.w"].grad, p["out.b"].grad)
         d_pre = d_ah * (1.0 - ah * ah)
-        d_attn_in = nn.affine_backward(cache["attn_in"][rows], p["attn.w"].value,
-                                       d_pre, p["attn.w"].grad, p["attn.b"].grad)
+        attn = cache["attn"]
+        top = cache["top"]
+        d_attn_in = nn.affine_backward(np.concatenate([cache["context"], top], axis=1),
+                                       p["attn.w"].value, d_pre,
+                                       p["attn.w"].grad, p["attn.b"].grad)
         H = cfg.d_h
         d_context = d_attn_in[:, :H]
         d_top = d_attn_in[:, H:].copy()
-        attn = cache["attn"][rows]
-        top = cache["top"][rows]
-        if enc.batch == 1:
-            ann_r = np.broadcast_to(enc.annotations[0],
-                                    (attn.shape[0],) + enc.annotations.shape[1:])
-        else:
-            ann_r = enc.annotations[rows]
-        d_attn = np.einsum("bh,bsh->bs", d_context, ann_r)
-        d_ann_rows = attn[:, :, None] * d_context[:, None, :]
+        ann = cache["enc"].annotations[src]
+        d_attn = np.einsum("bh,bsh->bs", d_context, ann)
         d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-        d_top += np.einsum("bs,bsh->bh", d_scores, ann_r)
-        d_ann_rows += d_scores[:, :, None] * top[:, None, :]
+        d_top += np.einsum("bs,bsh->bh", d_scores, ann)
+        del ann   # freed before the annotation-gradient rows, which are as large
         if d_annotations is not None:
-            if enc.batch == 1:
-                d_annotations[0] += d_ann_rows.sum(axis=0)
-            else:
-                d_annotations[rows] += d_ann_rows
+            d_ann_rows = attn[:, :, None] * d_context[:, None, :]
+            d_ann_rows += d_scores[:, :, None] * top[:, None, :]
+            np.add.at(d_annotations, src, d_ann_rows)
         # recurrent layers, top down
         dh_prev = [None] * cfg.layers
         dc_prev = [None] * cfg.layers
         dx_down = None
-        step = cache["step"]
         for l in range(cfg.layers - 1, -1, -1):
             cur_dh = d_state.h[l].copy()
             if l == cfg.layers - 1:
@@ -400,15 +394,14 @@ class Seq2SeqModel:
             dx, dhp, dcp = nn.lstm_cell_backward(
                 cache["layers"][l], cur_dh, d_state.c[l],
                 p[f"dec{l}.wx"].value, p[f"dec{l}.wh"].value,
-                p[f"dec{l}.wx"].grad, p[f"dec{l}.wh"].grad, p[f"dec{l}.b"].grad,
-                rows=rows)
+                p[f"dec{l}.wx"].grad, p[f"dec{l}.wh"].grad, p[f"dec{l}.b"].grad)
             dh_prev[l] = dhp
             dc_prev[l] = dcp
             dx_down = dx
         E = cfg.d_emb
         d_emb = dx_down[:, :E]
         d_feed_prev = dx_down[:, E:]
-        np.add.at(p["tgt_embed"].grad, cache["words"][rows], d_emb)
+        np.add.at(p["tgt_embed"].grad, cache["words"], d_emb)
         return StateGrad(dh_prev, dc_prev, d_feed_prev)
 
     def state_grad_zeros(self, batch, dtype=None):

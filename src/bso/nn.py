@@ -1,10 +1,8 @@
 """Differentiable numerical primitives with hand-derived backward passes.
 
 Everything here works on plain numpy arrays. The batch dimension is always
-first; a "row" of a batched cache can be sliced out with ``arr[r:r+1]`` and
-pushed through the same backward code. Parameters default to float32;
-float64 is supported throughout so gradient checks can run at full
-precision.
+first. Parameters default to float32; float64 is supported throughout so
+gradient checks can run at full precision.
 """
 
 from __future__ import annotations
@@ -55,12 +53,11 @@ class ParamSlot:
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) below: exp never sees a positive argument, so
+    it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +88,10 @@ def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     return h, c, cache
 
 
-def lstm_cell_backward(cache, dh, dc, w_x, w_h, gw_x, gw_h, gb, rows=None):
-    """Backward of :func:`lstm_cell_forward`; adds into gw_x/gw_h/gb.
-
-    ``rows`` restricts the pass to a slice of the cached batch (the cache
-    rows and dh/dc must agree).
-    """
-    if rows is None:
-        rows = slice(None)
-    x = cache["x"][rows]
-    h_prev = cache["h_prev"][rows]
-    c_prev = cache["c_prev"][rows]
-    i, f, g, o, tc = (cache[k][rows] for k in ("i", "f", "g", "o", "tc"))
+def lstm_cell_backward(cache, dh, dc, w_x, w_h, gw_x, gw_h, gb):
+    """Backward of :func:`lstm_cell_forward`; adds into gw_x/gw_h/gb."""
+    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
+    i, f, g, o, tc = (cache[k] for k in ("i", "f", "g", "o", "tc"))
 
     do = dh * tc
     dc_full = dc + dh * o * (1.0 - tc * tc)
@@ -154,12 +143,6 @@ def log_softmax(scores):
     return shifted - lse
 
 
-def log_softmax_backward(logp, d_logp):
-    """d_scores given logp = log_softmax(scores) and upstream d_logp."""
-    p = np.exp(logp)
-    return d_logp - p * d_logp.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Optimizer and gradient utilities.
 
@@ -173,11 +156,16 @@ def global_grad_norm(slots):
 
 
 def clip_global_norm(slots, max_norm=5.0):
-    """Scale all grads so the global L2 norm does not exceed max_norm."""
+    """Scale all grads so the global L2 norm does not exceed max_norm.
+
+    Returns the norm before clipping. A non-finite norm leaves the grads as
+    they are, for the caller to reject: scaling by max_norm / inf would
+    turn every gradient into NaN.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     norm = global_grad_norm(slots)
-    if norm > max_norm:
+    if np.isfinite(norm) and norm > max_norm:
         scale = max_norm / norm
         for s in slots:
             s.grad *= np.asarray(scale, dtype=s.grad.dtype)

@@ -5,25 +5,39 @@ gold prefix fails to outscore the last-ranked beam entry by a margin of 1,
 the violating segment is recorded and search resumes from the gold history
 (a LaSO reset). At the final step the comparator is instead the
 highest-ranked hypothesis that differs from the gold sequence. All
-violations of one sequence are accumulated and parameters updated once per
+violations of one minibatch are accumulated and parameters updated once per
 batch (delayed update).
 
-The backward pass is a single reverse sweep that maintains two gradient
-streams -- one for the gold path, one for the violating path currently in
-scope -- folding the violating stream into the gold stream at each reset
-boundary. This reproduces exactly what independent per-sequence BPTT would
-compute, in O(T) instead of O(T^2).
+A minibatch runs in lockstep, one time step at a time for all of its
+sentences:
+
+* one batched ``encode`` of the sources;
+* a cache-free search pass: at each step one ``decode_step`` scores every
+  live sentence's gold row together with its beam rows, then
+  :func:`bso.beam.beam_step` advances each sentence's beam on its slice.
+  Only the recurrent state survives a step; no decoder cache is kept;
+* a teacher-forced backward pass: the rows that receive gradient (each
+  sentence's gold row and the violating segment in scope, at most one per
+  sentence) are recomputed with one ``decode_step`` per step, then
+  backpropagated with one ``decode_step_backward`` per step in reverse.
+
+The violating segment of a record that resets at r starts from the gold
+state after r steps and consumes the same word as the gold step r+1, so
+both share that step's row: the violating stream folds into the gold stream
+there. The sweep reproduces exactly what independent per-violation BPTT
+would compute, in O(T) instead of O(T^2).
 """
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .beam import ChainNode, Hypothesis, beam_step, validate_gold
+from .beam import Hypothesis, NonFiniteScoreError, beam_step, validate_gold
 from .metrics import sentence_bleu_smoothed
 from .model import MaskSet
 
@@ -62,8 +76,8 @@ class ViolationRecord:
     gold_last_f: float
     viol_last_f: float
     delta: float
-    chain: ChainNode = None       # decoder caches of the violating segment
     margin_score: str = "cumulative"
+    sentence: int = 0             # index of the sentence in its batch
 
     def margin_terms(self):
         if self.margin_score == "laststep":
@@ -73,12 +87,12 @@ class ViolationRecord:
 
 @dataclass
 class ForwardResult:
-    records: list
-    gold_caches: list             # decoder cache per step 1..T
-    gold_f: list                  # f(y_t, h_{t-1}) per step
-    gold_tokens: tuple
+    records: list                 # ViolationRecords of every sentence, by (sentence, t)
+    gold_f: list                  # per sentence: f(y_t, h_{t-1}) per step
+    gold_tokens: list             # per sentence: y_{1:T}
     enc: object
-    margin_score: str = "cumulative"
+    bos_id: int
+    masks: object = None
 
 
 def margin_loss(records):
@@ -94,63 +108,46 @@ def margin_loss(records):
 # Forward pass: find violations
 
 
-def bso_forward(model, enc, gold, k_tr, constraint, delta_fn, bos_id,
-                masks=None, margin_score="cumulative"):
-    """Run beam search alongside the gold path and collect margin violations.
+class _Search:
+    """One sentence's side of a lockstep forward pass."""
 
-    gold: token id sequence y_{1:T} (EOS included for open-ended tasks).
-    constraint: initial constraint state shared by gold and hypotheses; the
-    gold sequence is validated against it up front.
-    Returns a ForwardResult whose caches feed :func:`bso_backward`.
-    """
-    gold = tuple(int(w) for w in gold)
-    T = len(gold)
-    if T == 0:
-        raise ValueError("empty gold sequence")
-    validate_gold(constraint, gold)
+    def __init__(self, index, gold, constraint):
+        if not gold:
+            raise ValueError("empty gold sequence")
+        validate_gold(constraint, gold)
+        self.index = index
+        self.gold = gold
+        self.constraints = [constraint]       # constraint state after y_{1:t}
+        for w in gold:
+            self.constraints.append(self.constraints[-1].advance(w))
+        self.gold_f = []
+        self.r = 0
+        self.gold_seg = 0.0
+        self.hyps = None                      # None right after a (re)seed
+        self.rows = []                        # state row of each hypothesis
+        self.gold_row = index                 # state row of the gold prefix
 
-    gold_state = model.init_state(enc)
-    gold_constraints = [constraint]          # constraint state after y_{1:t}
-    cstate = constraint
-    for w in gold:
-        cstate = cstate.advance(w)
-        gold_constraints.append(cstate)
-
-    records = []
-    gold_caches, gold_f = [], []
-    r = 0
-    gold_seg = 0.0
-    hyps = None
-    beam_states = None
-
-    for t in range(1, T + 1):
-        in_w = bos_id if t == 1 else gold[t - 2]
-        out_g, cache_g = model.decode_step(gold_state, [in_w], enc,
-                                           step=t - 1, masks=masks)
-        f_g = model.score_f(out_g).astype(np.float64)
-        fy = float(f_g[0, gold[t - 1]])
-        gold_caches.append(cache_g)
-        gold_f.append(fy)
-
-        if hyps is None:
+    def step(self, t, f, row0, k_tr, delta_fn, margin_score, records):
+        """Search step t. f: float64 f-scores of this sentence's rows, which
+        start at state row ``row0``: the gold prefix, then the beam."""
+        gold = self.gold
+        T = len(gold)
+        fy = float(f[0, gold[t - 1]])
+        self.gold_f.append(fy)
+        if self.hyps is None:
             # beam (re)seeded from the gold prefix y_{1:r}: a beam of one
             # whose step is the gold step, which consumed the same state
             # and word
-            hyps = [Hypothesis(gold[:r], 0.0, gold_constraints[r])]
-            out, cache, f = out_g, cache_g, f_g
+            parents = [Hypothesis(gold[:self.r], 0.0, self.constraints[self.r])]
+            f_beam, first = f[:1], row0
         else:
-            words = np.array([h.tokens[-1] for h in hyps])
-            out, cache = model.decode_step(beam_states, words, enc,
-                                           step=t - 1, masks=masks)
-            f = model.score_f(out).astype(np.float64)
-        parents = hyps
-        hyps, rows = beam_step(parents, f, k_tr)
-        for h, row in zip(hyps, rows):
-            h.chain = ChainNode(parents[row].chain, cache, row, h.tokens[-1], h.last_f)
-        beam_states = out.state.select(rows)
+            parents, f_beam, first = self.hyps, f[1:], row0 + 1
+        hyps, rows = beam_step(parents, f_beam, k_tr)
+        self.hyps = hyps
+        self.rows = [first + row for row in rows]
+        self.gold_row = row0
 
-        gold_seg_t = gold_seg + fy
-
+        gold_seg_t = self.gold_seg + fy
         comparator = None
         if t < T:
             if hyps:
@@ -171,32 +168,71 @@ def bso_forward(model, enc, gold, k_tr, constraint, delta_fn, bos_id,
             violated = True
 
         if violated:
+            r = self.r
             if comparator is not None:
                 viol_tokens = comparator.tokens[r:]
-                delta = float(delta_fn(viol_tokens, gold[r:t]))
                 records.append(ViolationRecord(
                     t=t, r=r, violating_tokens=viol_tokens,
                     gold_tokens=gold[r:t], gold_score_seg=gold_seg_t,
                     viol_score_seg=comparator.seg_score,
                     gold_last_f=fy, viol_last_f=comparator.last_f,
-                    delta=delta, chain=comparator.chain,
-                    margin_score=margin_score))
-            r = t
-            gold_seg = 0.0
-            hyps = None
-            beam_states = None
+                    delta=float(delta_fn(viol_tokens, gold[r:t])),
+                    margin_score=margin_score, sentence=self.index))
+            self.r = t
+            self.gold_seg = 0.0
+            self.hyps = None
         else:
-            gold_seg = gold_seg_t
+            self.gold_seg = gold_seg_t
 
-        gold_state = out_g.state
 
-    return ForwardResult(records=records, gold_caches=gold_caches,
-                         gold_f=gold_f, gold_tokens=gold, enc=enc,
-                         margin_score=margin_score)
+def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
+                masks=None, margin_score="cumulative"):
+    """Run beam search alongside the gold paths of a batch and collect
+    margin violations.
+
+    enc: the encoded sources, sentence b at row b. golds: one token id
+    sequence y_{1:T} per sentence (EOS included for open-ended tasks).
+    constraints: one initial constraint state per sentence, shared by its
+    gold and its hypotheses; each gold sequence is validated against it up
+    front. Returns one ForwardResult for :func:`bso_backward`; it holds no
+    decoder caches.
+    """
+    golds = [tuple(int(w) for w in g) for g in golds]
+    if len(golds) != len(constraints):
+        raise ValueError("need one constraint per gold sequence")
+    sents = [_Search(b, g, c) for b, (g, c) in enumerate(zip(golds, constraints))]
+    records = []
+    state = model.init_state(enc)
+    for t in range(1, max(len(g) for g in golds) + 1):
+        live = [s for s in sents if t <= len(s.gold)]
+        rows, words, starts = [], [], []
+        for s in live:
+            starts.append(len(rows))
+            rows.append(s.gold_row)
+            words.append(bos_id if t == 1 else s.gold[t - 2])
+            if s.hyps is not None:
+                rows.extend(s.rows)
+                words.extend(h.tokens[-1] for h in s.hyps)
+        # the search keeps nothing of a step but its recurrent state: not
+        # the decoder cache, and not the scores once the beams have moved
+        state = state.select(rows)
+        out = model.decode_step(state, np.array(words), enc, step=t - 1, masks=masks)[0]
+        state = out.state
+        f = model.score_f(out)
+        if not np.isfinite(f).all():
+            bad = int(np.flatnonzero(~np.isfinite(f).all(axis=1))[0])
+            raise NonFiniteScoreError(t, live[bisect.bisect_right(starts, bad) - 1].index)
+        for s, lo, hi in zip(live, starts, starts[1:] + [len(rows)]):
+            s.step(t, f[lo:hi].astype(np.float64), lo, k_tr, delta_fn,
+                   margin_score, records)
+        del out, f
+    records.sort(key=lambda rec: (rec.sentence, rec.t))
+    return ForwardResult(records=records, gold_f=[s.gold_f for s in sents],
+                         gold_tokens=golds, enc=enc, bos_id=bos_id, masks=masks)
 
 
 # ---------------------------------------------------------------------------
-# Backward pass: merged single sweep
+# Backward pass: teacher-forced recompute, merged single sweep
 
 
 def _active_coef(rec, t):
@@ -211,113 +247,76 @@ def _active_coef(rec, t):
 def bso_backward(model, fwd):
     """Accumulate gradients of margin_loss(fwd.records) into the model.
 
-    Single reverse sweep: the gold stream always advances; the violating
-    stream for the record covering step t advances in lockstep and is folded
-    into the gold stream at its reset boundary. Search decisions (beam
-    membership) are treated as constants; gradients flow only through the
-    f-scores of the gold and recorded violating prefixes.
+    Recomputes, teacher-forced, the decoder rows that receive gradient:
+    per sentence the gold row up to its last violation and the violating
+    row of the record in scope, which starts from the gold row of the step
+    after the record's reset. Then one reverse sweep backpropagates all of
+    them together; a violating stream folds into its gold stream where
+    both share a row. Search decisions (beam membership) are treated as
+    constants; gradients flow only through the f-scores of the gold and
+    recorded violating prefixes.
     """
+    recs = [rec for rec in fwd.records if rec.delta != 0.0]
+    if not recs:
+        return
+    covering = {}                 # (sentence, t) -> record with r < t <= rec.t
+    last = {}                     # sentence -> last step that needs its gold row
+    for rec in recs:
+        for t in range(rec.r + 1, rec.t + 1):
+            covering[rec.sentence, t] = rec
+        last[rec.sentence] = max(last.get(rec.sentence, 0), rec.t)
+    order = sorted(last)
     enc = fwd.enc
-    gold = fwd.gold_tokens
-    T = len(gold)
-    v = model.config.tgt_vocab
-    dtype = model.dtype
-    d_ann = np.zeros_like(enc.annotations)
-    d_gold = model.state_grad_zeros(1)
 
-    recs = sorted(fwd.records, key=lambda r: r.t, reverse=True)
-    ri = 0
-    cur = None
-    cur_nodes = None
-    d_viol = None
-
-    for t in range(T, 0, -1):
-        if cur is None and ri < len(recs) and recs[ri].t == t:
-            cur = recs[ri]
-            ri += 1
-            cur_nodes = cur.chain.to_list() if cur.chain is not None else []
-            d_viol = model.state_grad_zeros(1)
-
-        fold = False
-        if cur is not None and cur_nodes:
-            node = cur_nodes[t - cur.r - 1]
-            coef = _active_coef(cur, t)
-            d_f = None
-            if coef != 0.0:
-                d_f = np.zeros((1, v), dtype=dtype)
-                d_f[0, node.word] = coef
-            d_viol = model.decode_step_backward(
-                node.cache, d_viol, d_f, rows=slice(node.row, node.row + 1),
-                d_annotations=d_ann)
-            if t - 1 == cur.r:
-                fold = True
-
-        # gold stream: the record covering step t injects -delta on the
-        # gold token's score
-        coef_g = 0.0
-        if cur is not None and cur.r < t <= cur.t:
-            coef_g = -_active_coef(cur, t)
-        d_f_gold = None
-        if coef_g != 0.0:
-            d_f_gold = np.zeros((1, v), dtype=dtype)
-            d_f_gold[0, gold[t - 1]] = coef_g
-        d_gold = model.decode_step_backward(
-            fwd.gold_caches[t - 1], d_gold, d_f_gold, rows=slice(0, 1),
-            d_annotations=d_ann)
-
-        if fold:
-            d_gold.add_(d_viol)
-            cur = None
-            cur_nodes = None
-            d_viol = None
-
-    model.encode_backward(enc, d_ann, d_gold)
-
-
-def bso_frozen_loss(model, src, gold, records, bos_id, masks=None):
-    """Recompute the margin loss with search decisions and deltas frozen.
-
-    Reruns the gold path and each recorded violating segment (teacher
-    forcing their stored tokens) under the model's current parameters and
-    returns sum_i delta_i * (1 - gold_seg_i + viol_seg_i) without
-    re-flooring. bso_backward computes the exact gradient of this
-    quantity, which makes it the right target for finite differencing.
-    """
-    enc = model.encode(src, masks=masks)
-    gold = tuple(gold)
     state = model.init_state(enc)
-    gold_f = []
-    states = [state]
-    for t in range(1, len(gold) + 1):
-        in_w = bos_id if t == 1 else gold[t - 2]
-        out, _ = model.decode_step(state, [in_w], enc, step=t - 1, masks=masks)
-        f = model.score_f(out)[0].astype(np.float64)
-        gold_f.append(float(f[gold[t - 1]]))
+    gold_rows = {b: b for b in order}         # state row of each gold prefix
+    viol_rows = {}                            # state row of each violating prefix
+    steps = []
+    for t in range(1, max(last.values()) + 1):
+        rows, words, coefs = [], [], []
+        new_gold, new_viol = {}, {}
+        for b in order:
+            if t > last[b]:
+                continue
+            gold = fwd.gold_tokens[b]
+            new_gold[b] = len(rows)
+            rows.append(gold_rows[b])
+            words.append(fwd.bos_id if t == 1 else gold[t - 2])
+            rec = covering.get((b, t))
+            if rec is None:
+                continue
+            viol = rec.violating_tokens
+            if t == rec.r + 1:
+                # the violating segment's first step is the gold step
+                viol_row = new_gold[b]
+            else:
+                viol_row = new_viol[b] = len(rows)
+                rows.append(viol_rows[b] if t > rec.r + 2 else gold_rows[b])
+                words.append(viol[t - rec.r - 2])
+            c = _active_coef(rec, t)
+            if c:
+                coefs += [(new_gold[b], gold[t - 1], -c), (viol_row, viol[t - rec.r - 1], c)]
+        out, cache = model.decode_step(state.select(rows), np.array(words), enc,
+                                       step=t - 1, masks=fwd.masks)
+        steps.append((cache, rows, state.batch, coefs))
         state = out.state
-        states.append(state)
-    total = 0.0
-    for rec in records:
-        if rec.delta == 0.0:
-            continue
-        g_seg = sum(gold_f[rec.r:rec.t])
-        g_last = gold_f[rec.t - 1]
-        vstate = states[rec.r]
-        v_seg = 0.0
-        v_last = 0.0
-        prev_words = (gold[:rec.r] + tuple(rec.violating_tokens))
-        for i, w in enumerate(rec.violating_tokens):
-            step = rec.r + i
-            in_w = bos_id if step == 0 else prev_words[step - 1]
-            out, _ = model.decode_step(vstate, [in_w], enc, step=step, masks=masks)
-            fv = float(model.score_f(out)[0, w])
-            v_seg += fv
-            v_last = fv
-            vstate = out.state
-        if rec.margin_score == "laststep":
-            total += rec.delta * (1.0 - g_last + v_last)
-        else:
-            total += rec.delta * (1.0 - g_seg + v_seg)
-    return total
+        gold_rows, viol_rows = new_gold, new_viol
+
+    v = model.config.tgt_vocab
+    d_ann = np.zeros_like(enc.annotations)
+    d_state = model.state_grad_zeros(len(steps[-1][1]))
+    while steps:
+        # popped, so each step's cache is freed once it has been used
+        cache, rows, n_in, coefs = steps.pop()
+        d_f = None
+        if coefs:
+            d_f = np.zeros((len(rows), v), dtype=model.dtype)
+            for row, w, c in coefs:
+                d_f[row, w] += c
+        d_in = model.decode_step_backward(cache, d_state, d_f, d_annotations=d_ann,
+                                          masks=fwd.masks)
+        d_state = d_in.scatter(rows, n_in)
+    model.encode_backward(enc, d_ann, d_state)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +494,8 @@ def eval_perplexity(model, pairs, config, bos_id, pad_id=0):
 def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
     """One BSO epoch with curriculum beam and delayed per-batch updates.
 
-    examples: list of (src_ids, gold_ids, initial constraint state).
+    examples: list of (src_ids, gold_ids, initial constraint state). Each
+    minibatch is encoded, searched and backpropagated in lockstep.
     Returns EpochStats.
     """
     delta_fn = delta_fn or DELTA_FNS[config.delta]
@@ -504,21 +504,25 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
     t0 = time.perf_counter()
     order = rng.permutation(len(examples))
     for start in range(0, len(order), config.batch_size):
+        batch = [examples[i] for i in order[start:start + config.batch_size]]
+        lengths = np.array([len(src) for src, _, _ in batch])
+        src = np.zeros((len(batch), lengths.max()), dtype=np.int64)
+        for b, (s, _, _) in enumerate(batch):
+            src[b, :len(s)] = s
+        golds = [gold for _, gold, _ in batch]
+        gold_len = sum(len(g) for g in golds)
+        masks = _masks_for(model, max(src.shape[1], max(len(g) for g in golds)),
+                           rng, config)
         model.zero_grads()
-        batch_loss = 0.0
-        for i in order[start:start + config.batch_size]:
-            src, gold, constraint = examples[i]
-            masks = _masks_for(model, max(len(src), len(gold)), rng, config)
-            enc = model.encode(np.asarray(src)[None, :], masks=masks)
-            fwd = bso_forward(model, enc, gold, beam, constraint,
-                              delta_fn, bos_id, masks=masks,
-                              margin_score=config.margin_score)
-            batch_loss += margin_loss(fwd.records)
-            bso_backward(model, fwd)
-            stats.violations += sum(1 for r in fwd.records if r.delta > 0)
-            stats.margin_steps += len(gold)
-            stats.tokens += len(src) + len(gold)
+        enc = model.encode(src, lengths, masks=masks)
+        fwd = bso_forward(model, enc, golds, beam, [c for _, _, c in batch],
+                          delta_fn, bos_id, masks=masks,
+                          margin_score=config.margin_score)
+        stats.loss += margin_loss(fwd.records)
+        bso_backward(model, fwd)
         optimizer_step(model, config)
-        stats.loss += batch_loss
+        stats.violations += sum(1 for r in fwd.records if r.delta > 0)
+        stats.margin_steps += gold_len
+        stats.tokens += int(lengths.sum()) + gold_len
     stats.seconds = time.perf_counter() - t0
     return stats

@@ -4,7 +4,8 @@ These deliberately avoid the incremental bookkeeping of the real code:
 the forward oracle rescores every candidate prefix from scratch at every
 step, and the backward oracle runs one separate truncated BPTT per
 violation record (O(T^2) per sequence). Agreement with the O(T) merged
-implementations is what the tests assert.
+implementations is what the tests assert. The frozen-search margin loss is
+the quantity the merged backward pass is finite-differenced against.
 """
 
 import numpy as np
@@ -119,10 +120,12 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann, masks=None):
 def naive_bso_backward(model, src, fwd, bos_id, masks=None):
     """Reference backward: one independent BPTT per record per stream.
 
-    Accumulates into the model's parameter grads, exactly like bso_backward.
+    ``src`` is the source of the sentence the records belong to (fwd a
+    batch of one). Accumulates into the model's parameter grads, exactly
+    like bso_backward.
     """
-    gold = fwd.gold_tokens
     for rec in fwd.records:
+        gold = fwd.gold_tokens[rec.sentence]
         for tokens, sign in ((gold[:rec.t], -1.0),
                              (gold[:rec.r] + tuple(rec.violating_tokens), +1.0)):
             coefs = [0.0] * len(tokens)
@@ -143,3 +146,49 @@ def naive_bso_backward(model, src, fwd, bos_id, masks=None):
 
 def grad_snapshot(model):
     return {s.name: s.grad.copy() for s in model.slots()}
+
+
+def bso_frozen_loss(model, src, gold, records, bos_id, masks=None):
+    """Recompute the margin loss with search decisions and deltas frozen.
+
+    Reruns the gold path and each recorded violating segment (teacher
+    forcing their stored tokens) under the model's current parameters and
+    returns sum_i delta_i * (1 - gold_seg_i + viol_seg_i) without
+    re-flooring. bso_backward computes the exact gradient of this
+    quantity, which makes it the right target for finite differencing.
+    """
+    enc = model.encode(src, masks=masks)
+    gold = tuple(gold)
+    state = model.init_state(enc)
+    gold_f = []
+    states = [state]
+    for t in range(1, len(gold) + 1):
+        in_w = bos_id if t == 1 else gold[t - 2]
+        out, _ = model.decode_step(state, [in_w], enc, step=t - 1, masks=masks)
+        f = model.score_f(out)[0].astype(np.float64)
+        gold_f.append(float(f[gold[t - 1]]))
+        state = out.state
+        states.append(state)
+    total = 0.0
+    for rec in records:
+        if rec.delta == 0.0:
+            continue
+        g_seg = sum(gold_f[rec.r:rec.t])
+        g_last = gold_f[rec.t - 1]
+        vstate = states[rec.r]
+        v_seg = 0.0
+        v_last = 0.0
+        prev_words = (gold[:rec.r] + tuple(rec.violating_tokens))
+        for i, w in enumerate(rec.violating_tokens):
+            step = rec.r + i
+            in_w = bos_id if step == 0 else prev_words[step - 1]
+            out, _ = model.decode_step(vstate, [in_w], enc, step=step, masks=masks)
+            fv = float(model.score_f(out)[0, w])
+            v_seg += fv
+            v_last = fv
+            vstate = out.state
+        if rec.margin_score == "laststep":
+            total += rec.delta * (1.0 - g_last + v_last)
+        else:
+            total += rec.delta * (1.0 - g_seg + v_seg)
+    return total

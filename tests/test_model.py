@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bso import nn, training
-from bso.gradcheck import max_relative_error, numerical_grad
-from bso.model import MaskSet, ModelConfig, Seq2SeqModel, InputError
+from bso.model import MaskSet, ModelConfig, Seq2SeqModel, InputError, StateGrad
+from gradcheck import max_relative_error, numerical_grad
 
 BOS = 2
 
@@ -77,6 +77,22 @@ class TestDecodeStep:
         out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
         assert np.array_equal(out.state.input_feed, out.attn_hidden)
 
+    def test_rows_attend_to_their_own_source(self):
+        # rows of one step may come from different sentences of a padded batch
+        m = toy_model()
+        srcs = [np.array([1, 2]), np.array([3, 4, 5, 6])]
+        enc = m.encode(np.array([[1, 2, 0, 0], [3, 4, 5, 6]]), lengths=np.array([2, 4]))
+        rows = [1, 0, 0, 1, 1]
+        words = [5, 2, 6, 2, 7]
+        out, _ = m.decode_step(m.init_state(enc).select(rows), words, enc)
+        assert list(out.state.src) == rows
+        for i, (b, w) in enumerate(zip(rows, words)):
+            one = m.encode(srcs[b][None, :])
+            ref, _ = m.decode_step(m.init_state(one), [w], one)
+            assert np.allclose(out.attn_weights[i, :len(srcs[b])], ref.attn_weights[0], atol=1e-12)
+            assert np.all(out.attn_weights[i, len(srcs[b]):] == 0.0)
+            assert np.allclose(out.attn_hidden[i], ref.attn_hidden[0], atol=1e-12)
+
     def test_missing_dropout_mask_is_usage_error(self):
         m = toy_model(layers=2)
         enc_masks = MaskSet.build(0.5, 2, 2, np.random.default_rng(0), 5,
@@ -132,6 +148,24 @@ class TestSelectStates:
         s = self.make_state(m)
         with pytest.raises(IndexError):
             s.select([3])
+
+    def test_scatter_is_the_adjoint_of_select(self):
+        # <g, select(x)> == <scatter(g), x>, with repeated rows summed
+        m = toy_model()
+        rng = np.random.default_rng(1)
+        x = self.make_state(m)
+        rows = [2, 0, 2, 2]
+        g = StateGrad([rng.normal(size=(4, 5))], [rng.normal(size=(4, 5))],
+                      rng.normal(size=(4, 5)))
+        back = g.scatter(rows, x.batch)
+        y = x.select(rows)
+        for a, b, c, d in ((g.h[0], y.h[0], back.h[0], x.h[0]),
+                           (g.c[0], y.c[0], back.c[0], x.c[0]),
+                           (g.input_feed, y.input_feed, back.input_feed, x.input_feed)):
+            assert c.shape == d.shape
+            assert np.sum(a * b) == pytest.approx(np.sum(c * d), rel=1e-12)
+        assert np.array_equal(back.h[0][1], np.zeros(5))
+        assert np.allclose(back.h[0][2], g.h[0][0] + g.h[0][2] + g.h[0][3])
 
 
 class TestEndToEndGradients:

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bso import nn
-from bso.gradcheck import max_relative_error, numerical_grad
+from gradcheck import max_relative_error, numerical_grad
 
 
 def rand(rng, *shape):
@@ -127,6 +128,12 @@ class TestAffine:
             assert max_relative_error(analytic, numerical_grad(loss, arr)) < 1e-4
 
 
+def log_softmax_backward(logp, d_logp):
+    """d_scores given logp = log_softmax(scores) and upstream d_logp."""
+    p = np.exp(logp)
+    return d_logp - p * d_logp.sum(axis=-1, keepdims=True)
+
+
 class TestLogSoftmax:
     def test_uniform_input(self):
         out = nn.log_softmax(np.full((1, 5), 3.7))
@@ -160,8 +167,49 @@ class TestLogSoftmax:
         def loss():
             return float((nn.log_softmax(x) * d_up).sum())
 
-        dx = nn.log_softmax_backward(nn.log_softmax(x), d_up)
+        dx = log_softmax_backward(nn.log_softmax(x), d_up)
         assert max_relative_error(dx, numerical_grad(loss, x)) < 1e-4
+
+
+def two_branch_sigmoid(x):
+    """The masked two-branch logistic formula the kernel replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    GRID = np.concatenate([[-1e4, -1e3, -100.0, -89.0, -30.0, 30.0, 89.0, 100.0, 1e3, 1e4],
+                           np.linspace(-40.0, 40.0, 4001), [-0.0, 0.0, 1e-30, -1e-30]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_two_branch_formula_within_ulps(self, dtype):
+        x = self.GRID.astype(dtype)
+        want = two_branch_sigmoid(x)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            got = nn.sigmoid(x)
+        assert got.dtype == dtype
+        ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(want), np.finfo(dtype).tiny))
+        assert ulps.max() <= 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturates_without_warnings(self, dtype):
+        x = np.array([[-1e4, 1e4], [-np.inf, np.inf]], dtype=dtype)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            got = nn.sigmoid(x)
+        assert np.array_equal(got, np.array([[0.0, 1.0], [0.0, 1.0]], dtype=dtype))
+
+    def test_strided_gate_slice(self):
+        # the LSTM passes column slices of its pre-activation
+        pre = rand(np.random.default_rng(3), 4, 12) * 20
+        assert np.array_equal(nn.sigmoid(pre[:, 3:6]), two_branch_sigmoid(pre[:, 3:6]))
 
 
 def slots_from(arrs):
@@ -183,6 +231,17 @@ class TestClipGlobalNorm:
         slots = slots_from([np.array([6.0, 8.0])])
         nn.clip_global_norm(slots, 5.0)
         assert np.allclose(slots[0].grad, [3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_leaves_grads_untouched(self, bad):
+        # scaling by max_norm / inf would turn every gradient into NaN
+        slots = slots_from([np.array([6.0, 8.0]), np.array([bad, 1.0])])
+        with warnings.catch_warnings(), np.errstate(invalid="raise"):
+            warnings.simplefilter("error")
+            norm = nn.clip_global_norm(slots, 5.0)
+        assert not np.isfinite(norm)
+        assert np.array_equal(slots[0].grad, [6.0, 8.0])
+        assert np.array_equal(slots[1].grad, [bad, 1.0], equal_nan=True)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)

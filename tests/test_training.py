@@ -5,14 +5,15 @@ import pytest
 
 from bso import training
 from bso.beam import NonFiniteScoreError, NoConstraint, PermutationConstraint
-from bso.gradcheck import max_relative_error, numerical_grad
 from bso.model import ModelConfig, Seq2SeqModel
 from bso.training import (CurriculumSchedule, TrainConfig, ViolationRecord,
-                          bso_backward, bso_forward, bso_frozen_loss,
-                          curriculum_beam, delta_01, delta_sentence_bleu,
-                          make_batches, margin_loss, optimizer_step,
-                          train_bso_epoch, train_xent_epoch, xent_loss)
-from oracles import grad_snapshot, naive_bso_backward, oracle_bso_forward
+                          bso_backward, bso_forward, curriculum_beam, delta_01,
+                          delta_sentence_bleu, make_batches, margin_loss,
+                          optimizer_step, train_bso_epoch, train_xent_epoch,
+                          xent_loss)
+from gradcheck import max_relative_error, numerical_grad
+from oracles import (bso_frozen_loss, grad_snapshot, naive_bso_backward,
+                     oracle_bso_forward)
 
 BOS = 2
 EOS = 3
@@ -131,15 +132,15 @@ def scripted_table(d_eos=3.2, gold_eos=1.0):
 
 def run_scripted(table, k=2):
     model = ScriptedModel(table, vocab=8)
-    return bso_forward(model, enc=None, gold=(A, B, C, EOS), k_tr=k,
-                       constraint=NoConstraint(8, blocked=(0, 1, 2)),
+    return bso_forward(model, enc=None, golds=[(A, B, C, EOS)], k_tr=k,
+                       constraints=[NoConstraint(8, blocked=(0, 1, 2))],
                        delta_fn=delta_01, bos_id=BOS)
 
 
 class TestScriptedForward:
     def test_two_violations_with_reset(self):
         fwd = run_scripted(scripted_table())
-        assert fwd.gold_f == [5.0, 4.0, 3.0, 1.0]
+        assert fwd.gold_f == [[5.0, 4.0, 3.0, 1.0]]
         assert len(fwd.records) == 2
         r1, r2 = fwd.records
         # t=2: gold segment (A,B)=9 loses to (B,D)=10 on the margin
@@ -214,7 +215,7 @@ class TestForwardOracle:
     def test_records_match_exactly(self, seed):
         model, src, gold, k, constraint = random_case(seed)
         enc = model.encode(np.asarray(src)[None, :])
-        fwd = bso_forward(model, enc, gold, k, constraint, delta_01, BOS)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
         want = oracle_bso_forward(model, enc, gold, k, constraint, delta_01, BOS)
         assert len(fwd.records) == len(want)
         for rec, ref in zip(fwd.records, want):
@@ -237,17 +238,140 @@ class TestNonFinite:
         model.params["out.w"].value[...] = np.nan
         enc = model.encode(np.asarray(src)[None, :])
         with pytest.raises(NonFiniteScoreError, match="step 1"):
-            bso_forward(model, enc, gold, k, constraint, delta_01, BOS)
+            bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
+
+    def test_gold_row_non_finite_at_non_reseed_step_raises(self):
+        # under the last-step margin the gold prefix (A, B) drops off the
+        # beam at t=2 without a violation; at t=3 only its row scores NaN,
+        # while the beam rows search from (D, *) stay finite
+        table = {
+            (BOS,): {D: 9.0, A: 5.0, C: 3.0},
+            (BOS, D): {B: 0.0, A: -0.5, C: -1.0},
+            (BOS, A): {B: 1.0},
+            (BOS, A, B): {EOS: np.nan},
+        }
+        model = ScriptedModel(table, vocab=8)
+        with pytest.raises(NonFiniteScoreError, match="step 3") as err:
+            bso_forward(model, None, [(A, B, EOS)], 3,
+                        [NoConstraint(8, blocked=(0, 1, 2))], delta_01, BOS,
+                        margin_score="laststep")
+        assert err.value.sentence == 0
+
+    def test_error_names_the_sentence(self):
+        model = toy_model(3, dtype=np.float64)
+        src = np.array([[1, 2, 0], [2, 3, 2], [1, 4, 3]])
+        golds = [(1, 3), (4, 1, 3), (3, 3)]
+        constraints = [NoConstraint(5, blocked=(0, 2))] * 3
+        # source word 4 occurs in sentence 2 only
+        model.params["src_embed"].value[4] = np.nan
+        enc = model.encode(src, lengths=np.array([2, 3, 3]))
+        with pytest.raises(NonFiniteScoreError, match="step 1 of sentence 2") as err:
+            bso_forward(model, enc, golds, 2, constraints, delta_01, BOS)
+        assert (err.value.step, err.value.sentence) == (1, 2)
 
     def test_optimizer_step_rejects_non_finite_gradient_norm(self):
         model = toy_model(0)
         model.params["dec0.b"].grad[0] = np.inf
         before = {n: s.value.copy() for n, s in model.params.items()}
-        with pytest.raises(FloatingPointError, match="gradient norm"), \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="gradient norm"):
             optimizer_step(model, TrainConfig())
         for name, slot in model.params.items():
             assert np.array_equal(slot.value, before[name])
+
+
+# ---------------------------------------------------------------------------
+# Lockstep batches: the same records and gradients as one sentence at a time
+
+
+def random_batch(seed):
+    """A float64 model and 3-5 random_case sentences, padded into a batch."""
+    rng = np.random.default_rng(seed)
+    model = toy_model(seed, dtype=np.float64)
+    _, _, _, k, _ = random_case(seed)
+    cases = [random_case(seed * 10 + i)[1:] for i in range(int(rng.integers(3, 6)))]
+    srcs = [np.asarray(src) for src, _, _, _ in cases]
+    lengths = np.array([len(s) for s in srcs])
+    src = np.zeros((len(srcs), lengths.max()), dtype=np.int64)
+    for b, s in enumerate(srcs):
+        src[b, :len(s)] = s
+    golds = [gold for _, gold, _, _ in cases]
+    constraints = [c for _, _, _, c in cases]
+    return model, src, lengths, srcs, golds, k, constraints
+
+
+def sentence_records(fwd, b):
+    return [(r.t, r.r, r.violating_tokens, r.gold_tokens, r.delta)
+            for r in fwd.records if r.sentence == b]
+
+
+class TestLockstepBatch:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_forward_equals_batches_of_one(self, seed):
+        model, src, lengths, srcs, golds, k, constraints = random_batch(seed)
+        assert len(set(len(g) for g in golds)) > 1 or len(set(lengths)) > 1
+        enc = model.encode(src, lengths)
+        fwd = bso_forward(model, enc, golds, k, constraints, delta_01, BOS)
+        assert [r.sentence for r in fwd.records] == sorted(r.sentence for r in fwd.records)
+        for b, s in enumerate(srcs):
+            one = bso_forward(model, model.encode(s[None, :]), [golds[b]], k,
+                              [constraints[b]], delta_01, BOS)
+            assert sentence_records(fwd, b) == sentence_records(one, 0)
+            mine = [r for r in fwd.records if r.sentence == b]
+            for rec, ref in zip(mine, one.records):
+                assert rec.gold_score_seg == pytest.approx(ref.gold_score_seg, rel=1e-12, abs=1e-12)
+                assert rec.viol_score_seg == pytest.approx(ref.viol_score_seg, rel=1e-12, abs=1e-12)
+            assert fwd.gold_f[b] == pytest.approx(one.gold_f[0], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("margin_score", ["cumulative", "laststep"])
+    def test_backward_equals_sum_of_naive_bptt(self, seed, margin_score):
+        model, src, lengths, srcs, golds, k, constraints = random_batch(seed)
+        enc = model.encode(src, lengths)
+        fwd = bso_forward(model, enc, golds, k, constraints, delta_01, BOS,
+                          margin_score=margin_score)
+        model.zero_grads()
+        bso_backward(model, fwd)
+        batched = grad_snapshot(model)
+        model.zero_grads()
+        for b, s in enumerate(srcs):
+            one = bso_forward(model, model.encode(s[None, :]), [golds[b]], k,
+                              [constraints[b]], delta_01, BOS, margin_score=margin_score)
+            assert sentence_records(fwd, b) == sentence_records(one, 0)
+            naive_bso_backward(model, s[None, :], one, BOS)
+        worst = max(max_relative_error(batched[s.name], s.grad) for s in model.slots())
+        assert worst < 1e-6
+
+    def test_some_batches_have_violations_in_several_sentences(self):
+        hits = 0
+        for seed in range(12):
+            model, src, lengths, _, golds, k, constraints = random_batch(seed)
+            fwd = bso_forward(model, model.encode(src, lengths), golds, k,
+                              constraints, delta_01, BOS)
+            hits += len({r.sentence for r in fwd.records if r.delta > 0}) >= 2
+        assert hits >= 6
+
+    def test_epoch_minibatch_runs_in_lockstep(self):
+        model = toy_model(2, dtype=np.float32)
+        rng = np.random.default_rng(3)
+        examples = TestEpochDrivers().bso_examples(np.random.default_rng(5), n=6)
+        t_max = max(len(g) for _, g, _ in examples)
+        calls = {"encode": 0, "decode_step": 0, "decode_step_backward": 0}
+
+        def counting(name):
+            fn = getattr(model, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            setattr(model, name, counting(name))
+        stats = train_bso_epoch(model, examples, TrainConfig(batch_size=6), 1, rng, BOS)
+        assert stats.violations > 0
+        assert calls["encode"] == 1
+        assert calls["decode_step"] <= 2 * t_max
+        assert 0 < calls["decode_step_backward"] <= t_max
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +385,7 @@ class TestBackward:
         model = toy_model(seed, dtype=np.float64)
         src_b = np.asarray(src)[None, :]
         enc = model.encode(src_b)
-        fwd = bso_forward(model, enc, gold, k, constraint, delta_01, BOS)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
         assert any(r.delta > 0 for r in fwd.records)
         model.zero_grads()
         bso_backward(model, fwd)
@@ -277,7 +401,7 @@ class TestBackward:
         _, src, gold, k, constraint = random_case(4)
         src_b = np.asarray(src)[None, :]
         enc = model.encode(src_b)
-        fwd = bso_forward(model, enc, gold, k, constraint, delta_01, BOS,
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS,
                           margin_score="laststep")
         assert fwd.records
         model.zero_grads()
@@ -295,7 +419,7 @@ class TestBackward:
         _, src, gold, k, constraint = random_case(6)
         src_b = np.asarray(src)[None, :]
         enc = model.encode(src_b)
-        fwd = bso_forward(model, enc, gold, k, constraint, delta_01, BOS,
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS,
                           margin_score=margin_score)
         assert sum(r.delta > 0 for r in fwd.records) >= 1
         model.zero_grads()
@@ -316,7 +440,7 @@ class TestBackward:
         _, src, gold, k, constraint = random_case(8)
         src_b = np.asarray(src)[None, :]
         enc = model.encode(src_b)
-        fwd = bso_forward(model, enc, gold, k, constraint, delta_01, BOS)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
         # at the parameters where records were detected every violated margin
         # term is positive, so the floor is inactive and the frozen loss
         # agrees with margin_loss
