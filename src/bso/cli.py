@@ -18,7 +18,7 @@ import numpy as np
 from . import beam as beam_mod
 from . import tasks, training
 from .metrics import corpus_bleu, uas_las
-from .model import ModelConfig, Seq2SeqModel
+from .model import CheckpointError, InputError, ModelConfig, Seq2SeqModel
 from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, DataError, Vocab
 
 TASKS = ("word_order", "parse", "translate")
@@ -403,7 +403,8 @@ def main(argv=None):
                        args.output, k=args.beam, with_scores=args.scores)
         elif args.command == "eval":
             cmd_eval(args.task, args.hyp, args.ref)
-    except (ConfigError, DataError, OSError) as exc:
+    except (ConfigError, DataError, OSError, CheckpointError, InputError,
+            beam_mod.DecodeError, beam_mod.NonFiniteScoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,9 @@
 """Encoder-decoder with global (dot-product) attention and input feeding.
 
-The model exposes two scoring heads over the same parameters:
-
-* ``score_g``: log-probabilities (affine + log-softmax), used for
-  cross-entropy pretraining and the locally-normalized baseline;
-* ``score_f``: the same affine output without normalization, used as the
-  sequence scorer during beam-search training and decoding.
+The model's one scoring head, ``score_f``, is an affine output without
+normalization: the sequence scorer of beam-search training and decoding.
+Cross-entropy pretraining (``training.xent_loss``) takes the log-softmax
+of the same scores.
 
 All forward functions keep caches so the matching hand-derived backward
 passes can be replayed later. States and caches are batched along the first
@@ -16,14 +14,16 @@ hypotheses of many sentences can share one decoder step.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .nn import ParamSlot
+from .nn import CheckpointError, ParamSlot
 
 ATTN_NEG = -1e9
 
@@ -156,6 +156,25 @@ def _attend(enc, src, top):
     return attn, np.einsum("bs,bsh->bh", attn, ann)
 
 
+def param_shapes(cfg):
+    """Name -> shape of every parameter of a model, in creation order."""
+    shapes = {"src_embed": (cfg.src_vocab, cfg.d_emb), "tgt_embed": (cfg.tgt_vocab, cfg.d_emb)}
+    for l in range(cfg.layers):
+        enc_in = cfg.d_emb if l == 0 else cfg.d_h
+        dec_in = cfg.d_emb + cfg.d_h if l == 0 else cfg.d_h
+        shapes[f"enc{l}.wx"] = (enc_in, 4 * cfg.d_h)
+        shapes[f"enc{l}.wh"] = (cfg.d_h, 4 * cfg.d_h)
+        shapes[f"enc{l}.b"] = (4 * cfg.d_h,)
+        shapes[f"dec{l}.wx"] = (dec_in, 4 * cfg.d_h)
+        shapes[f"dec{l}.wh"] = (cfg.d_h, 4 * cfg.d_h)
+        shapes[f"dec{l}.b"] = (4 * cfg.d_h,)
+    shapes["attn.w"] = (2 * cfg.d_h, cfg.d_h)
+    shapes["attn.b"] = (cfg.d_h,)
+    shapes["out.w"] = (cfg.d_h, cfg.tgt_vocab)
+    shapes["out.b"] = (cfg.tgt_vocab,)
+    return shapes
+
+
 class Seq2SeqModel:
     """Attention encoder-decoder over a flat set of named ParamSlots."""
 
@@ -164,25 +183,9 @@ class Seq2SeqModel:
         self.dtype = dtype
         self.params = {}
         rng = rng if rng is not None else np.random.default_rng(0)
-        cfg = config
         if init:
-            def mk(name, shape):
+            for name, shape in param_shapes(config).items():
                 self.params[name] = ParamSlot.create(name, shape, rng, dtype=dtype)
-            mk("src_embed", (cfg.src_vocab, cfg.d_emb))
-            mk("tgt_embed", (cfg.tgt_vocab, cfg.d_emb))
-            for l in range(cfg.layers):
-                enc_in = cfg.d_emb if l == 0 else cfg.d_h
-                dec_in = cfg.d_emb + cfg.d_h if l == 0 else cfg.d_h
-                mk(f"enc{l}.wx", (enc_in, 4 * cfg.d_h))
-                mk(f"enc{l}.wh", (cfg.d_h, 4 * cfg.d_h))
-                mk(f"enc{l}.b", (4 * cfg.d_h,))
-                mk(f"dec{l}.wx", (dec_in, 4 * cfg.d_h))
-                mk(f"dec{l}.wh", (cfg.d_h, 4 * cfg.d_h))
-                mk(f"dec{l}.b", (4 * cfg.d_h,))
-            mk("attn.w", (2 * cfg.d_h, cfg.d_h))
-            mk("attn.b", (cfg.d_h,))
-            mk("out.w", (cfg.d_h, cfg.tgt_vocab))
-            mk("out.b", (cfg.tgt_vocab,))
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -303,7 +306,7 @@ class Seq2SeqModel:
 
         ``words`` are the tokens being consumed (the previous outputs); the
         returned StepOutput scores candidates for the next position via
-        score_f/score_g. Row i attends to source ``state.src[i]`` of enc.
+        score_f. Row i attends to source ``state.src[i]`` of enc.
         Returns (StepOutput, cache).
         """
         words = np.atleast_1d(np.asarray(words))
@@ -339,10 +342,6 @@ class Seq2SeqModel:
         """Unnormalized next-token scores [B, V]."""
         p = self.params
         return nn.affine_forward(out.attn_hidden, p["out.w"].value, p["out.b"].value)
-
-    def score_g(self, out):
-        """Log-probabilities [B, V]: log-softmax over score_f."""
-        return nn.log_softmax(self.score_f(out))
 
     def decode_step_backward(self, cache, d_state, d_f=None,
                              d_annotations=None, masks=None):
@@ -411,38 +410,65 @@ class Seq2SeqModel:
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path, extra=None):
+        """Write the checkpoint to a temporary file next to ``path``, then
+        move it over ``path``: a failed write leaves the old file intact."""
         tensors = {}
         for name, slot in self.params.items():
             tensors[name] = slot.value
             tensors[name + ".accum"] = slot.adagrad_accum
         header = {"config": self.config.to_dict(), "extra": extra or {}}
         cfg_bytes = json.dumps(header).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(b"BSOC")
-            fh.write(struct.pack("<I", len(cfg_bytes)))
-            fh.write(cfg_bytes)
-            nn.write_fragment(fh, tensors)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(b"BSOC")
+                fh.write(struct.pack("<I", len(cfg_bytes)))
+                fh.write(cfg_bytes)
+                nn.write_fragment(fh, tensors)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, dtype=np.float32, with_extra=False):
+        """Read a checkpoint; raises CheckpointError unless its header, its
+        parameter set and every shape agree with its ModelConfig."""
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != b"BSOC":
-                raise ValueError(f"bad model checkpoint magic {magic!r}")
-            (clen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(clen).decode("utf-8"))
-            cfg = ModelConfig(**{k: v for k, v in header["config"].items()
-                                 if k not in LEGACY_CONFIG_KEYS})
+                raise CheckpointError(f"bad model checkpoint magic {magic!r}")
+            clen = struct.unpack("<I", nn.read_exact(fh, 4, "the header length"))[0]
+            try:
+                header = json.loads(nn.read_exact(fh, clen, "the header").decode("utf-8"))
+                cfg = ModelConfig(**{k: v for k, v in header["config"].items()
+                                     if k not in LEGACY_CONFIG_KEYS})
+                extra = header.get("extra", {})
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise CheckpointError(f"bad checkpoint header: {exc}") from None
+            sizes = cfg.to_dict().values()
+            if not all(type(v) is int and v > 0 for v in sizes):
+                raise CheckpointError(f"bad model configuration {cfg.to_dict()}")
             tensors = nn.read_fragment(fh)
-        model = cls(cfg, dtype=dtype, init=False)
+            if fh.read(1):
+                raise CheckpointError("unexpected bytes after the last tensor")
+        shapes = param_shapes(cfg)
+        want = {n: s for name, s in shapes.items() for n in (name, name + ".accum")}
+        if set(tensors) != set(want):
+            missing, unexpected = sorted(set(want) - set(tensors)), sorted(set(tensors) - set(want))
+            raise CheckpointError(f"checkpoint parameters do not match the model configuration: "
+                                  f"missing {missing}, unexpected {unexpected}")
         for name, arr in tensors.items():
-            if name.endswith(".accum"):
-                continue
-            slot = ParamSlot(name, arr.astype(dtype))
-            accum = tensors.get(name + ".accum")
-            if accum is not None:
-                slot.adagrad_accum = accum.astype(dtype)
-            model.params[name] = slot
+            if arr.shape != want[name]:
+                raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
+                                      f"the configuration needs {want[name]}")
+        model = cls(cfg, dtype=dtype, init=False)
+        for name in shapes:
+            model.params[name] = ParamSlot(name, tensors[name].astype(dtype),
+                                           adagrad_accum=tensors[name + ".accum"].astype(dtype))
         if with_extra:
-            return model, header.get("extra", {})
+            return model, extra
         return model

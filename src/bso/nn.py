@@ -7,6 +7,7 @@ gradient checks can run at full precision.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,11 @@ MAGIC = b"BSO1"
 
 class DimensionError(ValueError):
     """Shapes passed to a primitive do not match its parameters."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint is truncated or corrupt, or does not match its model
+    configuration."""
 
 
 def assert_finite(x, what="tensor"):
@@ -229,18 +235,42 @@ def write_fragment(fh, tensors):
         fh.write(data.tobytes())
 
 
+def read_exact(fh, n, what):
+    """Read exactly n bytes, in bounded pieces, or raise CheckpointError:
+    a corrupt length reads to the end of the file, not into memory."""
+    chunks = []
+    while n > 0:
+        chunk = fh.read(min(n, 1 << 20))
+        if not chunk:
+            raise CheckpointError(f"checkpoint truncated in {what}")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _read_u32(fh, what):
+    return struct.unpack("<I", read_exact(fh, 4, what))[0]
+
+
 def read_fragment(fh):
     magic = fh.read(4)
     if magic != MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    (count,) = struct.unpack("<I", fh.read(4))
+        raise CheckpointError(f"bad checkpoint magic {magic!r}")
+    count = _read_u32(fh, "the tensor count")
     tensors = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", fh.read(4))
-        name = fh.read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        n = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(fh.read(4 * n), dtype="<f4").reshape(shape)
-        tensors[name] = data.copy()
+    for i in range(count):
+        raw = read_exact(fh, _read_u32(fh, f"tensor {i}"), f"tensor {i}")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor {i} has a name that is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} appears twice")
+        ndim = _read_u32(fh, name)
+        shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, name))
+        data = np.frombuffer(read_exact(fh, 4 * math.prod(shape), name), dtype="<f4")
+        try:
+            tensors[name] = data.reshape(shape).copy()
+        except ValueError:
+            raise CheckpointError(f"tensor {name!r} has an impossible shape {shape}") from None
     return tensors

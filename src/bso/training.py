@@ -13,9 +13,12 @@ sentences:
 
 * one batched ``encode`` of the sources;
 * a cache-free search pass: at each step one ``decode_step`` scores every
-  live sentence's gold row together with its beam rows, then
-  :func:`bso.beam.beam_step` advances each sentence's beam on its slice.
-  Only the recurrent state survives a step; no decoder cache is kept;
+  live sentence's gold row together with its beam rows, then one
+  :func:`bso.beam.beam_step` advances the array beam that holds every
+  sentence's hypotheses (a sentence reset at the previous step is a beam
+  of one, its gold prefix). Only the recurrent state survives a step; no
+  decoder cache is kept. The constraints of a batch are all of one class,
+  row-batched with the beam;
 * a teacher-forced backward pass: the rows that receive gradient (each
   sentence's gold row and the violating segment in scope, at most one per
   sentence) are recomputed with one ``decode_step`` per step, then
@@ -30,14 +33,13 @@ would compute, in O(T) instead of O(T^2).
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .beam import Hypothesis, NonFiniteScoreError, beam_step, validate_gold
+from .beam import Beam, NonFiniteScoreError, beam_step, join_constraints, validate_gold
 from .metrics import sentence_bleu_smoothed
 from .model import MaskSet
 
@@ -108,83 +110,6 @@ def margin_loss(records):
 # Forward pass: find violations
 
 
-class _Search:
-    """One sentence's side of a lockstep forward pass."""
-
-    def __init__(self, index, gold, constraint):
-        if not gold:
-            raise ValueError("empty gold sequence")
-        validate_gold(constraint, gold)
-        self.index = index
-        self.gold = gold
-        self.constraints = [constraint]       # constraint state after y_{1:t}
-        for w in gold:
-            self.constraints.append(self.constraints[-1].advance(w))
-        self.gold_f = []
-        self.r = 0
-        self.gold_seg = 0.0
-        self.hyps = None                      # None right after a (re)seed
-        self.rows = []                        # state row of each hypothesis
-        self.gold_row = index                 # state row of the gold prefix
-
-    def step(self, t, f, row0, k_tr, delta_fn, margin_score, records):
-        """Search step t. f: float64 f-scores of this sentence's rows, which
-        start at state row ``row0``: the gold prefix, then the beam."""
-        gold = self.gold
-        T = len(gold)
-        fy = float(f[0, gold[t - 1]])
-        self.gold_f.append(fy)
-        if self.hyps is None:
-            # beam (re)seeded from the gold prefix y_{1:r}: a beam of one
-            # whose step is the gold step, which consumed the same state
-            # and word
-            parents = [Hypothesis(gold[:self.r], 0.0, self.constraints[self.r])]
-            f_beam, first = f[:1], row0
-        else:
-            parents, f_beam, first = self.hyps, f[1:], row0 + 1
-        hyps, rows = beam_step(parents, f_beam, k_tr)
-        self.hyps = hyps
-        self.rows = [first + row for row in rows]
-        self.gold_row = row0
-
-        gold_seg_t = self.gold_seg + fy
-        comparator = None
-        if t < T:
-            if hyps:
-                comparator = hyps[min(k_tr, len(hyps)) - 1]
-        else:
-            for h in hyps:
-                if h.tokens != gold:
-                    comparator = h
-                    break
-        violated = False
-        if comparator is not None:
-            if margin_score == "laststep":
-                violated = fy < comparator.last_f + 1.0
-            else:
-                violated = gold_seg_t < comparator.seg_score + 1.0
-        elif t < T and not hyps:
-            # constraints exhausted the beam: treat as a violation and reset
-            violated = True
-
-        if violated:
-            r = self.r
-            if comparator is not None:
-                viol_tokens = comparator.tokens[r:]
-                records.append(ViolationRecord(
-                    t=t, r=r, violating_tokens=viol_tokens,
-                    gold_tokens=gold[r:t], gold_score_seg=gold_seg_t,
-                    viol_score_seg=comparator.seg_score,
-                    gold_last_f=fy, viol_last_f=comparator.last_f,
-                    delta=float(delta_fn(viol_tokens, gold[r:t])),
-                    margin_score=margin_score, sentence=self.index))
-            self.r = t
-            self.gold_seg = 0.0
-            self.hyps = None
-        else:
-            self.gold_seg = gold_seg_t
-
-
 def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
                 masks=None, margin_score="cumulative"):
     """Run beam search alongside the gold paths of a batch and collect
@@ -193,41 +118,110 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
     enc: the encoded sources, sentence b at row b. golds: one token id
     sequence y_{1:T} per sentence (EOS included for open-ended tasks).
     constraints: one initial constraint state per sentence, shared by its
-    gold and its hypotheses; each gold sequence is validated against it up
-    front. Returns one ForwardResult for :func:`bso_backward`; it holds no
-    decoder caches.
+    gold and its hypotheses, all of one class (ValueError otherwise); each
+    gold sequence is validated against it up front. Returns one
+    ForwardResult for :func:`bso_backward`; it holds no decoder caches.
     """
     golds = [tuple(int(w) for w in g) for g in golds]
     if len(golds) != len(constraints):
         raise ValueError("need one constraint per gold sequence")
-    sents = [_Search(b, g, c) for b, (g, c) in enumerate(zip(golds, constraints))]
+    if not all(golds):
+        raise ValueError("empty gold sequence")
+    # gold_states[j]: constraint state after y_{1:j} of each sentence longer than j
+    gold_states = validate_gold(join_constraints(constraints), golds)
+    lengths = np.array([len(g) for g in golds])
+    gold = np.zeros((len(golds), lengths.max()), dtype=np.int64)
+    for b, g in enumerate(golds):
+        gold[b, :len(g)] = g
+    gold_f = np.zeros(gold.shape)
+    reset = np.zeros(len(golds), dtype=np.int64)       # r: the last reset step
+    gold_seg = np.zeros(len(golds))
+    seeded = np.ones(len(golds), dtype=bool)           # reset at the previous step
     records = []
     state = model.init_state(enc)
-    for t in range(1, max(len(g) for g in golds) + 1):
-        live = [s for s in sents if t <= len(s.gold)]
-        rows, words, starts = [], [], []
-        for s in live:
-            starts.append(len(rows))
-            rows.append(s.gold_row)
-            words.append(bos_id if t == 1 else s.gold[t - 2])
-            if s.hyps is not None:
-                rows.extend(s.rows)
-                words.extend(h.tokens[-1] for h in s.hyps)
+    gold_rows = np.arange(len(golds))   # state row of each live gold prefix
+    kept, kept_rows = None, None        # hypotheses that go on, and their state rows
+    for t in range(1, gold.shape[1] + 1):
+        live = np.flatnonzero(lengths >= t)
+        # decoder rows: per live sentence its gold row, then its beam rows
+        row_sent = live if kept is None else np.concatenate([live, kept.sent])
+        order = np.argsort(row_sent, kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        gold_at = at[:len(live)]
+        words = np.full(len(live), bos_id) if t == 1 else gold[live, t - 2]
+        rows = gold_rows
+        if kept is not None:
+            words = np.concatenate([words, kept.tokens[:, -1]])
+            rows = np.concatenate([rows, kept_rows])
         # the search keeps nothing of a step but its recurrent state: not
         # the decoder cache, and not the scores once the beams have moved
-        state = state.select(rows)
-        out = model.decode_step(state, np.array(words), enc, step=t - 1, masks=masks)[0]
+        state = state.select(rows[order])
+        out = model.decode_step(state, words[order], enc, step=t - 1, masks=masks)[0]
         state = out.state
         f = model.score_f(out)
         if not np.isfinite(f).all():
             bad = int(np.flatnonzero(~np.isfinite(f).all(axis=1))[0])
-            raise NonFiniteScoreError(t, live[bisect.bisect_right(starts, bad) - 1].index)
-        for s, lo, hi in zip(live, starts, starts[1:] + [len(rows)]):
-            s.step(t, f[lo:hi].astype(np.float64), lo, k_tr, delta_fn,
-                   margin_score, records)
+            raise NonFiniteScoreError(t, int(row_sent[order[bad]]))
+        fy = f[gold_at, gold[live, t - 1]].astype(np.float64)
+        gold_f[live, t - 1] = fy
+
+        # a sentence (re)seeded from its gold prefix y_{1:r} is a beam of one
+        # whose step is the gold step, which consumed the same state and word
+        new = np.flatnonzero(seeded[live])
+        parents = Beam.seed(gold[live[new], :t - 1], live[new], gold_states[t - 1].select(new))
+        parent_at = gold_at[new]
+        if kept is not None:
+            parents = Beam.join([kept, parents])
+            parent_at = np.concatenate([at[len(live):], parent_at])
+            by_sent = np.argsort(parents.sent, kind="stable")
+            parents, parent_at = parents.select(by_sent), parent_at[by_sent]
+        succ, succ_parent = beam_step(parents, f, k_tr, rows=parent_at)
+
+        # comparator: the K-th successor, or at the final step the best one
+        # that is not the gold sequence
+        succ_live = np.searchsorted(live, succ.sent)
+        count = np.bincount(succ_live, minlength=len(live))
+        first = np.cumsum(count) - count
+        comp = first + count - 1
+        final = lengths[live] == t
+        if final.any():
+            differs = np.flatnonzero((succ.tokens != gold[succ.sent, :t]).any(axis=1))
+            best = np.append(differs, len(succ))[np.searchsorted(differs, first)]
+            comp = np.where(final, best, comp)
+        has_comp = (comp >= first) & (comp < first + count)
+        gold_seg_t = gold_seg[live] + fy
+        # constraints exhausting the beam before the end count as a violation
+        violated = ~final
+        if len(succ):
+            c = np.minimum(comp, len(succ) - 1)
+            if margin_score == "laststep":
+                beaten = fy < succ.last_f[c] + 1.0
+            else:
+                beaten = gold_seg_t < succ.seg_score[c] + 1.0
+            violated = np.where(has_comp, beaten, violated)
+        for i in np.flatnonzero(violated & has_comp):
+            b, c, r = int(live[i]), int(comp[i]), int(reset[live[i]])
+            viol_tokens = tuple(succ.tokens[c, r:].tolist())
+            records.append(ViolationRecord(
+                t=t, r=r, violating_tokens=viol_tokens, gold_tokens=golds[b][r:t],
+                gold_score_seg=float(gold_seg_t[i]),
+                viol_score_seg=float(succ.seg_score[c]),
+                gold_last_f=float(fy[i]), viol_last_f=float(succ.last_f[c]),
+                delta=float(delta_fn(viol_tokens, golds[b][r:t])),
+                margin_score=margin_score, sentence=b))
+        reset[live[violated]] = t
+        gold_seg[live] = np.where(violated, 0.0, gold_seg_t)
+        seeded[live] = violated
+        go_on = np.flatnonzero((~violated & ~final)[succ_live])
+        kept, kept_rows = None, None
+        if go_on.size:
+            kept, kept_rows = succ.select(go_on), parent_at[succ_parent[go_on]]
+        gold_rows = gold_at[~final]
         del out, f
     records.sort(key=lambda rec: (rec.sentence, rec.t))
-    return ForwardResult(records=records, gold_f=[s.gold_f for s in sents],
+    return ForwardResult(records=records,
+                         gold_f=[gold_f[b, :n].tolist() for b, n in enumerate(lengths)],
                          gold_tokens=golds, enc=enc, bos_id=bos_id, masks=masks)
 
 

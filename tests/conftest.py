@@ -1,0 +1,6 @@
+"""Pytest settings: property tests run the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")

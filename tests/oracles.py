@@ -5,10 +5,64 @@ the forward oracle rescores every candidate prefix from scratch at every
 step, and the backward oracle runs one separate truncated BPTT per
 violation record (O(T^2) per sequence). Agreement with the O(T) merged
 implementations is what the tests assert. The frozen-search margin loss is
-the quantity the merged backward pass is finite-differenced against.
+the quantity the merged backward pass is finite-differenced against. The
+per-hypothesis beam step is the reference for the array beam step: one
+sentence, one Hypothesis object and one constraint state per hypothesis.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class Hypothesis:
+    tokens: tuple
+    score: float                 # cumulative f of the tokens search appended
+    constraint: object           # a one-row constraint state
+    seg_score: float = 0.0       # cumulative f since the last search reset
+    last_f: float = 0.0
+
+
+def reference_top_k(scores, valid, k):
+    """Pick the K best (parent, word) expansions of one sentence.
+
+    scores: [n_hyp, vocab] cumulative scores; valid: same-shape bool mask.
+    Ties break toward the lower word index, then the lower parent index.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    scores = np.asarray(scores, dtype=np.float64)
+    n, v = scores.shape
+    flat_valid = np.asarray(valid).ravel()
+    idx = np.flatnonzero(flat_valid)
+    if idx.size == 0:
+        return []
+    s = scores.ravel()[idx]
+    words = idx % v
+    parents = idx // v
+    order = np.lexsort((parents, words, -s))
+    take = order[:k]
+    return [(int(parents[i]), int(words[i])) for i in take]
+
+
+def reference_beam_step(hyps, f, k):
+    """Expand one sentence's hypotheses by one token: the K best successors.
+
+    f: [n, V] float64 f-scores, row i scoring the next word of hyps[i].
+    Successors rank by segment score; each carries its parent's constraint
+    advanced by its word. Returns (successors, parent row of each).
+    """
+    cum = f + np.array([h.seg_score for h in hyps])[:, None]
+    valid = np.stack([h.constraint.allowed_mask()[0] for h in hyps])
+    succ, rows = [], []
+    for parent, w in reference_top_k(cum, valid, k):
+        h = hyps[parent]
+        fw = float(f[parent, w])
+        succ.append(Hypothesis(h.tokens + (w,), h.score + fw, h.constraint.advance(w),
+                               seg_score=h.seg_score + fw, last_f=fw))
+        rows.append(parent)
+    return succ, rows
 
 
 def rescore_prefix(model, enc, tokens, bos_id, masks=None):
@@ -51,7 +105,7 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
         base = beam if beam is not None else [(gold[:r], gold_constraints[r])]
         cands = []
         for parent, (toks, cstate) in enumerate(base):
-            mask = cstate.allowed_mask()
+            mask = cstate.allowed_mask()[0]
             for w in range(vocab):
                 if not mask[w]:
                     continue

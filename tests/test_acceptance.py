@@ -219,7 +219,7 @@ class TestCriterion5ConstraintSoundness:
                 gold = list(words)
                 rng.shuffle(gold)
                 gold = gold + [EOS]
-                validate_gold(PermutationConstraint(8, words, EOS), gold)
+                validate_gold(PermutationConstraint(8, words, EOS), [gold])
                 enc = model.encode(np.array([words]))
                 toks = beam_decode(model, enc, 3,
                                    PermutationConstraint(8, words, EOS),
@@ -249,7 +249,7 @@ class TestCriterion5ConstraintSoundness:
                     if w == EOS:
                         break
                 validate_gold(
-                    ArcStandardConstraint(10, word_ids, reduce_ids, EOS), gold)
+                    ArcStandardConstraint(10, word_ids, reduce_ids, EOS), [gold])
                 enc = model.encode(np.array([word_ids]))
                 toks = beam_decode(model, enc, 3,
                                    ArcStandardConstraint(10, word_ids,

@@ -1,17 +1,19 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bso import beam as beam_mod
 from bso import tasks
-from bso.beam import (ArcStandardConstraint, ConstraintError, DecodeError,
-                      Hypothesis, NonFiniteScoreError, NoConstraint,
-                      PermutationConstraint, beam_decode, beam_step, top_k,
-                      validate_gold)
+from bso.beam import (ArcStandardConstraint, Beam, ConstraintError, DecodeError,
+                      NonFiniteScoreError, NoConstraint, PermutationConstraint,
+                      beam_decode, beam_step, join_constraints, top_k, validate_gold)
 from bso.model import ModelConfig, Seq2SeqModel
 from bso.tasks import BOS_ID, EOS_ID, PAD_ID
+from oracles import Hypothesis, reference_beam_step
 
 V = 10
 
@@ -116,30 +118,84 @@ class TestSuccArcStandard:
 class TestValidateGold:
     def test_valid_sequence_passes(self):
         c = PermutationConstraint(V, [4, 5], EOS_ID)
-        validate_gold(c, [5, 4, EOS_ID])
+        validate_gold(c, [[5, 4, EOS_ID]])
 
     def test_invalid_names_step(self):
         c = PermutationConstraint(V, [4, 5], EOS_ID)
         with pytest.raises(ConstraintError, match="step 2"):
-            validate_gold(c, [5, 6, EOS_ID])
+            validate_gold(c, [[5, 6, EOS_ID]])
+
+    def test_error_names_the_offending_row(self):
+        c = join_constraints([PermutationConstraint(V, [], EOS_ID),
+                              PermutationConstraint(V, [4], EOS_ID)])
+        with pytest.raises(ConstraintError, match="word 5 not among") as err:
+            c.advance([EOS_ID, 5])
+        assert err.value.row == 1
+
+    def test_invalid_names_sequence_of_batch(self):
+        c = join_constraints([PermutationConstraint(V, [4, 5], EOS_ID),
+                              PermutationConstraint(V, [6], EOS_ID)])
+        with pytest.raises(ConstraintError, match="sequence 1 invalid at step 1") as err:
+            validate_gold(c, [[5, 4, EOS_ID], [4, EOS_ID]])
+        assert err.value.row == 1
+
+    def test_prefix_states_cover_the_longer_sequences(self):
+        c = join_constraints([PermutationConstraint(V, [4, 5], EOS_ID),
+                              PermutationConstraint(V, [6], EOS_ID)])
+        states = validate_gold(c, [[5, 4, EOS_ID], [6, EOS_ID]])
+        assert [len(s.counts) for s in states] == [2, 2, 1, 0]
+        assert successors(states[1].select([0])) == [4]
+        assert successors(states[1].select([1])) == [EOS_ID]
+        assert successors(states[2]) == [EOS_ID]
+
+
+class TestJoin:
+    def test_mixed_classes_raise(self):
+        with pytest.raises(ValueError, match="same class"):
+            join_constraints([NoConstraint(V), PermutationConstraint(V, [4], EOS_ID)])
+
+    def test_different_settings_raise(self):
+        with pytest.raises(ValueError, match="settings"):
+            join_constraints([NoConstraint(V, blocked=(0,)), NoConstraint(V, blocked=(1,))])
+
+    def test_rows_keep_their_states(self):
+        a = ArcStandardConstraint(V, [4, 5], (8, 9), EOS_ID).advance(4).advance(5)
+        b = ArcStandardConstraint(V, [6], (8, 9), EOS_ID)
+        both = join_constraints([a, b])
+        assert np.array_equal(both.allowed_mask(), np.concatenate([a.allowed_mask(),
+                                                                   b.allowed_mask()]))
+        c = both.advance([8, 6])
+        assert successors(c.select([0])) == [EOS_ID]
+        assert successors(c.select([1])) == [EOS_ID]
+
+
+def pairs(picks):
+    parents, words = picks
+    return list(zip(parents.tolist(), words.tolist()))
 
 
 class TestTopK:
     def test_keep_all_when_k_large(self):
         scores = np.array([[1.0, 2.0, 3.0]])
-        picks = top_k(scores, np.ones_like(scores, dtype=bool), 10)
+        picks = pairs(top_k(scores, np.ones_like(scores, dtype=bool), 10))
         assert len(picks) == 3
         assert picks[0] == (0, 2)
 
     def test_descending_selection(self):
         scores = np.array([[1.0, 5.0], [3.0, 2.0]])
-        picks = top_k(scores, np.ones_like(scores, dtype=bool), 2)
+        picks = pairs(top_k(scores, np.ones_like(scores, dtype=bool), 2))
         assert picks == [(0, 1), (1, 0)]
 
     def test_tie_break_word_then_parent(self):
         scores = np.array([[2.0, 2.0], [2.0, 1.0]])
-        picks = top_k(scores, np.ones_like(scores, dtype=bool), 3)
+        picks = pairs(top_k(scores, np.ones_like(scores, dtype=bool), 3))
         assert picks == [(0, 0), (1, 0), (0, 1)]
+
+    def test_segments_rank_apart(self):
+        scores = np.array([[2.0, 2.0], [2.0, 1.0], [0.0, 3.0], [5.0, 5.0]])
+        valid = np.ones_like(scores, dtype=bool)
+        picks = pairs(top_k(scores, valid, 2, segments=np.array([0, 0, 1, 2])))
+        assert picks == [(0, 0), (1, 0), (2, 1), (2, 0), (3, 0), (3, 1)]
 
     def test_matches_stable_sort_prefix(self):
         rng = np.random.default_rng(0)
@@ -150,11 +206,22 @@ class TestTopK:
                 [(-scores[p, w], w, p) for p in range(3) for w in range(5)
                  if valid[p, w]])
             expect = [(p, w) for _, w, p in items][:4]
-            assert top_k(scores, valid, 4) == expect
+            assert pairs(top_k(scores, valid, 4)) == expect
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             top_k(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 0)
+
+
+def as_beam(sentences):
+    """One Beam holding per-sentence lists of reference Hypothesis objects."""
+    rows = [(b, h) for b, hyps in enumerate(sentences) for h in hyps]
+    return Beam(np.array([h.tokens for _, h in rows], dtype=np.int64).reshape(len(rows), -1),
+                np.array([h.score for _, h in rows]),
+                np.array([h.seg_score for _, h in rows]),
+                np.array([h.last_f for _, h in rows]),
+                np.array([b for b, _ in rows], dtype=np.int64),
+                join_constraints([h.constraint for _, h in rows]))
 
 
 class TestBeamStep:
@@ -166,17 +233,23 @@ class TestBeamStep:
         f = np.zeros((2, V))
         f[0, 5], f[0, 6] = 0.25, 0.5
         f[1, 4], f[1, 6] = 1.5, -1.0
-        succ, rows = beam_step(hyps, f, 3)
-        assert [h.tokens for h in succ] == [(5, 4), (4, 6), (4, 5)]
-        assert rows == [1, 0, 0]
-        assert [h.seg_score for h in succ] == [2.5, 2.0, 1.75]
-        assert [h.score for h in succ] == [2.5, 2.5, 2.25]
-        assert [h.last_f for h in succ] == [1.5, 0.5, 0.25]
-        assert successors(succ[0].constraint) == [6]
+        succ, rows = beam_step(as_beam([hyps]), f, 3)
+        assert succ.tokens.tolist() == [[5, 4], [4, 6], [4, 5]]
+        assert rows.tolist() == [1, 0, 0]
+        assert succ.seg_score.tolist() == [2.5, 2.0, 1.75]
+        assert succ.score.tolist() == [2.5, 2.5, 2.25]
+        assert succ.last_f.tolist() == [1.5, 0.5, 0.25]
+        assert successors(succ.constraint.select([0])) == [6]
 
     def test_no_valid_expansion_gives_empty_beam(self):
         hyps = [Hypothesis((), 0.0, NoConstraint(V, blocked=range(V)))]
-        assert beam_step(hyps, np.zeros((1, V)), 2) == ([], [])
+        succ, rows = beam_step(as_beam([hyps]), np.zeros((1, V)), 2)
+        assert len(succ) == 0 and rows.size == 0
+
+    def test_beam_without_rows(self):
+        beam = Beam.seed(np.zeros((0, 2)), [], NoConstraint(V).select([]))
+        succ, rows = beam_step(beam, np.zeros((0, V)), 3)
+        assert succ.tokens.shape == (0, 3) and rows.size == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_raise_naming_the_step(self, bad):
@@ -184,8 +257,112 @@ class TestBeamStep:
         f = np.zeros((1, V))
         f[0, 7] = bad
         with pytest.raises(NonFiniteScoreError, match="step 3") as err:
-            beam_step(hyps, f, 2)
+            beam_step(as_beam([hyps]), f, 2)
         assert isinstance(err.value, FloatingPointError)
+
+    def test_one_allowed_mask_and_advance_per_step(self, monkeypatch):
+        calls = {"allowed_mask": 0, "advance": 0, "top_k": 0}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        rng = np.random.default_rng(0)
+        sentences = [[Hypothesis((), 0.0, PermutationConstraint(V, [4, 5, 6, 7], EOS_ID))]
+                     for _ in range(3)]
+        beam = as_beam(sentences)
+        counting(PermutationConstraint, "allowed_mask")
+        counting(PermutationConstraint, "advance")
+        counting(beam_mod, "top_k")
+        beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
+        beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
+        assert len(beam) == 12
+        # 12 rows fit one chunk: one top_k call per step for all 3 sentences
+        assert calls == {"allowed_mask": 2, "advance": 2, "top_k": 2}
+
+
+REDUCE = (8, 9)
+
+
+def random_constraint(kind, rng, blocked):
+    """A random reachable one-row state; arc-standard states of an empty
+    source, and NoConstraint with every word blocked, have no successors."""
+    if kind == "none":
+        c = NoConstraint(V, blocked=blocked)
+    else:
+        src = [int(w) for w in rng.integers(4, 8, size=rng.integers(0, 5))]
+        c = (PermutationConstraint(V, src, EOS_ID) if kind == "perm"
+             else ArcStandardConstraint(V, src, REDUCE, EOS_ID))
+    for _ in range(int(rng.integers(0, 6))):
+        allowed = np.flatnonzero(c.allowed_mask())
+        if not allowed.size:
+            break
+        c = c.advance(int(rng.choice(allowed)))
+    return c
+
+
+def random_sentences(kind, k, seed):
+    """1-6 sentences of hypotheses, each a reseeded beam of one row or a
+    beam of up to k rows; with ``ties`` every score comes from a small set
+    of exactly representable values, so equal candidates are common."""
+    rng = np.random.default_rng(seed)
+    ties = rng.random() < 0.5
+    blocked = tuple(range(V)) if kind == "none" and rng.random() < 0.1 else (PAD_ID, BOS_ID)
+
+    def value():
+        return float(rng.choice([-1.0, 0.0, 0.5, 1.0])) if ties else float(rng.normal())
+
+    t = int(rng.integers(0, 5))
+    sentences = []
+    for _ in range(int(rng.integers(1, 7))):
+        c0 = random_constraint(kind, rng, blocked)
+        hyps = []
+        if rng.random() < 0.4:
+            hyps.append(Hypothesis(tuple(int(w) for w in rng.integers(3, V, size=t)), 0.0, c0))
+        else:
+            for _ in range(int(rng.integers(1, k + 1))):
+                hyps.append(Hypothesis(tuple(int(w) for w in rng.integers(3, V, size=t)),
+                                       value(), random_constraint(kind, rng, blocked),
+                                       seg_score=value(), last_f=value()))
+        sentences.append(hyps)
+    n = sum(len(h) for h in sentences)
+    f = (rng.choice([-1.0, 0.0, 0.5, 1.0], size=(n, V)) if ties else rng.normal(size=(n, V)))
+    return sentences, f.astype(np.float32 if rng.random() < 0.5 else np.float64)
+
+
+class TestArrayBeamStepMatchesReference:
+    """The array step over a batch of sentences against the per-hypothesis
+    reference step run on each sentence alone: bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("cut_first", [False, True])
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15)
+    def test_successors_equal_reference(self, kind, k, cut_first, seed):
+        sentences, f = random_sentences(kind, k, seed)
+        # cut_first: top_k cuts every row to its K best before sorting,
+        # which it does on its own only for large frontiers
+        with mock.patch.object(beam_mod, "PREFILTER", 0 if cut_first else beam_mod.PREFILTER):
+            succ, parents = beam_step(as_beam(sentences), f, k)
+        masks = succ.constraint.allowed_mask()
+        lo = 0
+        for b, hyps in enumerate(sentences):
+            ref, ref_rows = reference_beam_step(hyps, f[lo:lo + len(hyps)].astype(np.float64), k)
+            mine = np.flatnonzero(succ.sent == b)
+            assert succ.tokens[mine].tolist() == [list(h.tokens) for h in ref]
+            assert (parents[mine] - lo).tolist() == ref_rows
+            for name in ("seg_score", "score", "last_f"):
+                want = np.array([getattr(h, name) for h in ref], dtype=np.float64)
+                assert getattr(succ, name)[mine].tobytes() == want.tobytes()
+            want = np.array([h.constraint.allowed_mask()[0] for h in ref], dtype=bool)
+            assert np.array_equal(masks[mine], want.reshape(len(ref), V))
+            lo += len(hyps)
+        assert np.all(np.diff(succ.sent) >= 0)
 
 
 def toy_model(tgt_vocab=6, seed=0):
@@ -264,9 +441,12 @@ class TestBeamDecode:
 
         class Stuck:
             def allowed_mask(self):
-                return np.zeros(6, dtype=bool)
+                return np.zeros((1, 6), dtype=bool)
 
             def advance(self, w):
+                return self
+
+            def select(self, rows):
                 return self
 
         with pytest.raises(DecodeError):

@@ -1,14 +1,24 @@
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bso import nn, training
-from bso.model import MaskSet, ModelConfig, Seq2SeqModel, InputError, StateGrad
+from bso.model import (CheckpointError, InputError, MaskSet, ModelConfig, Seq2SeqModel,
+                       StateGrad, param_shapes)
 from gradcheck import max_relative_error, numerical_grad
 
 BOS = 2
+
+
+def score_g(model, out):
+    """Log-probabilities [B, V]: log-softmax over score_f."""
+    return nn.log_softmax(model.score_f(out))
 
 
 def toy_model(src_vocab=7, tgt_vocab=9, d_emb=4, d_h=5, layers=1, seed=0,
@@ -108,7 +118,7 @@ class TestScores:
         enc = m.encode(np.array([[1, 2]]))
         out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
         f = m.score_f(out)
-        g = m.score_g(out)
+        g = score_g(m, out)
         assert np.allclose(g, nn.log_softmax(f), atol=1e-12)
         assert np.exp(g).sum() == pytest.approx(1.0, abs=1e-6)
         assert np.argmax(f) == np.argmax(g)
@@ -117,9 +127,9 @@ class TestScores:
         m = toy_model()
         enc = m.encode(np.array([[1, 2]]))
         out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
-        f0, g0 = m.score_f(out), m.score_g(out)
+        f0, g0 = m.score_f(out), score_g(m, out)
         m.params["out.b"].value += 3.0
-        f1, g1 = m.score_f(out), m.score_g(out)
+        f1, g1 = m.score_f(out), score_g(m, out)
         assert np.allclose(f1, f0 + 3.0, atol=1e-9)
         assert np.allclose(g1, g0, atol=1e-9)
 
@@ -265,3 +275,126 @@ class TestCheckpoint:
         assert loaded.config == m.config
         for name, slot in m.params.items():
             assert np.array_equal(loaded.params[name].value, slot.value)
+
+
+def load_bytes(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.bso")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return Seq2SeqModel.load(path)
+
+
+class TestCheckpointRobustness:
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        """The bytes of a small saved checkpoint."""
+        path = tmp_path_factory.mktemp("ckpt") / "model.bso"
+        toy_model(src_vocab=5, tgt_vocab=6, d_emb=2, d_h=3, dtype=np.float32).save(
+            path, extra={"note": "x"})
+        return path.read_bytes()
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200)
+    def test_truncations_raise_checkpoint_error(self, data, cut):
+        with pytest.raises(CheckpointError):
+            load_bytes(data[:cut % len(data)])
+
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_byte_flips_load_consistently_or_raise_checkpoint_error(self, data, flips):
+        blob = bytearray(data)
+        for pos, bits in flips:
+            blob[pos % len(blob)] ^= bits
+        try:
+            model = load_bytes(bytes(blob))
+        except CheckpointError:
+            return
+        # a flip in the tensor data loads; the structure still matches
+        shapes = param_shapes(model.config)
+        assert list(model.params) == list(shapes)
+        for name, slot in model.params.items():
+            assert slot.value.shape == slot.adagrad_accum.shape == shapes[name]
+
+    def test_truncated_file_is_a_checkpoint_error_not_a_buffer_error(self, data):
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_bytes(data[:-3])
+
+    def test_trailing_bytes_rejected(self, data):
+        with pytest.raises(CheckpointError, match="after the last tensor"):
+            load_bytes(data + b"\0")
+
+    def write(self, path, config, tensors):
+        header = json.dumps({"config": config, "extra": {}}).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(b"BSOC")
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            nn.write_fragment(fh, tensors)
+
+    def tensors(self, m):
+        out = {}
+        for name, slot in m.params.items():
+            out[name] = slot.value
+            out[name + ".accum"] = slot.adagrad_accum
+        return out
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        m = toy_model(dtype=np.float32)
+        config = dict(m.config.to_dict(), d_h=m.config.d_h + 1)
+        self.write(tmp_path / "m.bso", config, self.tensors(m))
+        with pytest.raises(CheckpointError, match="shape"):
+            Seq2SeqModel.load(tmp_path / "m.bso")
+
+    def test_parameter_set_mismatch_rejected(self, tmp_path):
+        m = toy_model(dtype=np.float32)
+        tensors = self.tensors(m)
+        del tensors["attn.b.accum"]
+        tensors["extra.w"] = np.zeros(2)
+        self.write(tmp_path / "m.bso", m.config.to_dict(), tensors)
+        with pytest.raises(CheckpointError, match="missing .'attn.b.accum'., "
+                                                  "unexpected .'extra.w'."):
+            Seq2SeqModel.load(tmp_path / "m.bso")
+
+    @pytest.mark.parametrize("change", ["missing_field", "zero_size", "not_a_mapping"])
+    def test_bad_header_rejected(self, tmp_path, change):
+        m = toy_model(dtype=np.float32)
+        config = m.config.to_dict()
+        if change == "missing_field":
+            del config["d_emb"]
+        elif change == "zero_size":
+            config["d_h"] = 0
+        else:
+            config = list(config.values())
+        self.write(tmp_path / "m.bso", config, self.tensors(m))
+        with pytest.raises(CheckpointError, match="header|configuration"):
+            Seq2SeqModel.load(tmp_path / "m.bso")
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        old = toy_model(seed=1, dtype=np.float32)
+        path = tmp_path / "model.bso"
+        old.save(path)
+
+        def broken(fh, tensors):
+            fh.write(b"BSO1partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nn, "write_fragment", broken)
+        with pytest.raises(OSError, match="disk full"):
+            toy_model(seed=2, dtype=np.float32).save(path)
+        loaded = Seq2SeqModel.load(path)
+        for name, slot in old.params.items():
+            assert np.array_equal(loaded.params[name].value, slot.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bso"]
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "model.bso"
+        toy_model(seed=1, dtype=np.float32).save(path)
+        new = toy_model(seed=2, dtype=np.float32)
+        new.save(path)
+        loaded = Seq2SeqModel.load(path)
+        assert np.array_equal(loaded.params["out.w"].value, new.params["out.w"].value)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bso"]

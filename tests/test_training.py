@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+from bso import beam as beam_mod
 from bso import training
 from bso.beam import NonFiniteScoreError, NoConstraint, PermutationConstraint
 from bso.model import ModelConfig, Seq2SeqModel
@@ -284,11 +285,15 @@ class TestNonFinite:
 
 
 def random_batch(seed):
-    """A float64 model and 3-5 random_case sentences, padded into a batch."""
+    """A float64 model and 3-5 random_case sentences, padded into a batch.
+
+    The constraints of one batch must be of one class, so an even seed
+    draws unconstrained cases and an odd one permutation cases."""
     rng = np.random.default_rng(seed)
     model = toy_model(seed, dtype=np.float64)
     _, _, _, k, _ = random_case(seed)
-    cases = [random_case(seed * 10 + i)[1:] for i in range(int(rng.integers(3, 6)))]
+    cases = [random_case(seed * 10 + 2 * i + seed % 2)[1:]
+             for i in range(int(rng.integers(3, 6)))]
     srcs = [np.asarray(src) for src, _, _, _ in cases]
     lengths = np.array([len(s) for s in srcs])
     src = np.zeros((len(srcs), lengths.max()), dtype=np.int64)
@@ -349,6 +354,47 @@ class TestLockstepBatch:
                               constraints, delta_01, BOS)
             hits += len({r.sentence for r in fwd.records if r.delta > 0}) >= 2
         assert hits >= 6
+
+    @pytest.mark.parametrize("kind", ["none", "perm"])
+    def test_search_ranks_the_batch_together(self, kind, monkeypatch):
+        """One allowed_mask and one advance per step for the whole beam (plus
+        one advance per step validating the golds), and one top_k per step
+        for each chunk of at most about CHUNK_ROWS rows, never one per
+        sentence or per hypothesis."""
+        calls = {"top_k": 0, "allowed_mask": 0, "advance": 0}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        cls = NoConstraint if kind == "none" else PermutationConstraint
+        count(beam_mod, "top_k")
+        count(cls, "allowed_mask")
+        count(cls, "advance")
+        rng = np.random.default_rng(4)
+        model = toy_model(4, dtype=np.float32)
+        n, k = 16, 6
+        srcs = [[int(w) for w in rng.choice([1, 4], size=rng.integers(2, 6))]
+                for _ in range(n)]
+        golds = [tuple(rng.permutation(s).tolist()) + (EOS,) for s in srcs]
+        constraints = [NoConstraint(5, blocked=(0, 2)) if kind == "none"
+                       else PermutationConstraint(5, s, EOS) for s in srcs]
+        lengths = np.array([len(s) for s in srcs])
+        src = np.zeros((n, lengths.max()), dtype=np.int64)
+        for b, s in enumerate(srcs):
+            src[b, :len(s)] = s
+        fwd = bso_forward(model, model.encode(src, lengths), golds, k, constraints,
+                          delta_01, BOS)
+        assert fwd.records
+        t_max = max(len(g) for g in golds)
+        assert calls["allowed_mask"] == t_max
+        assert calls["advance"] == 2 * t_max
+        chunks = -(-n * k // beam_mod.CHUNK_ROWS) + 1
+        assert t_max <= calls["top_k"] <= t_max * chunks < t_max * n
 
     def test_epoch_minibatch_runs_in_lockstep(self):
         model = toy_model(2, dtype=np.float32)
