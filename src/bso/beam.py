@@ -153,6 +153,8 @@ class PermutationConstraint:
 
     def __init__(self, vocab_size, source_ids, eos_id):
         types, counts = np.unique(np.asarray(source_ids, dtype=np.int64), return_counts=True)
+        if eos_id in types:
+            raise ValueError("EOS cannot be a source word: it ends the output")
         self.vocab_size = vocab_size
         self.eos_id = eos_id
         self.types = types[None, :]
@@ -167,17 +169,16 @@ class PermutationConstraint:
         # one spare column takes the padding
         mask = np.zeros((n, self.vocab_size + 1), dtype=bool)
         mask[np.arange(n)[:, None], self.types] = unused
-        mask[:, self.eos_id] |= ~unused.any(axis=1)
+        mask[:, self.eos_id] = ~unused.any(axis=1)
         return mask[:, :-1]
 
     def advance(self, words):
         words = _words(words, len(self.counts))
-        eos = words == self.eos_id
         hit = (self.types == words[:, None]) & (self.counts > 0)
-        # each row hits at most one type: all is well when every row that
-        # is not EOS hits one and no EOS row has words left
-        n_eos = np.count_nonzero(eos)
-        if np.count_nonzero(hit) + n_eos != len(words) or n_eos and self.counts[eos].any():
+        # each row hits at most one type: all is well when every row hits
+        # one, or is an EOS row with no words left
+        if np.count_nonzero(hit) != len(words):
+            eos = words == self.eos_id
             _reject(eos & self.counts.any(axis=1),
                     lambda i: "EOS before all source words were used")
             _reject(~eos & ~hit.any(axis=1),
@@ -343,7 +344,13 @@ def top_k(scores, valid, k, segments=None):
         raise ValueError("k must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    v = scores.shape[1]
+    n, v = scores.shape
+    if k == 1 and segments is None:
+        # the first best in word-major order is the stable sort's first; the
+        # sort below takes the rest (nothing valid, or every valid score -inf)
+        best = int(np.where(valid, scores, -np.inf).T.argmax())
+        if valid[best % n, best // n]:
+            return np.array([best % n]), np.array([best // n])
     if v > k and np.count_nonzero(valid) > PREFILTER:
         # a candidate below its row's K-th best has K better ones in its
         # own segment, so it cannot be picked: sort only the rest
@@ -355,9 +362,7 @@ def top_k(scores, valid, k, segments=None):
     words, parents = np.nonzero(valid.T)
     neg = -scores[parents, words]
     if segments is None:
-        # for K=1 the first best is the stable sort's first
-        order = (neg.argmin(keepdims=True) if k == 1 and len(neg)
-                 else np.argsort(neg, kind="stable")[:k])
+        order = np.argsort(neg, kind="stable")[:k]
     else:
         seg = np.asarray(segments)[parents]
         order = np.lexsort((neg, seg))
@@ -393,18 +398,19 @@ def beam_step(beam, f, k, rows=None):
         bounds, segments = [0, *cuts.tolist(), len(sent)], sent
     picks = []
     for lo, hi in zip(bounds, bounds[1:]):
-        # seg_score + f is the float64 sum the successor's seg_score keeps
         f_rows = f[lo:hi] if rows is None else f[rows[lo:hi]]
-        p, w = top_k(f_rows + beam.seg_score[lo:hi, None], valid[lo:hi], k,
-                     None if segments is None else segments[lo:hi])
-        picks.append((p + lo if lo else p, w))
-    parents, words = picks[0] if len(picks) == 1 else map(np.concatenate, zip(*picks))
+        # seg_score + f: the float64 sum the successor's seg_score keeps
+        cum = f_rows + beam.seg_score[lo:hi, None]
+        p, w = top_k(cum, valid[lo:hi], k, None if segments is None else segments[lo:hi])
+        picks.append((p + lo if lo else p, w, cum[p, w]))
+    parents, words, seg_score = picks[0] if len(picks) == 1 else map(np.concatenate,
+                                                                         zip(*picks))
     fw = f[parents if rows is None else rows[parents], words].astype(np.float64)
     # one successor of a one-row beam: its constraint rows need no gather
     constraint = beam.constraint if len(parents) == len(beam) == 1 \
         else beam.constraint.select(parents)
     succ = Beam(np.concatenate([beam.tokens[parents], words[:, None]], axis=1),
-                beam.score[parents] + fw, beam.seg_score[parents] + fw, fw, sent[parents],
+                beam.score[parents] + fw, seg_score, fw, sent[parents],
                 constraint.advance(words))
     return succ, parents
 

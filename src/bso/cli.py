@@ -257,6 +257,19 @@ def cmd_pretrain(cfg, model_out):
     return best
 
 
+def load_with_vocabs(path):
+    """A checkpoint's model, header ``extra`` and source and target
+    vocabularies; CheckpointError if the header stores no vocabularies."""
+    model, extra = Seq2SeqModel.load(path, with_extra=True)
+    vocabs = []
+    for key in ("src_vocab", "tgt_vocab"):
+        if not isinstance(extra, dict) or key not in extra:
+            raise CheckpointError(f"checkpoint {path} has no {key!r} in its header; "
+                                  f"it was not written by bso pretrain or train-bso")
+        vocabs.append(Vocab(extra[key][len(tasks.RESERVED):]))
+    return model, extra, *vocabs
+
+
 def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     cfg.validate()
     if model_in is None and not allow_cold_start:
@@ -274,9 +287,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
         extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
                  "task": cfg.task}
     else:
-        model, extra = Seq2SeqModel.load(model_in, with_extra=True)
-        src_vocab = Vocab(extra["src_vocab"][len(tasks.RESERVED):])
-        tgt_vocab = Vocab(extra["tgt_vocab"][len(tasks.RESERVED):])
+        model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in)
     dev_examples, _, _ = load_pairs(cfg, "dev")
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     tcfg = cfg.train_config()
@@ -302,9 +313,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
 
 def cmd_decode(cfg, model_in, input_path, output_path, k=None, with_scores=False):
     cfg.validate()
-    model, extra = Seq2SeqModel.load(model_in, with_extra=True)
-    src_vocab = Vocab(extra["src_vocab"][len(tasks.RESERVED):])
-    tgt_vocab = Vocab(extra["tgt_vocab"][len(tasks.RESERVED):])
+    model, _, src_vocab, tgt_vocab = load_with_vocabs(model_in)
     srcs = tasks.read_plain_corpus(input_path)
     outs = decode_corpus(model, cfg, srcs, src_vocab, tgt_vocab, k or cfg.k_te)
     with open(output_path, "w", encoding="utf-8") as fh:

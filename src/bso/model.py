@@ -230,6 +230,7 @@ class Seq2SeqModel:
         final_c = [np.zeros_like(c[0]) for _ in range(cfg.layers)]
         annotations = np.zeros((B, S, cfg.d_h), dtype=self.dtype)
         step_caches = []
+        last_steps = set((lengths - 1).tolist())
         for t in range(S):
             x = emb[:, t]
             layer_caches = []
@@ -244,8 +245,8 @@ class Seq2SeqModel:
                     x = h[l] * m if m is not None else h[l]
                     layer_caches[-1]["drop_mask"] = m
             annotations[:, t] = h[-1]
-            at_end = lengths - 1 == t
-            if at_end.any():
+            if t in last_steps:
+                at_end = lengths - 1 == t
                 for l in range(cfg.layers):
                     final_h[l][at_end] = h[l][at_end]
                     final_c[l][at_end] = c[l][at_end]
@@ -274,9 +275,10 @@ class Seq2SeqModel:
         dh = [np.zeros((B, cfg.d_h), dtype=d_annotations.dtype) for _ in range(cfg.layers)]
         dc = [np.zeros_like(dh[0]) for _ in range(cfg.layers)]
         p = self.params
+        last_steps = set((lengths - 1).tolist())
         for t in range(S - 1, -1, -1):
-            at_end = lengths - 1 == t
-            if at_end.any():
+            if t in last_steps:
+                at_end = lengths - 1 == t
                 for l in range(cfg.layers):
                     dh[l][at_end] += d_init.h[l][at_end]
                     dc[l][at_end] += d_init.c[l][at_end]
@@ -378,7 +380,7 @@ class Seq2SeqModel:
         if d_annotations is not None:
             d_ann_rows = attn[:, :, None] * d_context[:, None, :]
             d_ann_rows += d_scores[:, :, None] * top[:, None, :]
-            np.add.at(d_annotations, src, d_ann_rows)
+            nn.scatter_add(d_annotations, src, d_ann_rows)
         # recurrent layers, top down
         dh_prev = [None] * cfg.layers
         dc_prev = [None] * cfg.layers

@@ -146,48 +146,14 @@ def encode_parse_example(p):
     return out
 
 
-def decode_parse_sequence(tokens, words):
-    """Strict inverse of encode_parse_example. Raises DataError if invalid."""
-    n = len(words)
-    heads = [None] * n
-    labels = [None] * n
-    stack = []
-    nxt = 1
-    for tok in tokens:
-        if tok == EOS:
-            continue
-        if is_action(tok):
-            if len(stack) < 2:
-                raise DataError("reduce action with stack depth < 2")
-            s0, s1 = stack[-1], stack[-2]
-            label = tok[len(LEFT_PREFIX):]
-            if tok.startswith(LEFT_PREFIX):
-                heads[s1 - 1] = s0
-                labels[s1 - 1] = label
-                del stack[-2]
-            else:
-                heads[s0 - 1] = s1
-                labels[s0 - 1] = label
-                stack.pop()
-        else:
-            if nxt > n or tok != words[nxt - 1]:
-                raise DataError(f"unexpected word token {tok!r} at source position {nxt}")
-            stack.append(nxt)
-            nxt += 1
-    if nxt <= n or len(stack) != 1:
-        raise DataError("action sequence does not parse the full sentence")
-    root = stack[0]
-    heads[root - 1] = 0
-    labels[root - 1] = ROOT_LABEL
-    return ParseExample(list(words), heads, labels)
+def decode_parse_sequence(tokens, words, strict=True):
+    """Inverse of encode_parse_example.
 
-
-def decode_failure_fallback(tokens, words):
-    """Best-effort repair of an invalid action sequence.
-
-    Illegal reduces are ignored, word tokens shift the next source word
-    regardless of identity, and anything left unattached hangs off the root
-    with the default label. Valid sequences decode exactly.
+    Strict, it raises DataError on an invalid sequence. Otherwise it
+    repairs one: illegal reduces are ignored, word tokens shift the next
+    source word regardless of identity, and anything left unattached hangs
+    off the root with the default label. Valid sequences decode exactly
+    either way.
     """
     n = len(words)
     heads = [None] * n
@@ -199,6 +165,8 @@ def decode_failure_fallback(tokens, words):
             continue
         if is_action(tok):
             if len(stack) < 2:
+                if strict:
+                    raise DataError("reduce action with stack depth < 2")
                 continue
             s0, s1 = stack[-1], stack[-2]
             label = tok[len(LEFT_PREFIX):]
@@ -210,14 +178,23 @@ def decode_failure_fallback(tokens, words):
                 heads[s0 - 1] = s1
                 labels[s0 - 1] = label
                 stack.pop()
-        elif nxt <= n:
+        elif nxt <= n and (not strict or tok == words[nxt - 1]):
             stack.append(nxt)
             nxt += 1
+        elif strict:
+            raise DataError(f"unexpected word token {tok!r} at source position {nxt}")
+    if strict and (nxt <= n or len(stack) != 1):
+        raise DataError("action sequence does not parse the full sentence")
     for i in range(n):
         if heads[i] is None:
             heads[i] = 0
             labels[i] = ROOT_LABEL
     return ParseExample(list(words), heads, labels)
+
+
+def decode_failure_fallback(tokens, words):
+    """The repairing decode: ``decode_parse_sequence(..., strict=False)``."""
+    return decode_parse_sequence(tokens, words, strict=False)
 
 
 # ---------------------------------------------------------------------------

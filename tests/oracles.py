@@ -8,11 +8,58 @@ implementations is what the tests assert. The frozen-search margin loss is
 the quantity the merged backward pass is finite-differenced against. The
 per-hypothesis beam step is the reference for the array beam step: one
 sentence, one Hypothesis object and one constraint state per hypothesis.
+The three-sigmoid LSTM cell, with its gates as four arrays, is the
+reference for the fused one-array cell in ``bso.nn``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from bso import nn
+
+
+def reference_lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
+    """One LSTM step with one sigmoid per gate; gate layout along the last
+    axis of the 4H pre-activation: [input, forget, candidate, output]."""
+    H = h_prev.shape[1]
+    pre = x @ w_x + h_prev @ w_h + b
+    i = nn.sigmoid(pre[:, :H])
+    f = nn.sigmoid(pre[:, H:2 * H])
+    g = np.tanh(pre[:, 2 * H:3 * H])
+    o = nn.sigmoid(pre[:, 3 * H:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev,
+             "i": i, "f": f, "g": g, "o": o, "tc": tc}
+    return h, c, cache
+
+
+def reference_lstm_cell_backward(cache, dh, dc, w_x, w_h, gw_x, gw_h, gb):
+    """Backward of :func:`reference_lstm_cell_forward`; adds into
+    gw_x/gw_h/gb."""
+    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
+    i, f, g, o, tc = (cache[k] for k in ("i", "f", "g", "o", "tc"))
+
+    do = dh * tc
+    dc_full = dc + dh * o * (1.0 - tc * tc)
+    di = dc_full * g
+    dg = dc_full * i
+    df = dc_full * c_prev
+    dc_prev = dc_full * f
+
+    dpre = np.concatenate(
+        [di * i * (1.0 - i),
+         df * f * (1.0 - f),
+         dg * (1.0 - g * g),
+         do * o * (1.0 - o)], axis=1)
+    gw_x += x.T @ dpre
+    gw_h += h_prev.T @ dpre
+    gb += dpre.sum(axis=0)
+    dx = dpre @ w_x.T
+    dh_prev = dpre @ w_h.T
+    return dx, dh_prev, dc_prev
 
 
 @dataclass

@@ -50,6 +50,10 @@ class TestSuccPermutation:
         with pytest.raises(ConstraintError):
             c.advance(EOS_ID)
 
+    def test_eos_as_source_word_rejected(self):
+        with pytest.raises(ValueError, match="EOS"):
+            PermutationConstraint(V, [4, EOS_ID], EOS_ID)
+
     @given(st.lists(st.integers(min_value=4, max_value=8), min_size=1, max_size=6),
            st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)

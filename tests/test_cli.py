@@ -242,7 +242,8 @@ class TestCleanFailures:
     """Errors of a checkpoint, an input or the search end the command with
     ``error: ...`` on stderr and exit code 1, not a traceback."""
 
-    def decode(self, tmp_path, src_vocab=None, nan_scores=False, truncate=False):
+    def decode(self, tmp_path, src_vocab=None, nan_scores=False, truncate=False,
+               extra=None):
         write_word_order_data(tmp_path)
         cfg_path = base_config(tmp_path)
         vocab = Vocab(["the", "dog", "runs", "fast"])
@@ -252,7 +253,7 @@ class TestCleanFailures:
         if nan_scores:
             model.params["out.w"].value[...] = np.nan
         path = tmp_path / "m.bso"
-        model.save(path, extra={"src_vocab": vocab.itos, "tgt_vocab": vocab.itos})
+        model.save(path, extra=extra or {"src_vocab": vocab.itos, "tgt_vocab": vocab.itos})
         if truncate:
             path.write_bytes(path.read_bytes()[:-10])
         (tmp_path / "in.txt").write_text("the dog runs fast\n")
@@ -287,3 +288,15 @@ class TestCleanFailures:
         assert self.decode(tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no valid expansion" in err
+
+    @pytest.mark.parametrize("extra", [{"note": 1}, {"src_vocab": ["<pad>"]}])
+    def test_checkpoint_without_vocabularies(self, tmp_path, capsys, extra):
+        missing = "tgt_vocab" if "src_vocab" in extra else "src_vocab"
+        assert self.decode(tmp_path, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(missing) in err
+        assert cli.main(["train-bso", "--config", str(tmp_path / "run.cfg"),
+                         "--model-in", str(tmp_path / "m.bso"),
+                         "--model-out", str(tmp_path / "out.bso")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(missing) in err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bso import nn
 from gradcheck import max_relative_error, numerical_grad
+from oracles import reference_lstm_cell_backward, reference_lstm_cell_forward
 
 
 def rand(rng, *shape):
@@ -102,6 +103,74 @@ class TestLstmCell:
                               (dhp, hp), (dcp, cp)]:
             num = numerical_grad(loss, arr)
             assert max_relative_error(analytic, num) < 1e-4
+
+
+class TestLstmCellMatchesReference:
+    """The one-array cell reproduces the three-sigmoid reference bit for
+    bit: states, input gradients and weight gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 5, 32])
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+    def test_forward_and_backward_bit_identical(self, dtype, batch, scale):
+        rng = np.random.default_rng(batch)
+        d_in, h = 7, 6
+        # pre-activations reach about +-scale: the sigmoids saturate at 1e4
+        x, hp, cp = (rng.uniform(-1, 1, size=(batch, n)).astype(dtype) for n in (d_in, h, h))
+        wx = (rng.uniform(-1, 1, size=(d_in, 4 * h)) * scale / d_in).astype(dtype)
+        wh = (rng.uniform(-1, 1, size=(h, 4 * h)) * scale / h).astype(dtype)
+        b = rng.uniform(-1, 1, size=4 * h).astype(dtype)
+        dh, dc = (rng.uniform(-1, 1, size=(batch, h)).astype(dtype) for _ in range(2))
+        outs = []
+        for forward, backward in ((nn.lstm_cell_forward, nn.lstm_cell_backward),
+                                  (reference_lstm_cell_forward, reference_lstm_cell_backward)):
+            h_new, c_new, cache = forward(x, hp, cp, wx, wh, b)
+            grads = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
+            dx, dhp, dcp = backward(cache, dh, dc, wx, wh, *grads)
+            outs.append([h_new, c_new, dx, dhp, dcp, *grads])
+        pre = x @ wx + hp @ wh + b
+        assert np.abs(pre).max() > scale / 10
+        for got, want in zip(*outs):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_sigmoid_call_per_step(self, monkeypatch):
+        calls = []
+        sigmoid = nn.sigmoid
+        monkeypatch.setattr(nn, "sigmoid", lambda z: calls.append(z.shape) or sigmoid(z))
+        nn.lstm_cell_forward(np.zeros((3, 2)), np.zeros((3, 4)), np.zeros((3, 4)),
+                             np.zeros((2, 16)), np.zeros((4, 16)), np.zeros(16))
+        assert calls == [(3, 16)]
+
+
+class TestScatterAdd:
+    @settings(max_examples=200)
+    @given(st.integers(1, 6), st.lists(st.integers(0, 5), max_size=14),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_equals_add_at_byte_for_byte(self, n_out, rows, dtype, seed):
+        rows = np.array([r % n_out for r in rows], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        # magnitudes far apart, so that the order of the additions shows
+        values = (rng.standard_normal((len(rows), 2, 3))
+                  * 10.0 ** rng.integers(-8, 9, size=(len(rows), 1, 1))).astype(dtype)
+        base = rng.standard_normal((n_out, 2, 3)).astype(dtype)
+        want = base.copy()
+        np.add.at(want, rows, values)
+        got = base.copy()
+        nn.scatter_add(got, rows, values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_repeats_sum_in_the_order_given(self):
+        # row 2 sums ((0 + 1e16) - 1e16) + 1 = 1; adding the 1 before the -1e16 gives 0
+        rows = np.array([2, 0, 2, 2, 1, 0])
+        values = np.array([1e16, 1.0, -1e16, 1.0, 3.0, 2.0])[:, None]
+        got = np.zeros((3, 1))
+        nn.scatter_add(got, rows, values)
+        assert got[:, 0].tolist() == [3.0, 3.0, 1.0]
+
+    def test_no_rows(self):
+        out = np.ones((2, 3))
+        nn.scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        assert np.array_equal(out, np.ones((2, 3)))
 
 
 class TestAffine:

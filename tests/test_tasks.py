@@ -236,6 +236,23 @@ class TestFallbackDecode:
             assert all(l is not None for l in got.labels)
 
 
+class TestStrictAndRepairAgree:
+    def test_strict_raises_or_matches_the_repair(self):
+        rng = np.random.default_rng(1)
+        words = ["a", "b", "c"]
+        alphabet = ["a", "b", "c", "@L_x", "@R_y", EOS]
+        decoded = 0
+        for _ in range(500):
+            toks = [alphabet[i] for i in rng.integers(0, 6, size=rng.integers(0, 10))]
+            try:
+                strict = decode_parse_sequence(toks, words)
+            except DataError:
+                continue
+            assert strict == decode_parse_sequence(toks, words, strict=False)
+            decoded += 1
+        assert decoded > 0
+
+
 class TestFileFormats:
     def test_plain_corpus_round_trip(self, tmp_path):
         sents = [["a", "b"], ["c"]]
