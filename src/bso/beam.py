@@ -1,5 +1,5 @@
 """Beam search: hard-constraint states, array beams, top-K selection, the
-beam step and test-time decoding.
+beam step and lockstep search over a batch of sentences.
 
 A beam is a set of arrays with one row per hypothesis: token prefixes,
 scores and the index of the sentence each row belongs to, so that the
@@ -8,9 +8,9 @@ row-batched the same way: ``allowed_mask()`` gives the successor set of
 every row as an ``[n, V]`` boolean mask, ``advance(words)`` consumes one
 word per row, ``select(rows)`` gathers rows and :func:`join_constraints`
 stacks the states of several sentences. Every constraint of one batch must
-be of the same class. :func:`beam_step` is the one search step: test-time
-decoding and BSO training both expand hypotheses only through it, for all
-sentences of a batch at once.
+be of the same class. :func:`search_step`, one ``decode_step`` and one
+:func:`beam_step` for all sentences of a batch, is the one search step:
+test-time decoding (:func:`beam_search`) and BSO training both take it.
 
 Ranking uses cumulative scores accumulated in float64 so that a
 from-scratch rescoring of the same prefix reproduces bit-identical totals.
@@ -24,9 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tasks import pad_ids
+
 
 class ConstraintError(ValueError):
-    """A constraint was advanced with a word it does not allow.
+    """A constraint was built from a source it cannot constrain, or
+    advanced with a word it does not allow.
 
     ``row`` is the index of a row of the state whose word it rejects.
     """
@@ -37,25 +40,29 @@ class ConstraintError(ValueError):
 
 
 class DecodeError(RuntimeError):
-    """Search got stuck: no hypothesis has a valid expansion."""
+    """Search got stuck: sentence ``sentence`` of a batch had no valid
+    expansion left before it ended. The message is built when shown, so a
+    caller may renumber ``sentence``."""
 
-    def __init__(self, prefix):
-        super().__init__(f"no valid expansion for prefix {list(prefix)}")
-        self.prefix = tuple(prefix)
+    def __init__(self, sentence):
+        self.sentence = sentence
+
+    def __str__(self):
+        return f"no valid expansion left for sentence {self.sentence} before it ended"
 
 
 class NonFiniteScoreError(FloatingPointError):
-    """A search step was given NaN or infinite f-scores.
-
-    ``sentence`` is the index of the offending sentence in its batch, or
-    None where the search covers one sentence only (decoding).
-    """
+    """A search step was given NaN or infinite f-scores. ``sentence`` is
+    the index of the offending sentence in its batch, or None from
+    :func:`beam_step`, which sees f-scores alone. The message is built when
+    shown, so a caller may renumber ``sentence``."""
 
     def __init__(self, step, sentence=None):
-        where = "" if sentence is None else f" of sentence {sentence}"
-        super().__init__(f"non-finite f-scores at output step {step}{where}")
-        self.step = step
-        self.sentence = sentence
+        self.step, self.sentence = step, sentence
+
+    def __str__(self):
+        where = "" if self.sentence is None else f" of sentence {self.sentence}"
+        return f"non-finite f-scores at output step {self.step}{where}"
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +161,7 @@ class PermutationConstraint:
     def __init__(self, vocab_size, source_ids, eos_id):
         types, counts = np.unique(np.asarray(source_ids, dtype=np.int64), return_counts=True)
         if eos_id in types:
-            raise ValueError("EOS cannot be a source word: it ends the output")
+            raise ConstraintError("EOS cannot be a source word: it ends the output")
         self.vocab_size = vocab_size
         self.eos_id = eos_id
         self.types = types[None, :]
@@ -208,6 +215,10 @@ class ArcStandardConstraint:
         self.reduce_ids = np.array(sorted(set(int(r) for r in reduce_ids)), dtype=np.int64)
         self.eos_id = eos_id
         source = np.asarray(source_ids, dtype=np.int64)
+        clash = source[(source == eos_id) | np.isin(source, self.reduce_ids)]
+        if clash.size:
+            raise ConstraintError(f"source word {clash[0]} is EOS or a reduce action: "
+                                  f"emitting it would not shift it")
         self.source = np.full((1, max(len(source), 1)), -1, dtype=np.int64)
         self.source[0, :len(source)] = source
         self.n_source = np.array([len(source)])
@@ -262,10 +273,7 @@ def validate_gold(constraint, golds):
     j words, of every row whose sequence is longer than j, in row order.
     Raises ConstraintError naming the sequence and the step.
     """
-    lengths = np.array([len(g) for g in golds], dtype=np.int64)
-    padded = np.zeros((len(golds), max(lengths, default=0)), dtype=np.int64)
-    for i, g in enumerate(golds):
-        padded[i, :len(g)] = g
+    padded, lengths = pad_ids(golds)
     rows = np.flatnonzero(lengths > 0)
     state = constraint.select(rows)
     states = [state]
@@ -416,48 +424,74 @@ def beam_step(beam, f, k, rows=None):
 
 
 # ---------------------------------------------------------------------------
-# Test-time decoding
+# Lockstep search
 
 
-def beam_decode(model, enc, k, constraint, max_len, bos_id, eos_id, masks=None,
-                return_score=False):
-    """Beam search over score_f; returns the best completed sequence.
+def search_step(model, state, words, sent, enc, step, beam, k, f_rows=None, masks=None):
+    """One lockstep step: ``decode_step`` and ``score_f`` over the rows of
+    ``state``, then :func:`beam_step` on ``beam`` (``f_rows`` as its rows).
+    A non-finite f names ``sent[row]``. Returns (state, f, succ, parents)."""
+    out = model.decode_step(state, words, enc, step=step, masks=masks)[0]
+    f = model.score_f(out)
+    try:
+        succ, parents = beam_step(beam, f, k, f_rows)
+    except NonFiniteScoreError as exc:
+        exc.sentence = int(sent[np.flatnonzero(~np.isfinite(f).all(axis=1))[0]])
+        raise
+    return out.state, f, succ, parents
 
-    EOS-terminated candidates are set aside and search continues with the
-    surviving hypotheses until the beam empties or max_len is reached; the
-    highest-scoring completed hypothesis wins (completed sequences are
-    preferred over incomplete ones). With k=1 this reduces to greedy
-    argmax stepping. Decoding never resets, so segment and total scores
-    coincide.
+
+def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
+    """Lockstep beam search over score_f for a batch of sentences.
+
+    enc: the encoded sources, sentence b at row b; constraints: one initial
+    state per sentence, all of one class; max_lens: the most tokens per
+    sentence. A sentence sets EOS-terminated candidates aside and searches
+    on until its beam empties or it reaches its max_len. Its best completed
+    sequence wins, the first found among equals, else its best hypothesis
+    at max_len. k=1 is greedy search. Decoding never resets, so segment and
+    total scores coincide. Returns (tokens, score) per sentence;
+    DecodeError names a sentence that got stuck before it ended.
     """
     if k < 1:
         raise ValueError("beam size must be >= 1")
-    states = model.init_state(enc)
-    beam = Beam.seed(np.zeros((1, 0)), [0], constraint)
-    finished = []                # (tokens, score) in the order they were found
-    for step in range(max_len):
+    max_lens = np.asarray(max_lens)
+    last_steps = set(max_lens.tolist())
+    if len(max_lens) != len(constraints) or min(last_steps) < 1:
+        raise ValueError("need one max_len >= 1 per constraint")
+    n = len(constraints)
+    # per sentence: tokens and (completed, score) of its best stopped row
+    found = [None] * n
+    beam = Beam.seed(np.zeros((n, 0)), np.arange(n),
+                     constraints[0] if n == 1 else join_constraints(constraints))
+    state = model.init_state(enc)
+    for step in range(max(last_steps)):
         words = beam.tokens[:, -1] if step else np.full(len(beam), bos_id)
-        out, _ = model.decode_step(states, words, enc, step=step, masks=masks)
-        succ, parents = beam_step(beam, model.score_f(out), k)
+        state, _, succ, parents = search_step(model, state, words, beam.sent, enc, step, beam, k)
         if not len(succ):
-            if finished:
-                break
-            raise DecodeError(beam.tokens[0].tolist())
+            break
         done = succ.tokens[:, -1] == eos_id
-        if np.count_nonzero(done):
-            finished += zip(succ.tokens[done].tolist(), succ.score[done].tolist())
-            keep = np.flatnonzero(~done)
+        if np.count_nonzero(done) or step + 1 in last_steps:
+            # a row stops at EOS or at its sentence's max_len; completed rows
+            # beat the rest, then higher scores, then rows found earlier
+            stop = done | (max_lens[succ.sent] == step + 1)
+            for r in np.flatnonzero(stop):
+                b, rank = succ.sent[r], (bool(done[r]), float(succ.score[r]))
+                if found[b] is None or rank > found[b][1]:
+                    found[b] = (tuple(succ.tokens[r].tolist()), rank)
+            keep = np.flatnonzero(~stop)
             if not keep.size:
                 break
             succ, parents = succ.select(keep), parents[keep]
         beam = succ
         # one row kept from one row: nothing to gather
-        states = out.state if len(parents) == out.state.batch == 1 else out.state.select(parents)
-    if finished:
-        tokens, score = max(finished, key=lambda h: h[1])
-    else:
-        best = int(np.argmax(beam.score))
-        tokens, score = beam.tokens[best].tolist(), float(beam.score[best])
-    if return_score:
-        return tuple(tokens), score
-    return tuple(tokens)
+        state = state if len(parents) == state.batch == 1 else state.select(parents)
+    # a sentence stops only by ending or by getting stuck
+    if None in found:
+        raise DecodeError(found.index(None))
+    return [(tokens, score) for tokens, (_, score) in found]
+
+
+def beam_decode(model, enc, k, constraint, max_len, bos_id, eos_id):
+    """The best tokens for one encoded source: a batch of one for :func:`beam_search`."""
+    return beam_search(model, enc, k, [constraint], [max_len], bos_id, eos_id)[0][0]

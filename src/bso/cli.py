@@ -19,7 +19,7 @@ from . import beam as beam_mod
 from . import tasks, training
 from .metrics import corpus_bleu, uas_las
 from .model import CheckpointError, InputError, ModelConfig, Seq2SeqModel
-from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, DataError, Vocab
+from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, DataError, Vocab, pad_ids
 
 TASKS = ("word_order", "parse", "translate")
 CONSTRAINTS = ("none", "permutation", "arc_standard")
@@ -28,6 +28,8 @@ TASK_CONSTRAINTS = {
     "parse": ("none", "arc_standard"),
     "translate": ("none",),
 }
+# Sentences decoded together by decode_corpus: one lockstep search per chunk
+DECODE_CHUNK = 32
 
 
 class ConfigError(ValueError):
@@ -99,16 +101,22 @@ class RunConfig:
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 
     def train_config(self):
-        return training.TrainConfig(
-            k_tr=self.k_tr, lr_main=self.lr_main,
-            lr_out=self.lr_out, clip_norm=self.clip_norm, dropout=self.dropout,
-            batch_size=self.batch_size, margin_score=self.margin_score,
-            delta=self.delta, curriculum_start=self.curriculum_start,
-            curriculum_epochs_per_increment=self.curriculum_epochs_per_increment)
+        return training.TrainConfig(**{f.name: getattr(self, f.name)
+                                       for f in dataclasses.fields(training.TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
 # Data plumbing
+
+
+def read_sentences(path):
+    """A plain corpus of which every line must hold a sentence; DataError
+    names the first blank line."""
+    sents = tasks.read_plain_corpus(path)
+    for lineno, sent in enumerate(sents, start=1):
+        if not sent:
+            raise DataError(f"{path}:{lineno}: blank line; every line must hold a sentence")
+    return sents
 
 
 def load_pairs(cfg, split):
@@ -118,7 +126,7 @@ def load_pairs(cfg, split):
     """
     d = cfg.data_dir
     if cfg.task == "word_order":
-        sents = tasks.read_plain_corpus(f"{d}/{split}.txt")
+        sents = read_sentences(f"{d}/{split}.txt")
         rng = np.random.default_rng(cfg.shuffle_seed + (0 if split == "train" else 1))
         examples = [tasks.make_word_ordering_example(s, rng) for s in sents]
         return examples, [s for s in sents], [s for s in sents]
@@ -136,8 +144,8 @@ def load_pairs(cfg, split):
         if skipped:
             print(f"# skipped {skipped} non-encodable parse(s) in {split}", file=sys.stderr)
         return examples, [e[0] for e in examples], [e[1] for e in examples]
-    srcs = tasks.read_plain_corpus(f"{d}/{split}.src")
-    tgts = tasks.read_plain_corpus(f"{d}/{split}.tgt")
+    srcs = read_sentences(f"{d}/{split}.src")
+    tgts = read_sentences(f"{d}/{split}.tgt")
     if len(srcs) != len(tgts):
         raise DataError(f"{split}: source/target line counts differ")
     examples = [(s, t + [EOS]) for s, t in zip(srcs, tgts)]
@@ -188,16 +196,25 @@ def max_decode_len(cfg, src_len):
 
 
 def decode_corpus(model, cfg, src_sentences, src_vocab, tgt_vocab, k):
+    """(target tokens, score) per source sentence, in input order. Sources
+    are sorted by length and searched in chunks of DECODE_CHUNK; a search
+    error names the sentence by its input index."""
     factory = constraint_factory(cfg, tgt_vocab)
-    outputs = []
-    for src in src_sentences:
-        ids = np.array(src_vocab.encode(src), dtype=np.int64)
-        enc = model.encode(ids[None, :])
-        toks = beam_mod.beam_decode(model, enc, k, factory(src),
-                                    max_decode_len(cfg, len(src)), BOS_ID, EOS_ID,
-                                    return_score=True)
-        tokens, score = toks
-        outputs.append((tgt_vocab.decode(list(tokens)), score))
+    order = sorted(range(len(src_sentences)), key=lambda i: len(src_sentences[i]))
+    outputs = [None] * len(order)
+    for lo in range(0, len(order), DECODE_CHUNK):
+        chunk = order[lo:lo + DECODE_CHUNK]
+        srcs = [src_sentences[i] for i in chunk]
+        enc = model.encode(*pad_ids([src_vocab.encode(s) for s in srcs]))
+        try:
+            found = beam_mod.beam_search(model, enc, k, [factory(s) for s in srcs],
+                                         [max_decode_len(cfg, len(s)) for s in srcs],
+                                         BOS_ID, EOS_ID)
+        except (beam_mod.DecodeError, beam_mod.NonFiniteScoreError) as exc:
+            exc.sentence = chunk[exc.sentence]
+            raise
+        for i, (tokens, score) in zip(chunk, found):
+            outputs[i] = (tgt_vocab.decode(list(tokens)), score)
     return outputs
 
 
@@ -206,14 +223,13 @@ def decode_corpus(model, cfg, src_sentences, src_vocab, tgt_vocab, k):
 
 
 def dev_metric(model, cfg, dev_examples, src_vocab, tgt_vocab):
-    srcs = [s for s, _ in dev_examples]
-    outs = decode_corpus(model, cfg, srcs, src_vocab, tgt_vocab, cfg.k_te)
-    hyps = [o[0] for o in outs]
+    hyps = [hyp for hyp, _ in decode_corpus(model, cfg, [s for s, _ in dev_examples],
+                                            src_vocab, tgt_vocab, cfg.k_te)]
     if cfg.task == "parse":
         golds, preds = [], []
         for (src, tgt), hyp in zip(dev_examples, hyps):
-            golds.append(tasks.decode_failure_fallback(tgt, src))
-            preds.append(tasks.decode_failure_fallback(hyp, src))
+            golds.append(tasks.decode_parse_sequence(tgt, src, strict=False))
+            preds.append(tasks.decode_parse_sequence(hyp, src, strict=False))
         return uas_las(preds, golds)[0]
     refs = [t[:-1] if t and t[-1] == EOS else t for _, t in dev_examples]
     return corpus_bleu(hyps, refs)
@@ -314,7 +330,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
 def cmd_decode(cfg, model_in, input_path, output_path, k=None, with_scores=False):
     cfg.validate()
     model, _, src_vocab, tgt_vocab = load_with_vocabs(model_in)
-    srcs = tasks.read_plain_corpus(input_path)
+    srcs = read_sentences(input_path)
     outs = decode_corpus(model, cfg, srcs, src_vocab, tgt_vocab, k or cfg.k_te)
     with open(output_path, "w", encoding="utf-8") as fh:
         for toks, score in outs:
@@ -326,21 +342,17 @@ def cmd_decode(cfg, model_in, input_path, output_path, k=None, with_scores=False
 
 
 def cmd_eval(task, hyp_path, ref_path):
+    hyps = tasks.read_plain_corpus(hyp_path)
+    refs = tasks.read_conll(ref_path) if task == "parse" else tasks.read_plain_corpus(ref_path)
+    if len(hyps) != len(refs):
+        raise DataError("hypothesis/reference counts differ")
     if task == "parse":
-        golds = tasks.read_conll(ref_path)
-        hyp_lines = [line.split() for line in open(hyp_path, encoding="utf-8")]
-        if len(hyp_lines) != len(golds):
-            raise DataError("hypothesis/reference counts differ")
-        preds = [tasks.decode_failure_fallback(h, g.words)
-                 for h, g in zip(hyp_lines, golds)]
-        uas, las = uas_las(preds, golds)
+        preds = [tasks.decode_parse_sequence(h, g.words, strict=False)
+                 for h, g in zip(hyps, refs)]
+        uas, las = uas_las(preds, refs)
         print(f"UAS\t{uas:.4f}")
         print(f"LAS\t{las:.4f}")
         return uas, las
-    hyps = tasks.read_plain_corpus(hyp_path)
-    refs = tasks.read_plain_corpus(ref_path)
-    if len(hyps) != len(refs):
-        raise DataError("hypothesis/reference counts differ")
     bleu = corpus_bleu(hyps, refs)
     print(f"BLEU\t{bleu:.4f}")
     return bleu
@@ -362,12 +374,10 @@ def _add_common(p):
 
 def _build_config(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for key, attr in (("data_dir", "data_dir"), ("task", "task"),
-                      ("constraint", "constraint"), ("delta", "delta"),
-                      ("seed", "seed")):
+    for key in ("data_dir", "task", "constraint", "delta", "seed"):
         val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, attr, val)
+            setattr(cfg, key, val)
     if getattr(args, "beam", None) is not None:
         cfg.k_te = args.beam
     return cfg
@@ -413,7 +423,8 @@ def main(argv=None):
         elif args.command == "eval":
             cmd_eval(args.task, args.hyp, args.ref)
     except (ConfigError, DataError, OSError, CheckpointError, InputError,
-            beam_mod.DecodeError, beam_mod.NonFiniteScoreError) as exc:
+            beam_mod.ConstraintError, beam_mod.DecodeError,
+            beam_mod.NonFiniteScoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

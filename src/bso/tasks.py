@@ -2,8 +2,9 @@
 
 Covers vocabulary building (singleton -> UNK, digit normalization), word
 ordering examples (shuffled source, ordered target), parsing as a sequence
-(source words interleaved with shift-reduce actions) and the file formats:
-plain one-sentence-per-line corpora and CoNLL-style parse files.
+(source words interleaved with shift-reduce actions), the file formats
+(plain one-sentence-per-line corpora and CoNLL-style parse files) and
+padding id sequences into batches.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
@@ -192,30 +195,15 @@ def decode_parse_sequence(tokens, words, strict=True):
     return ParseExample(list(words), heads, labels)
 
 
-def decode_failure_fallback(tokens, words):
-    """The repairing decode: ``decode_parse_sequence(..., strict=False)``."""
-    return decode_parse_sequence(tokens, words, strict=False)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 
 
 def read_plain_corpus(path):
-    """UTF-8, one tokenized sentence per line, space separated."""
-    sentences = []
+    """UTF-8, one tokenized sentence per line, space separated; a blank
+    line is an empty sentence, so entry i is always line i + 1."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            toks = line.split()
-            if toks:
-                sentences.append(toks)
-    return sentences
-
-
-def write_plain_corpus(path, sentences):
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            fh.write(" ".join(sent) + "\n")
+        return [line.split() for line in fh]
 
 
 def read_conll(path):
@@ -241,9 +229,11 @@ def read_conll(path):
     return examples
 
 
-def write_conll(path, examples):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in examples:
-            for i, (w, h, l) in enumerate(zip(p.words, p.heads, p.labels), start=1):
-                fh.write(f"{i}\t{w}\t{h}\t{l}\n")
-            fh.write("\n")
+def pad_ids(seqs, pad_id=PAD_ID):
+    """Right-pad id sequences into one [n, longest] int64 array; returns it
+    and the [n] int64 lengths."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    out = np.full((len(seqs), lengths.max(initial=0)), pad_id, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, :len(s)] = s
+    return out, lengths

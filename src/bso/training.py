@@ -12,11 +12,12 @@ A minibatch runs in lockstep, one time step at a time for all of its
 sentences:
 
 * one batched ``encode`` of the sources;
-* a cache-free search pass: at each step one ``decode_step`` scores every
-  live sentence's gold row together with its beam rows, then one
-  :func:`bso.beam.beam_step` advances the array beam that holds every
-  sentence's hypotheses (a sentence reset at the previous step is a beam
-  of one, its gold prefix). Only the recurrent state survives a step; no
+* a cache-free search pass through the step test-time decoding takes,
+  :func:`bso.beam.search_step`: one ``decode_step`` over the live
+  sentences' gold rows followed by their beam rows, then one ``beam_step``
+  that advances the array beam holding every sentence's hypotheses (a
+  sentence reset at the previous step is a beam of one, its gold prefix,
+  scored by its gold row). Only the recurrent state survives a step; no
   decoder cache is kept. The constraints of a batch are all of one class,
   row-batched with the beam;
 * a teacher-forced backward pass: the rows that receive gradient (each
@@ -39,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .beam import Beam, NonFiniteScoreError, beam_step, join_constraints, validate_gold
+from .beam import Beam, join_constraints, search_step, validate_gold
 from .metrics import sentence_bleu_smoothed
 from .model import MaskSet
+from .tasks import pad_ids
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +131,7 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
         raise ValueError("empty gold sequence")
     # gold_states[j]: constraint state after y_{1:j} of each sentence longer than j
     gold_states = validate_gold(join_constraints(constraints), golds)
-    lengths = np.array([len(g) for g in golds])
-    gold = np.zeros((len(golds), lengths.max()), dtype=np.int64)
-    for b, g in enumerate(golds):
-        gold[b, :len(g)] = g
+    gold, lengths = pad_ids(golds)
     gold_f = np.zeros(gold.shape)
     reset = np.zeros(len(golds), dtype=np.int64)       # r: the last reset step
     gold_seg = np.zeros(len(golds))
@@ -140,43 +139,29 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
     records = []
     state = model.init_state(enc)
     gold_rows = np.arange(len(golds))   # state row of each live gold prefix
-    kept, kept_rows = None, None        # hypotheses that go on, and their state rows
+    # hypotheses that go on, and their state rows
+    kept, kept_rows = Beam.seed(np.zeros((0, 0)), [], gold_states[0].select([])), gold_rows[:0]
     for t in range(1, gold.shape[1] + 1):
         live = np.flatnonzero(lengths >= t)
-        # decoder rows: per live sentence its gold row, then its beam rows
-        row_sent = live if kept is None else np.concatenate([live, kept.sent])
-        order = np.argsort(row_sent, kind="stable")
-        at = np.empty_like(order)
-        at[order] = np.arange(len(order))
-        gold_at = at[:len(live)]
-        words = np.full(len(live), bos_id) if t == 1 else gold[live, t - 2]
-        rows = gold_rows
-        if kept is not None:
-            words = np.concatenate([words, kept.tokens[:, -1]])
-            rows = np.concatenate([rows, kept_rows])
-        # the search keeps nothing of a step but its recurrent state: not
+        # decoder rows: the live sentences' gold rows, then the beam rows.
+        # The search keeps nothing of a step but its recurrent state: not
         # the decoder cache, and not the scores once the beams have moved
-        state = state.select(rows[order])
-        out = model.decode_step(state, words[order], enc, step=t - 1, masks=masks)[0]
-        state = out.state
-        f = model.score_f(out)
-        if not np.isfinite(f).all():
-            bad = int(np.flatnonzero(~np.isfinite(f).all(axis=1))[0])
-            raise NonFiniteScoreError(t, int(row_sent[order[bad]]))
-        fy = f[gold_at, gold[live, t - 1]].astype(np.float64)
-        gold_f[live, t - 1] = fy
-
+        state = state.select(np.concatenate([gold_rows, kept_rows]))
+        words = np.concatenate([np.full(len(live), bos_id) if t == 1 else gold[live, t - 2],
+                                kept.tokens[:, -1:].ravel()])
         # a sentence (re)seeded from its gold prefix y_{1:r} is a beam of one
         # whose step is the gold step, which consumed the same state and word
         new = np.flatnonzero(seeded[live])
-        parents = Beam.seed(gold[live[new], :t - 1], live[new], gold_states[t - 1].select(new))
-        parent_at = gold_at[new]
-        if kept is not None:
-            parents = Beam.join([kept, parents])
-            parent_at = np.concatenate([at[len(live):], parent_at])
-            by_sent = np.argsort(parents.sent, kind="stable")
-            parents, parent_at = parents.select(by_sent), parent_at[by_sent]
-        succ, succ_parent = beam_step(parents, f, k_tr, rows=parent_at)
+        parents = Beam.join([kept, Beam.seed(gold[live[new], :t - 1], live[new],
+                                             gold_states[t - 1].select(new))])
+        by_sent = np.argsort(parents.sent, kind="stable")
+        parents = parents.select(by_sent)
+        parent_at = np.concatenate([np.arange(len(live), len(words)), new])[by_sent]
+        state, f, succ, succ_parent = search_step(
+            model, state, words, np.concatenate([live, kept.sent]), enc, t - 1, parents, k_tr,
+            parent_at, masks)
+        fy = f[np.arange(len(live)), gold[live, t - 1]].astype(np.float64)
+        gold_f[live, t - 1] = fy
 
         # comparator: the K-th successor, or at the final step the best one
         # that is not the gold sequence
@@ -214,11 +199,9 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
         gold_seg[live] = np.where(violated, 0.0, gold_seg_t)
         seeded[live] = violated
         go_on = np.flatnonzero((~violated & ~final)[succ_live])
-        kept, kept_rows = None, None
-        if go_on.size:
-            kept, kept_rows = succ.select(go_on), parent_at[succ_parent[go_on]]
-        gold_rows = gold_at[~final]
-        del out, f
+        kept, kept_rows = succ.select(go_on), parent_at[succ_parent[go_on]]
+        gold_rows = np.flatnonzero(~final)
+        del f
     records.sort(key=lambda rec: (rec.sentence, rec.t))
     return ForwardResult(records=records,
                          gold_f=[gold_f[b, :n].tolist() for b, n in enumerate(lengths)],
@@ -419,17 +402,8 @@ def make_batches(pairs, batch_size, rng, pad_id=0):
     batches = []
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        srcs = [pairs[i][0] for i in idx]
-        tgts = [pairs[i][1] for i in idx]
-        s_max = max(len(s) for s in srcs)
-        t_max = max(len(t) for t in tgts)
-        src = np.full((len(idx), s_max), pad_id, dtype=np.int64)
-        tgt = np.full((len(idx), t_max), pad_id, dtype=np.int64)
-        s_len = np.array([len(s) for s in srcs])
-        t_len = np.array([len(t) for t in tgts])
-        for b, (s, t) in enumerate(zip(srcs, tgts)):
-            src[b, :len(s)] = s
-            tgt[b, :len(t)] = t
+        src, s_len = pad_ids([pairs[i][0] for i in idx], pad_id)
+        tgt, t_len = pad_ids([pairs[i][1] for i in idx], pad_id)
         batches.append((src, s_len, tgt, t_len))
     rng.shuffle(batches)
     return batches
@@ -499,10 +473,7 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
     order = rng.permutation(len(examples))
     for start in range(0, len(order), config.batch_size):
         batch = [examples[i] for i in order[start:start + config.batch_size]]
-        lengths = np.array([len(src) for src, _, _ in batch])
-        src = np.zeros((len(batch), lengths.max()), dtype=np.int64)
-        for b, (s, _, _) in enumerate(batch):
-            src[b, :len(s)] = s
+        src, lengths = pad_ids([src for src, _, _ in batch])
         golds = [gold for _, gold, _ in batch]
         gold_len = sum(len(g) for g in golds)
         masks = _masks_for(model, max(src.shape[1], max(len(g) for g in golds)),

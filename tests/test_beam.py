@@ -10,10 +10,11 @@ from bso import beam as beam_mod
 from bso import tasks
 from bso.beam import (ArcStandardConstraint, Beam, ConstraintError, DecodeError,
                       NonFiniteScoreError, NoConstraint, PermutationConstraint,
-                      beam_decode, beam_step, join_constraints, top_k, validate_gold)
+                      beam_decode, beam_search, beam_step, join_constraints, top_k,
+                      validate_gold)
 from bso.model import ModelConfig, Seq2SeqModel
-from bso.tasks import BOS_ID, EOS_ID, PAD_ID
-from oracles import Hypothesis, reference_beam_step
+from bso.tasks import BOS_ID, EOS_ID, PAD_ID, pad_ids
+from oracles import Hypothesis, reference_beam_step, rescore_prefix
 
 V = 10
 
@@ -82,6 +83,12 @@ class TestSuccArcStandard:
         c = ArcStandardConstraint(V, [4, 5, 6], self.reduce_ids(), EOS_ID)
         c = c.advance(4).advance(5)
         assert successors(c) == [6, 8, 9]
+
+    @pytest.mark.parametrize("source", [[4, 8, 5], [4, EOS_ID]])
+    def test_reduce_or_eos_as_source_word_rejected(self, source):
+        # advance would read the word as a reduce or EOS, not as a shift
+        with pytest.raises(ConstraintError, match="source word"):
+            ArcStandardConstraint(V, source, self.reduce_ids(), EOS_ID)
 
     def test_eos_requires_complete_parse(self):
         c = ArcStandardConstraint(V, [4, 5], self.reduce_ids(), EOS_ID)
@@ -421,9 +428,8 @@ class TestBeamDecode:
         # vocab ids: 0=pad 1=unk 2=bos 3=eos 4,5 words; block pad/unk/bos
         enc = model.encode(np.array([[1, 2]]))
         blocked = (0, 1, 2)
-        toks, score = beam_decode(
-            model, enc, 64, NoConstraint(6, blocked=blocked), 3, BOS_ID, EOS_ID,
-            return_score=True)
+        [(toks, score)] = beam_search(
+            model, enc, 64, [NoConstraint(6, blocked=blocked)], [3], BOS_ID, EOS_ID)
         best_score, best_seq = brute_force_best(model, enc, 3, BOS_ID, EOS_ID,
                                                 6, blocked)
         assert tuple(toks) == best_seq
@@ -471,3 +477,70 @@ class TestBeamDecode:
         a = beam_decode(model, enc, 4, c, 6, BOS_ID, EOS_ID)
         b = beam_decode(model, enc, 4, c, 6, BOS_ID, EOS_ID)
         assert a == b
+
+
+def search_constraint(kind, src):
+    if kind == "none":
+        return NoConstraint(V, blocked=(PAD_ID, BOS_ID))
+    if kind == "perm":
+        return PermutationConstraint(V, src, EOS_ID)
+    return ArcStandardConstraint(V, src, REDUCE, EOS_ID)
+
+
+class TestBeamSearch:
+    """Lockstep search over a padded batch against each sentence alone."""
+
+    # Batch size moves float32 f in its last bit, so candidates whose
+    # scores are this close may trade places; every other decode is equal
+    TIE = 1e-4
+
+    @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_matches_per_sentence_decoding(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = Seq2SeqModel(ModelConfig(src_vocab=V, tgt_vocab=V, d_emb=4, d_h=6),
+                             rng=rng, dtype=np.float32)
+        srcs = [rng.integers(4, 8, size=rng.integers(1, 6)).tolist()
+                for _ in range(int(rng.integers(1, 9)))]
+        # some below what a complete sequence needs: those end incomplete
+        max_lens = [int(rng.integers(1, 2 * len(s) + 3)) for s in srcs]
+        k = int(rng.integers(1, 6))
+        got = beam_search(model, model.encode(*pad_ids(srcs)), k,
+                          [search_constraint(kind, s) for s in srcs], max_lens, BOS_ID, EOS_ID)
+        assert len(got) == len(srcs)
+        for src, max_len, (tokens, score) in zip(srcs, max_lens, got):
+            enc = model.encode(np.array([src]))
+            want = beam_decode(model, enc, k, search_constraint(kind, src), max_len,
+                               BOS_ID, EOS_ID)
+            assert 1 <= len(tokens) <= max_len
+            mine = sum(rescore_prefix(model, enc, tokens, BOS_ID)[0])
+            assert score == pytest.approx(mine, abs=self.TIE)
+            if tokens != want:
+                assert mine == pytest.approx(sum(rescore_prefix(model, enc, want, BOS_ID)[0]),
+                                             abs=self.TIE)
+
+    def test_stuck_sentence_is_named(self):
+        model = toy_model(tgt_vocab=V)
+        # an empty arc-standard source allows nothing, not even EOS
+        sources = [[4, 5], [], [5]]
+        enc = model.encode(np.array([[1, 2], [1, 0], [3, 0]]), np.array([2, 1, 1]))
+        with pytest.raises(DecodeError, match="sentence 1") as err:
+            beam_search(model, enc, 3, [search_constraint("arc", s) for s in sources],
+                        [5, 5, 5], BOS_ID, EOS_ID)
+        assert err.value.sentence == 1
+
+    def test_non_finite_row_is_named(self):
+        model = toy_model(tgt_vocab=V)
+        enc = model.encode(np.array([[1, 2], [2, 3], [3, 4]]))
+        enc.annotations[1] = np.nan
+        with pytest.raises(NonFiniteScoreError, match="step 1 of sentence 1") as err:
+            beam_search(model, enc, 2, [search_constraint("none", [])] * 3, [4, 4, 4],
+                        BOS_ID, EOS_ID)
+        assert (err.value.step, err.value.sentence) == (1, 1)
+
+    @pytest.mark.parametrize("max_lens", [[3], [0, 2], [2, 2, 2]])
+    def test_needs_one_positive_max_len_per_sentence(self, max_lens):
+        model = toy_model()
+        enc = model.encode(np.array([[1, 2], [2, 3]]))
+        with pytest.raises(ValueError, match="max_len"):
+            beam_search(model, enc, 2, [NoConstraint(6)] * 2, max_lens, BOS_ID, EOS_ID)

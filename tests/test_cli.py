@@ -3,10 +3,11 @@ import pytest
 
 from bso import cli, tasks
 from bso.beam import (ArcStandardConstraint, NoConstraint,
-                      PermutationConstraint)
+                      PermutationConstraint, beam_decode)
 from bso.cli import ConfigError, RunConfig, constraint_factory, max_decode_len
 from bso.model import ModelConfig, Seq2SeqModel
-from bso.tasks import ParseExample, Vocab, write_conll
+from bso.tasks import ParseExample, Vocab
+from writers import write_conll
 
 
 class TestRunConfig:
@@ -89,6 +90,25 @@ class TestMaxDecodeLen:
     def test_unconstrained_has_slack(self):
         cfg = RunConfig(task="word_order", constraint="none")
         assert max_decode_len(cfg, 7) > 7 + 1
+
+
+class TestDecodeCorpus:
+    def test_chunks_decode_like_one_sentence_at_a_time_in_input_order(self, monkeypatch):
+        vocab = Vocab(["a", "b", "c", "d", "e"])
+        model = Seq2SeqModel(ModelConfig(src_vocab=len(vocab), tgt_vocab=len(vocab),
+                                         d_emb=4, d_h=5), rng=np.random.default_rng(3))
+        cfg = RunConfig(task="word_order", constraint="permutation")
+        rng = np.random.default_rng(4)
+        srcs = [list(rng.choice(list("abcde"), size=rng.integers(1, 6))) for _ in range(7)]
+        monkeypatch.setattr(cli, "DECODE_CHUNK", 3)
+        outs = cli.decode_corpus(model, cfg, srcs, vocab, vocab, 3)
+        for src, (toks, score) in zip(srcs, outs):
+            enc = model.encode(np.array([vocab.encode(src)]))
+            want = beam_decode(model, enc, 3, PermutationConstraint(len(vocab),
+                                                                    vocab.encode(src), 3),
+                               len(src) + 1, tasks.BOS_ID, tasks.EOS_ID)
+            assert toks == vocab.decode(list(want))
+            assert sorted(toks) == sorted(src)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +229,25 @@ class TestCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_blank_training_line_is_clean_error(self, tmp_path, capsys):
+        write_word_order_data(tmp_path)
+        lines = (tmp_path / "train.txt").read_text().splitlines()
+        (tmp_path / "train.txt").write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        rc = cli.main(["pretrain", "--config", str(base_config(tmp_path)),
+                       "--model-out", str(tmp_path / "m.bso")])
+        assert rc == 1
+        assert "train.txt:3" in capsys.readouterr().err
+
+    def test_eval_scores_an_empty_hypothesis(self, tmp_path, capsys):
+        # what decode writes for a sentence whose best sequence is EOS alone
+        (tmp_path / "h.txt").write_text("a b c d\n\n")
+        (tmp_path / "r.txt").write_text("a b c d\ne f\n")
+        rc = cli.main(["eval", "--task", "word_order",
+                       "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "r.txt")])
+        assert rc == 0
+        # four of four n-gram orders match; brevity penalty exp(1 - 6/4)
+        assert f"BLEU\t{100 * np.exp(-0.5):.4f}" in capsys.readouterr().out
+
     def test_invalid_config_is_clean_error(self, tmp_path, capsys):
         write_word_order_data(tmp_path)
         cfg_path = base_config(tmp_path, constraint="arc_standard")
@@ -243,10 +282,11 @@ class TestCleanFailures:
     ``error: ...`` on stderr and exit code 1, not a traceback."""
 
     def decode(self, tmp_path, src_vocab=None, nan_scores=False, truncate=False,
-               extra=None):
+               extra=None, text="the dog runs fast\n", words=("the", "dog", "runs", "fast"),
+               **overrides):
         write_word_order_data(tmp_path)
-        cfg_path = base_config(tmp_path)
-        vocab = Vocab(["the", "dog", "runs", "fast"])
+        cfg_path = base_config(tmp_path, **overrides)
+        vocab = Vocab(words)
         model = Seq2SeqModel(ModelConfig(src_vocab=src_vocab or len(vocab),
                                          tgt_vocab=len(vocab), d_emb=4, d_h=4),
                              rng=np.random.default_rng(0))
@@ -256,7 +296,7 @@ class TestCleanFailures:
         model.save(path, extra=extra or {"src_vocab": vocab.itos, "tgt_vocab": vocab.itos})
         if truncate:
             path.write_bytes(path.read_bytes()[:-10])
-        (tmp_path / "in.txt").write_text("the dog runs fast\n")
+        (tmp_path / "in.txt").write_text(text)
         return cli.main(["decode", "--config", str(cfg_path), "--model-in", str(path),
                          "--input", str(tmp_path / "in.txt"),
                          "--output", str(tmp_path / "out.txt")])
@@ -288,6 +328,36 @@ class TestCleanFailures:
         assert self.decode(tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no valid expansion" in err
+
+    def test_stuck_sentence_named_by_its_input_index(self, tmp_path, capsys, monkeypatch):
+        # decode_corpus sorts by length: "dog runs" is the second of its
+        # chunk but the third input line. Its empty source allows nothing;
+        # the others can complete, reducing with the pad id.
+        def factory(cfg, vocab):
+            return lambda src: ArcStandardConstraint(
+                len(vocab), [] if src == ["dog", "runs"] else vocab.encode(src), (0,), 3)
+        monkeypatch.setattr(cli, "constraint_factory", factory)
+        assert self.decode(tmp_path, text="the dog runs fast\nthe\ndog runs\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sentence 2" in err
+
+    def test_blank_input_line(self, tmp_path, capsys):
+        # a skipped line would shift every later output against its input
+        assert self.decode(tmp_path, text="the dog\n\nruns fast\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "in.txt:2" in err
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_eos_in_a_permutation_source(self, tmp_path, capsys):
+        assert self.decode(tmp_path, text="the </s> dog\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "EOS" in err
+
+    def test_action_in_an_arc_standard_source(self, tmp_path, capsys):
+        assert self.decode(tmp_path, text="the @L_x dog\n", words=("the", "dog", "@L_x"),
+                           task="parse", constraint="arc_standard") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "reduce action" in err
 
     @pytest.mark.parametrize("extra", [{"note": 1}, {"src_vocab": ["<pad>"]}])
     def test_checkpoint_without_vocabularies(self, tmp_path, capsys, extra):

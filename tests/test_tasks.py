@@ -5,11 +5,10 @@ import pytest
 
 from bso import tasks
 from bso.tasks import (BOS_ID, EOS, EOS_ID, PAD_ID, UNK_ID, DataError,
-                       ParseExample, Vocab, decode_failure_fallback,
-                       decode_parse_sequence, encode_parse_example,
-                       is_action, make_word_ordering_example, normalize_digits,
-                       read_conll, read_plain_corpus, write_conll,
-                       write_plain_corpus)
+                       ParseExample, Vocab, decode_parse_sequence,
+                       encode_parse_example, is_action, make_word_ordering_example,
+                       normalize_digits, pad_ids, read_conll, read_plain_corpus)
+from writers import write_conll, write_plain_corpus
 
 
 class TestNormalizeDigits:
@@ -212,15 +211,15 @@ class TestFallbackDecode:
         p = ParseExample(["she", "eats", "red", "apples"], [2, 0, 4, 2],
                          ["sbj", "root", "mod", "obj"])
         seq = encode_parse_example(p)
-        assert decode_failure_fallback(seq, p.words) == p
+        assert decode_parse_sequence(seq, p.words, strict=False) == p
 
     def test_illegal_reduce_ignored(self):
-        got = decode_failure_fallback(["@L_x", "a", "b", "@R_y"], ["a", "b"])
+        got = decode_parse_sequence(["@L_x", "a", "b", "@R_y"], ["a", "b"], strict=False)
         assert got.heads == [0, 1]
         assert got.labels == ["root", "y"]
 
     def test_unattached_words_hang_off_root(self):
-        got = decode_failure_fallback(["a"], ["a", "b", "c"])
+        got = decode_parse_sequence(["a"], ["a", "b", "c"], strict=False)
         assert got.heads == [0, 0, 0]
         assert got.labels == ["root", "root", "root"]
 
@@ -230,7 +229,7 @@ class TestFallbackDecode:
         alphabet = ["a", "b", "c", "@L_x", "@R_y", EOS]
         for _ in range(200):
             toks = [alphabet[i] for i in rng.integers(0, 6, size=rng.integers(0, 9))]
-            got = decode_failure_fallback(toks, words)
+            got = decode_parse_sequence(toks, words, strict=False)
             assert got.words == words
             assert all(h is not None for h in got.heads)
             assert all(l is not None for l in got.labels)
@@ -260,10 +259,10 @@ class TestFileFormats:
         write_plain_corpus(path, sents)
         assert read_plain_corpus(path) == sents
 
-    def test_plain_corpus_skips_blank_lines(self, tmp_path):
+    def test_plain_corpus_keeps_blank_lines(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("a b\n\nc\n")
-        assert read_plain_corpus(path) == [["a", "b"], ["c"]]
+        path.write_text("a b\n\nc\n  \n")
+        assert read_plain_corpus(path) == [["a", "b"], [], ["c"], []]
 
     def test_conll_round_trip(self, tmp_path):
         examples = [
@@ -279,3 +278,15 @@ class TestFileFormats:
         path.write_text("1\tword\n")
         with pytest.raises(DataError):
             read_conll(path)
+
+
+class TestPadIds:
+    def test_right_pads_with_the_pad_id(self):
+        padded, lengths = pad_ids([[5, 6, 7], [], [8]], pad_id=9)
+        assert padded.tolist() == [[5, 6, 7], [9, 9, 9], [8, 9, 9]]
+        assert lengths.tolist() == [3, 0, 1]
+        assert padded.dtype == lengths.dtype == np.int64
+
+    def test_no_sequences(self):
+        padded, lengths = pad_ids([])
+        assert padded.shape == (0, 0) and lengths.shape == (0,)
