@@ -3,19 +3,24 @@ beam step and lockstep search over a batch of sentences.
 
 A beam is a set of arrays with one row per hypothesis: token prefixes,
 scores and the index of the sentence each row belongs to, so that the
-beams of many sentences form one :class:`Beam`. Constraint states are
-row-batched the same way: ``allowed_mask()`` gives the successor set of
-every row as an ``[n, V]`` boolean mask, ``advance(words)`` consumes one
-word per row, ``select(rows)`` gathers rows and :func:`join_constraints`
-stacks the states of several sentences. Every constraint of one batch must
-be of the same class. :func:`search_step`, one ``decode_step`` and one
+beams of many sentences form one :class:`Beam`, whose rows need not be
+grouped by sentence. Constraint states are row-batched the same way:
+``successors()`` gives the admissible ``(row, word)`` pairs of every row,
+the one definition of a successor set (``allowed_mask()`` is the same set
+as an ``[n, V]`` boolean mask), ``advance(words)`` consumes one word per
+row, ``select(rows)`` gathers rows and :func:`join_constraints` stacks the
+states of several sentences. Every constraint of one batch must be of the
+same class. :func:`search_step`, one ``decode_step`` and one
 :func:`beam_step` for all sentences of a batch, is the one search step:
 test-time decoding (:func:`beam_search`) and BSO training both take it.
 
-Ranking uses cumulative scores accumulated in float64 so that a
-from-scratch rescoring of the same prefix reproduces bit-identical totals.
-Ties are broken deterministically within each sentence: higher score, then
-lower word index, then lower parent index.
+A beam step scores only admissible candidates and ranks those of the
+whole batch at once, so its successors come out grouped by sentence
+whatever the order of its input rows. Ranking uses cumulative scores
+accumulated in float64 so that a from-scratch rescoring of the same prefix
+reproduces bit-identical totals. Ties are broken deterministically within
+each sentence: higher score, then lower word index, then lower parent
+index.
 """
 
 from __future__ import annotations
@@ -31,12 +36,18 @@ class ConstraintError(ValueError):
     """A constraint was built from a source it cannot constrain, or
     advanced with a word it does not allow.
 
-    ``row`` is the index of a row of the state whose word it rejects.
+    ``row`` is the index of a row of the state whose word it rejects;
+    ``sentence``, if set, the input sentence the error belongs to. The
+    message is built when shown, so a caller may set ``sentence``.
     """
 
     def __init__(self, message, row=0):
         super().__init__(message)
-        self.row = row
+        self.message, self.row, self.sentence = message, row, None
+
+    def __str__(self):
+        where = "" if self.sentence is None else f"sentence {self.sentence}: "
+        return where + self.message
 
 
 class DecodeError(RuntimeError):
@@ -71,6 +82,12 @@ class NonFiniteScoreError(FloatingPointError):
 # A constructor makes a one-row state. Rows of one state share the
 # class-wide settings (vocabulary size, blocked words, EOS and reduce ids);
 # everything a word changes is an array with one entry per row.
+#
+# successors(f, f_rows, seg, k) returns the admissible (row, word) pairs
+# as two int64 arrays, in any order and no pair twice. Given f-scores (row
+# f_rows[i] of f, or row i, scoring state row i), their float64 sums with
+# ``seg`` and a beam size k, a class may leave out pairs that cannot be
+# among their sentence's K best; without f it returns them all.
 
 
 def _words(words, rows):
@@ -105,6 +122,24 @@ def _pad_cols(arrays, fill):
     return out
 
 
+def _mask(state, n):
+    """The successor pairs of an n-row state as an [n, V] boolean mask."""
+    rows, words = state.successors()
+    mask = np.zeros((n, state.vocab_size), dtype=bool)
+    mask[rows, words] = True
+    return mask
+
+
+def _nonzero(mask):
+    """np.nonzero of a 2-D mask, through the faster flat index."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _pairs(*pairs):
+    """Concatenate (rows, words) pair arrays, in order."""
+    return tuple(np.concatenate(a) for a in zip(*pairs))
+
+
 def join_constraints(states):
     """Stack the rows of several constraint states, in order.
 
@@ -128,13 +163,34 @@ class NoConstraint:
         self.blocked = tuple(blocked)
         self.allowed = np.ones(vocab_size, dtype=bool)
         self.allowed[list(self.blocked)] = False
+        self.words = np.flatnonzero(self.allowed)
         self.rows = 1
 
     def settings(self):
         return self.vocab_size, self.blocked
 
+    def successors(self, f=None, f_rows=None, seg=None, k=None):
+        """Every unblocked word of every row. Given f-scores, a row keeps
+        only the words whose f is at least its K-th best f, unless rounding
+        lets a smaller f tie the K-th best's sum with ``seg`` in float64:
+        such a row keeps every word."""
+        if f is None or k >= len(self.words):
+            return (np.repeat(np.arange(self.rows), len(self.words)),
+                    np.tile(self.words, self.rows))
+        f = f.copy() if f_rows is None else f[f_rows]
+        f[:, list(self.blocked)] = -np.inf
+        kth = np.partition(f, -k, axis=1)[:, -k]
+        # a word below kth has K words of its own sentence above it, as
+        # long as its sum with seg stays below theirs: every f below kth
+        # is at most the next float down from it
+        keep = f >= kth[:, None]
+        tie = seg + np.nextafter(kth, -np.inf) >= seg + kth
+        if tie.any():
+            keep[tie] = self.allowed
+        return _nonzero(keep)
+
     def allowed_mask(self):
-        return np.repeat(self.allowed[None, :], self.rows, axis=0)
+        return _mask(self, self.rows)
 
     def advance(self, words):
         words = _words(words, self.rows)
@@ -170,14 +226,16 @@ class PermutationConstraint:
     def settings(self):
         return self.vocab_size, self.eos_id
 
-    def allowed_mask(self):
-        n = len(self.counts)
+    def successors(self, f=None, f_rows=None, seg=None, k=None):
+        """Each row's unused source words, or EOS once it has none."""
         unused = self.counts > 0
-        # one spare column takes the padding
-        mask = np.zeros((n, self.vocab_size + 1), dtype=bool)
-        mask[np.arange(n)[:, None], self.types] = unused
-        mask[:, self.eos_id] = ~unused.any(axis=1)
-        return mask[:, :-1]
+        rows, cols = _nonzero(unused)
+        pairs = rows, self.types[rows, cols]
+        done = np.flatnonzero(~unused.any(axis=1))
+        return _pairs(pairs, (done, np.full(len(done), self.eos_id))) if done.size else pairs
+
+    def allowed_mask(self):
+        return _mask(self, len(self.counts))
 
     def advance(self, words):
         words = _words(words, len(self.counts))
@@ -232,13 +290,19 @@ class ArcStandardConstraint:
         rows = np.arange(len(self.next_idx))
         return self.source[rows, np.minimum(self.next_idx, self.source.shape[1] - 1)]
 
-    def allowed_mask(self):
-        mask = np.zeros((len(self.next_idx), self.vocab_size), dtype=bool)
+    def successors(self, f=None, f_rows=None, seg=None, k=None):
+        """Each row's next source word, every reduce action once its stack
+        holds two items, and EOS once its parse is complete."""
         shift = np.flatnonzero(self.next_idx < self.n_source)
-        mask[shift, self._next_word()[shift]] = True
-        mask[np.ix_(self.depth >= 2, self.reduce_ids)] = True
-        mask[(self.next_idx == self.n_source) & (self.depth == 1), self.eos_id] = True
-        return mask
+        reduce = np.flatnonzero(self.depth >= 2)
+        done = np.flatnonzero((self.next_idx == self.n_source) & (self.depth == 1))
+        return _pairs((shift, self.source[shift, self.next_idx[shift]]),
+                      (np.repeat(reduce, len(self.reduce_ids)),
+                       np.tile(self.reduce_ids, len(reduce))),
+                      (done, np.full(len(done), self.eos_id)))
+
+    def allowed_mask(self):
+        return _mask(self, len(self.next_idx))
 
     def advance(self, words):
         words = _words(words, len(self.next_idx))
@@ -297,7 +361,8 @@ def validate_gold(constraint, golds):
 @dataclass
 class Beam:
     """Hypotheses of one or more sentences, one per row. The rows of a
-    sentence are contiguous and in rank order; sentences ascend."""
+    sentence need not be contiguous; :func:`beam_step` returns them
+    contiguous and in rank order, sentences ascending."""
 
     tokens: np.ndarray           # [n, t] token prefixes
     score: np.ndarray            # [n] cumulative f of the tokens search appended
@@ -331,52 +396,33 @@ class Beam:
 # ---------------------------------------------------------------------------
 # Top-K selection
 
-# Candidate count above which top_k first cuts each row to its K best:
-# sorting a few hundred candidates costs less than the cut
-PREFILTER = 256
 
-# Rows ranked by one top_k call: bounds the [rows, V] float64 temporaries
-CHUNK_ROWS = 18
+def top_k(scores, words, parents, k, segments=None):
+    """Pick the K best candidate expansions of each segment.
 
-
-def top_k(scores, valid, k, segments=None):
-    """Pick the K best (parent, word) expansions of each segment of rows.
-
-    scores: [n, vocab] cumulative scores; valid: same-shape bool mask;
-    segments: [n] non-decreasing segment id of each row, or None for one
-    segment. Within a segment, ties break toward the lower word index,
-    then the lower parent index. Returns (parents, words), int arrays in
-    rank order, segment after segment.
+    scores, words, parents: one entry per candidate, in any order, no two
+    with the same parent and word; segments: the segment of each
+    candidate, or None for one segment. Within a segment, higher scores
+    rank first, ties break toward the lower word, then the lower parent.
+    Returns the indices of the picks in rank order, segment after segment,
+    segments ascending.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    n, v = scores.shape
-    if k == 1 and segments is None:
-        # the first best in word-major order is the stable sort's first; the
-        # sort below takes the rest (nothing valid, or every valid score -inf)
-        best = int(np.where(valid, scores, -np.inf).T.argmax())
-        if valid[best % n, best // n]:
-            return np.array([best % n]), np.array([best // n])
-    if v > k and np.count_nonzero(valid) > PREFILTER:
-        # a candidate below its row's K-th best has K better ones in its
-        # own segment, so it cannot be picked: sort only the rest
-        kth = np.where(valid, scores, -np.inf)
-        kth.partition(v - k, axis=1)
-        valid = valid & (scores >= kth[:, v - k:v - k + 1])
-    # word-major enumeration: a stable sort on score then leaves ties
-    # ordered by word, then parent
-    words, parents = np.nonzero(valid.T)
-    neg = -scores[parents, words]
+    if not len(scores):
+        return np.zeros(0, dtype=np.int64)
     if segments is None:
-        order = np.argsort(neg, kind="stable")[:k]
-    else:
-        seg = np.asarray(segments)[parents]
-        order = np.lexsort((neg, seg))
-        seg = seg[order]
-        order = order[np.arange(len(order)) - np.searchsorted(seg, seg) < k]
-    return parents[order], words[order]
+        if k == 1:
+            best = np.flatnonzero(scores == scores.max())
+            if len(best) > 1:
+                best = best[np.lexsort((parents[best], words[best]))[:1]]
+            return best
+        return np.lexsort((parents, words, -scores))[:k]
+    # one key for (word, parent): word-major, then parent
+    word_parent = words * (parents.max() + 1) + parents
+    order = np.lexsort((word_parent, -scores, segments))
+    seg = segments[order]
+    return order[np.arange(len(order)) - np.searchsorted(seg, seg) < k]
 
 
 def beam_step(beam, f, k, rows=None):
@@ -385,40 +431,29 @@ def beam_step(beam, f, k, rows=None):
 
     f: f-scores, [n, V] with row i scoring the next word of beam row i, or
     any number of rows with ``rows[i]`` the one that scores beam row i.
-    Successors rank per sentence by segment score (cumulative f since the
-    last search reset), in float64; each carries its parent's constraint
-    state advanced by its word. Sentences are ranked in chunks of about
-    CHUNK_ROWS rows, one ``top_k`` call each. Returns (successors, parent
-    row of each); a sentence with no valid expansion has no successors.
+    Only the constraint's successor pairs are scored. Successors rank per
+    sentence by segment score (cumulative f since the last search reset),
+    in float64, with one ``top_k`` call for the whole beam; each carries
+    its parent's constraint state advanced by its word. The beam's rows
+    need not be grouped by sentence; the successors are, sentences
+    ascending. Returns (successors, parent row of each); a sentence with no
+    valid expansion has no successors.
     """
     if not np.isfinite(f).all():
         raise NonFiniteScoreError(beam.tokens.shape[1] + 1)
-    valid = beam.constraint.allowed_mask()
-    sent = beam.sent
-    if len(sent) == 0 or sent[0] == sent[-1]:
-        bounds, segments = [0, len(sent)], None
-    else:
-        # a chunk starts with the first sentence that starts in a new
-        # CHUNK_ROWS window
-        starts = np.flatnonzero(sent[1:] != sent[:-1]) + 1
-        window = np.concatenate([[0], starts // CHUNK_ROWS])
-        cuts = starts[window[1:] > window[:-1]]
-        bounds, segments = [0, *cuts.tolist(), len(sent)], sent
-    picks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        f_rows = f[lo:hi] if rows is None else f[rows[lo:hi]]
-        # seg_score + f: the float64 sum the successor's seg_score keeps
-        cum = f_rows + beam.seg_score[lo:hi, None]
-        p, w = top_k(cum, valid[lo:hi], k, None if segments is None else segments[lo:hi])
-        picks.append((p + lo if lo else p, w, cum[p, w]))
-    parents, words, seg_score = picks[0] if len(picks) == 1 else map(np.concatenate,
-                                                                         zip(*picks))
+    parents, words = beam.constraint.successors(f, rows, beam.seg_score, k)
     fw = f[parents if rows is None else rows[parents], words].astype(np.float64)
+    # seg_score + f: the float64 sum the successor's seg_score keeps
+    cum = beam.seg_score[parents] + fw
+    sent = beam.sent
+    one = len(sent) < 2 or not np.count_nonzero(sent != sent[0])
+    pick = top_k(cum, words, parents, k, None if one else sent[parents])
+    parents, words, fw = parents[pick], words[pick], fw[pick]
     # one successor of a one-row beam: its constraint rows need no gather
     constraint = beam.constraint if len(parents) == len(beam) == 1 \
         else beam.constraint.select(parents)
     succ = Beam(np.concatenate([beam.tokens[parents], words[:, None]], axis=1),
-                beam.score[parents] + fw, seg_score, fw, sent[parents],
+                beam.score[parents] + fw, cum[pick], fw, sent[parents],
                 constraint.advance(words))
     return succ, parents
 

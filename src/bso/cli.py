@@ -19,7 +19,7 @@ from . import beam as beam_mod
 from . import tasks, training
 from .metrics import corpus_bleu, uas_las
 from .model import CheckpointError, InputError, ModelConfig, Seq2SeqModel
-from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, DataError, Vocab, pad_ids
+from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, UNK, UNK_ID, DataError, Vocab, pad_ids
 
 TASKS = ("word_order", "parse", "translate")
 CONSTRAINTS = ("none", "permutation", "arc_standard")
@@ -195,10 +195,23 @@ def max_decode_len(cfg, src_len):
     return 2 * src_len + 5
 
 
+def output_words(cfg, tokens, src, tgt_vocab):
+    """The words of a decoded id sequence, without PAD/BOS/EOS. A
+    permutation puts the source's out-of-vocabulary words, in source order,
+    where it emitted <unk>; other tasks keep <unk>."""
+    words = tgt_vocab.decode([t for t in tokens if t not in (PAD_ID, BOS_ID, EOS_ID)],
+                             strip_reserved=False)
+    if cfg.constraint != "permutation":
+        return words
+    unknown = iter([w for w, i in zip(src, tgt_vocab.encode(src)) if i == UNK_ID])
+    return [next(unknown) if w == UNK else w for w in words]
+
+
 def decode_corpus(model, cfg, src_sentences, src_vocab, tgt_vocab, k):
-    """(target tokens, score) per source sentence, in input order. Sources
-    are sorted by length and searched in chunks of DECODE_CHUNK; a search
-    error names the sentence by its input index."""
+    """(target words, score) per source sentence, in input order. Sources
+    are sorted by length and searched in chunks of DECODE_CHUNK; an error
+    building a constraint or searching names the sentence by its input
+    index."""
     factory = constraint_factory(cfg, tgt_vocab)
     order = sorted(range(len(src_sentences)), key=lambda i: len(src_sentences[i]))
     outputs = [None] * len(order)
@@ -206,15 +219,22 @@ def decode_corpus(model, cfg, src_sentences, src_vocab, tgt_vocab, k):
         chunk = order[lo:lo + DECODE_CHUNK]
         srcs = [src_sentences[i] for i in chunk]
         enc = model.encode(*pad_ids([src_vocab.encode(s) for s in srcs]))
+        constraints = []
         try:
-            found = beam_mod.beam_search(model, enc, k, [factory(s) for s in srcs],
+            for s in srcs:
+                constraints.append(factory(s))
+        except beam_mod.ConstraintError as exc:
+            exc.sentence = chunk[len(constraints)]
+            raise
+        try:
+            found = beam_mod.beam_search(model, enc, k, constraints,
                                          [max_decode_len(cfg, len(s)) for s in srcs],
                                          BOS_ID, EOS_ID)
         except (beam_mod.DecodeError, beam_mod.NonFiniteScoreError) as exc:
             exc.sentence = chunk[exc.sentence]
             raise
-        for i, (tokens, score) in zip(chunk, found):
-            outputs[i] = (tgt_vocab.decode(list(tokens)), score)
+        for i, s, (tokens, score) in zip(chunk, srcs, found):
+            outputs[i] = (output_words(cfg, tokens, s, tgt_vocab), score)
     return outputs
 
 

@@ -61,9 +61,10 @@ class ParamSlot:
 def sigmoid(x):
     """Logistic function, 1 / (1 + exp(-x)) for x >= 0 and
     exp(x) / (1 + exp(x)) below: exp never sees a positive argument, so
-    it cannot overflow."""
+    it cannot overflow. The numerator is max(e, x >= 0): e <= 1, so it is 1
+    where x >= 0 and e elsewhere (NaN stays NaN), without a masked select."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

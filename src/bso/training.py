@@ -152,11 +152,9 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
         # a sentence (re)seeded from its gold prefix y_{1:r} is a beam of one
         # whose step is the gold step, which consumed the same state and word
         new = np.flatnonzero(seeded[live])
-        parents = Beam.join([kept, Beam.seed(gold[live[new], :t - 1], live[new],
-                                             gold_states[t - 1].select(new))])
-        by_sent = np.argsort(parents.sent, kind="stable")
-        parents = parents.select(by_sent)
-        parent_at = np.concatenate([np.arange(len(live), len(words)), new])[by_sent]
+        parents = kept if not new.size else Beam.join([kept, Beam.seed(
+            gold[live[new], :t - 1], live[new], gold_states[t - 1].select(new))])
+        parent_at = np.concatenate([np.arange(len(live), len(words)), new])
         state, f, succ, succ_parent = search_step(
             model, state, words, np.concatenate([live, kept.sent]), enc, t - 1, parents, k_tr,
             parent_at, masks)

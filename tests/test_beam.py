@@ -1,5 +1,4 @@
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,48 +179,69 @@ class TestJoin:
         assert successors(c.select([1])) == [EOS_ID]
 
 
-def pairs(picks):
-    parents, words = picks
-    return list(zip(parents.tolist(), words.tolist()))
+def ranked(scores, valid, k, segments=None, rng=None):
+    """top_k over the valid entries of a dense [parents, words] score
+    array, given in a shuffled order when ``rng`` is set: the picks as
+    (parent, word) pairs in rank order."""
+    parents, words = np.nonzero(valid)
+    if rng is not None:
+        shuffle = rng.permutation(len(parents))
+        parents, words = parents[shuffle], words[shuffle]
+    seg = None if segments is None else np.asarray(segments)[parents]
+    pick = top_k(np.asarray(scores, dtype=np.float64)[parents, words], words, parents, k, seg)
+    return list(zip(parents[pick].tolist(), words[pick].tolist()))
 
 
 class TestTopK:
     def test_keep_all_when_k_large(self):
         scores = np.array([[1.0, 2.0, 3.0]])
-        picks = pairs(top_k(scores, np.ones_like(scores, dtype=bool), 10))
+        picks = ranked(scores, np.ones_like(scores, dtype=bool), 10)
         assert len(picks) == 3
         assert picks[0] == (0, 2)
 
     def test_descending_selection(self):
         scores = np.array([[1.0, 5.0], [3.0, 2.0]])
-        picks = pairs(top_k(scores, np.ones_like(scores, dtype=bool), 2))
+        picks = ranked(scores, np.ones_like(scores, dtype=bool), 2)
         assert picks == [(0, 1), (1, 0)]
 
     def test_tie_break_word_then_parent(self):
         scores = np.array([[2.0, 2.0], [2.0, 1.0]])
-        picks = pairs(top_k(scores, np.ones_like(scores, dtype=bool), 3))
-        assert picks == [(0, 0), (1, 0), (0, 1)]
+        valid = np.ones_like(scores, dtype=bool)
+        for k in (1, 3):
+            picks = ranked(scores, valid, k)
+            assert picks == [(0, 0), (1, 0), (0, 1)][:k]
+            # the same order whatever order the candidates come in
+            for seed in range(6):
+                assert ranked(scores, valid, k, rng=np.random.default_rng(seed)) == picks
 
     def test_segments_rank_apart(self):
         scores = np.array([[2.0, 2.0], [2.0, 1.0], [0.0, 3.0], [5.0, 5.0]])
         valid = np.ones_like(scores, dtype=bool)
-        picks = pairs(top_k(scores, valid, 2, segments=np.array([0, 0, 1, 2])))
-        assert picks == [(0, 0), (1, 0), (2, 1), (2, 0), (3, 0), (3, 1)]
+        want = [(0, 0), (1, 0), (2, 1), (2, 0), (3, 0), (3, 1)]
+        assert ranked(scores, valid, 2, segments=[0, 0, 1, 2]) == want
+        # segments need not be contiguous: they come out ascending
+        picks = ranked(scores[[2, 0, 3, 1]], valid, 2, segments=[1, 0, 2, 0])
+        assert picks == [(1, 0), (3, 0), (0, 1), (0, 0), (2, 0), (2, 1)]
 
     def test_matches_stable_sort_prefix(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
+        for k in (1, 4) * 25:
             scores = rng.integers(0, 4, size=(3, 5)).astype(float)
             valid = rng.random((3, 5)) > 0.3
             items = sorted(
                 [(-scores[p, w], w, p) for p in range(3) for w in range(5)
                  if valid[p, w]])
-            expect = [(p, w) for _, w, p in items][:4]
-            assert pairs(top_k(scores, valid, 4)) == expect
+            expect = [(p, w) for _, w, p in items][:k]
+            assert ranked(scores, valid, k) == expect
+            assert ranked(scores, valid, k, rng=rng) == expect
+
+    def test_no_candidates(self):
+        assert ranked(np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), 1) == []
+        assert ranked(np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), 2, segments=[0, 1]) == []
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            top_k(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 0)
+            top_k(np.zeros(2), np.arange(2), np.zeros(2, dtype=np.int64), 0)
 
 
 def as_beam(sentences):
@@ -272,7 +292,9 @@ class TestBeamStep:
         assert isinstance(err.value, FloatingPointError)
 
     def test_one_allowed_mask_and_advance_per_step(self, monkeypatch):
-        calls = {"allowed_mask": 0, "advance": 0, "top_k": 0}
+        # one successor set, one advance and one ranking per step for the
+        # whole beam; no dense mask
+        calls = {"successors": 0, "allowed_mask": 0, "advance": 0, "top_k": 0}
 
         def counting(owner, name):
             fn = getattr(owner, name)
@@ -286,14 +308,13 @@ class TestBeamStep:
         sentences = [[Hypothesis((), 0.0, PermutationConstraint(V, [4, 5, 6, 7], EOS_ID))]
                      for _ in range(3)]
         beam = as_beam(sentences)
-        counting(PermutationConstraint, "allowed_mask")
-        counting(PermutationConstraint, "advance")
+        for name in ("successors", "allowed_mask", "advance"):
+            counting(PermutationConstraint, name)
         counting(beam_mod, "top_k")
         beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
         beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
         assert len(beam) == 12
-        # 12 rows fit one chunk: one top_k call per step for all 3 sentences
-        assert calls == {"allowed_mask": 2, "advance": 2, "top_k": 2}
+        assert calls == {"successors": 2, "allowed_mask": 0, "advance": 2, "top_k": 2}
 
 
 REDUCE = (8, 9)
@@ -351,15 +372,18 @@ class TestArrayBeamStepMatchesReference:
 
     @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
     @pytest.mark.parametrize("k", range(1, 9))
-    @pytest.mark.parametrize("cut_first", [False, True])
+    @pytest.mark.parametrize("near_2_60", [False, True])
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15)
-    def test_successors_equal_reference(self, kind, k, cut_first, seed):
+    def test_successors_equal_reference(self, kind, k, near_2_60, seed):
         sentences, f = random_sentences(kind, k, seed)
-        # cut_first: top_k cuts every row to its K best before sorting,
-        # which it does on its own only for large frontiers
-        with mock.patch.object(beam_mod, "PREFILTER", 0 if cut_first else beam_mod.PREFILTER):
-            succ, parents = beam_step(as_beam(sentences), f, k)
+        if near_2_60:
+            # float64 sums there are multiples of 256: most f no longer tell
+            # words apart, so NoConstraint may not cut a row to its K best f
+            for hyps in sentences:
+                for h in hyps:
+                    h.seg_score += 2.0 ** 60
+        succ, parents = beam_step(as_beam(sentences), f, k)
         masks = succ.constraint.allowed_mask()
         lo = 0
         for b, hyps in enumerate(sentences):
@@ -374,6 +398,95 @@ class TestArrayBeamStepMatchesReference:
             assert np.array_equal(masks[mine], want.reshape(len(ref), V))
             lo += len(hyps)
         assert np.all(np.diff(succ.sent) >= 0)
+
+
+class TestSuccessorPairs:
+    @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40)
+    def test_pairs_are_the_mask_and_what_advance_accepts(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        blocked = (PAD_ID, BOS_ID) if rng.random() < 0.9 else tuple(range(V))
+        state = join_constraints([random_constraint(kind, rng, blocked)
+                                  for _ in range(int(rng.integers(1, 6)))])
+        rows, words = state.successors()
+        mask = state.allowed_mask()
+        assert len(set(zip(rows.tolist(), words.tolist()))) == len(rows)
+        assert sorted(zip(rows.tolist(), words.tolist())) == \
+            list(zip(*(a.tolist() for a in np.nonzero(mask))))
+        # advance is the transition, and checks its words on its own
+        for r in range(len(mask)):
+            one = state.select([r])
+            for w in range(V):
+                try:
+                    one.advance(w)
+                    accepted = True
+                except ConstraintError:
+                    accepted = False
+                assert accepted == mask[r, w]
+
+
+class TestUnconstrainedCut:
+    """NoConstraint keeps a row's words below its K-th best f only where
+    float64 rounding can make their sums tie with the K-th best's."""
+
+    def step(self, f, seg, k):
+        hyps = [Hypothesis((4,), 0.0, NoConstraint(V, blocked=(PAD_ID, BOS_ID)), seg_score=s)
+                for s in seg]
+        succ, parents = beam_step(as_beam([hyps]), f, k)
+        ref, ref_rows = reference_beam_step(hyps, f.astype(np.float64), k)
+        assert succ.tokens.tolist() == [list(h.tokens) for h in ref]
+        assert parents.tolist() == ref_rows
+        return succ.tokens[:, -1].tolist()
+
+    def test_cuts_to_the_kth_best(self):
+        f = np.full((2, V), -3.0, dtype=np.float32)
+        f[0, [4, 6, 9]] = [1.0, 2.0, 3.0]
+        f[1, 5] = 2.5
+        assert self.step(f, [0.0, 0.0], 3) == [9, 5, 6]
+        rows, words = NoConstraint(V).join([NoConstraint(V)] * 2).successors(
+            f, None, np.zeros(2), 3)
+        assert sorted(zip(rows.tolist(), words.tolist())) == \
+            [(0, 4), (0, 6), (0, 9)] + [(1, w) for w in range(V)]
+
+    def test_float32_f_under_a_seg_score_near_2_60(self):
+        f = np.full((1, V), -1000.0, dtype=np.float32)
+        f[0, 7], f[0, 4] = 1.0, 0.5
+        # 2**60 + 1 == 2**60 + 0.5 in float64: word 4 ties and wins
+        assert self.step(f, [2.0 ** 60], 1) == [4]
+        assert self.step(f, [0.0], 1) == [7]
+
+    def test_float64_f_that_round_to_a_tie(self):
+        f = np.full((1, V), -1.0)
+        f[0, 9], f[0, 5] = 2.0 ** -53, 2.0 ** -54
+        # both sums round to 1.0; the lower word wins
+        assert self.step(f, [1.0], 1) == [5]
+        assert self.step(f, [0.0], 1) == [9]
+
+
+class TestInterleavedRows:
+    @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25)
+    def test_same_successors_as_grouped_rows(self, kind, seed):
+        k = int(np.random.default_rng(seed).integers(1, 7))
+        sentences, f = random_sentences(kind, k, seed)
+        grouped = as_beam(sentences)
+        # interleave the sentences, each keeping the order of its own rows
+        # (parent order breaks ties)
+        slot = np.random.default_rng(seed + 1).permutation(len(grouped))
+        for b in range(len(sentences)):
+            mine = grouped.sent == b
+            slot[mine] = np.sort(slot[mine])
+        perm = np.argsort(slot)
+        want, want_parents = beam_step(grouped, f, k)
+        # the shuffled beam's row i is grouped row perm[i], scored by f[perm[i]]
+        got, got_parents = beam_step(grouped.select(perm), f, k, rows=perm)
+        assert np.all(np.diff(got.sent) >= 0)
+        assert perm[got_parents].tolist() == want_parents.tolist()
+        for name in ("tokens", "score", "seg_score", "last_f", "sent"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.array_equal(got.constraint.allowed_mask(), want.constraint.allowed_mask())
 
 
 def toy_model(tgt_vocab=6, seed=0):
@@ -450,8 +563,8 @@ class TestBeamDecode:
         enc = model.encode(np.array([[1]]))
 
         class Stuck:
-            def allowed_mask(self):
-                return np.zeros((1, 6), dtype=bool)
+            def successors(self, *args):
+                return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
             def advance(self, w):
                 return self

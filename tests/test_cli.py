@@ -348,10 +348,38 @@ class TestCleanFailures:
         assert err.startswith("error:") and "in.txt:2" in err
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("constraint", ["permutation", "none"])
+    def test_out_of_vocabulary_words_keep_their_place(self, tmp_path, constraint,
+                                                      monkeypatch):
+        real = cli.beam_mod.beam_search
+
+        def emit_unknown(model, enc, k, constraints, max_lens, bos, eos):
+            # an unconstrained model may emit <unk> anywhere: make it do so
+            if constraint == "none":
+                return [((1, 4, 1, eos), 0.0) for _ in constraints]
+            return real(model, enc, k, constraints, max_lens, bos, eos)
+        monkeypatch.setattr(cli.beam_mod, "beam_search", emit_unknown)
+        words = ("the", "dog", "runs")
+        assert self.decode(tmp_path, text="the cat runs\ngnu the yak dog\n", words=words,
+                           constraint=constraint) == 0
+        lines = [line.split() for line in (tmp_path / "out.txt").read_text().splitlines()]
+        if constraint == "none":
+            assert lines == [["<unk>", "the", "<unk>"]] * 2
+        else:
+            assert sorted(lines[0]) == ["cat", "runs", "the"]
+            assert sorted(lines[1]) == ["dog", "gnu", "the", "yak"]
+            # both unknown words come out as <unk>: they are written back in
+            # source order
+            assert [w for w in lines[1] if w not in words] == ["gnu", "yak"]
+
     def test_eos_in_a_permutation_source(self, tmp_path, capsys):
         assert self.decode(tmp_path, text="the </s> dog\n") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "EOS" in err
+        # the error names the input line's index, as a search error does
+        assert self.decode(tmp_path, text="the dog runs fast\ndog\nthe </s> dog\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sentence 2:") and "EOS" in err
 
     def test_action_in_an_arc_standard_source(self, tmp_path, capsys):
         assert self.decode(tmp_path, text="the @L_x dog\n", words=("the", "dog", "@L_x"),

@@ -280,6 +280,23 @@ class TestSigmoid:
         pre = rand(np.random.default_rng(3), 4, 12) * 20
         assert np.array_equal(nn.sigmoid(pre[:, 3:6]), two_branch_sigmoid(pre[:, 3:6]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_equal_to_the_masked_select(self, dtype):
+        # the numerator max(e, x >= 0) is where(x >= 0, 1, e), bit for bit
+        def masked(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+        x = np.concatenate([self.GRID, [np.nan, -np.nan, np.inf, -np.inf]]).astype(dtype)
+        pre = (rand(np.random.default_rng(4), 6, 16) * 50).astype(dtype)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            for arg in (x, pre[:, 4:8], pre[::2, 1::3]):
+                got, want = nn.sigmoid(arg), masked(arg)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
 
 def slots_from(arrs):
     out = []

@@ -357,11 +357,10 @@ class TestLockstepBatch:
 
     @pytest.mark.parametrize("kind", ["none", "perm"])
     def test_search_ranks_the_batch_together(self, kind, monkeypatch):
-        """One allowed_mask and one advance per step for the whole beam (plus
-        one advance per step validating the golds), and one top_k per step
-        for each chunk of at most about CHUNK_ROWS rows, never one per
-        sentence or per hypothesis."""
-        calls = {"top_k": 0, "allowed_mask": 0, "advance": 0}
+        """One successor set, one advance and one top_k per step for the
+        whole beam (plus one advance per step validating the golds), never
+        one per sentence or per hypothesis, and no dense mask."""
+        calls = {"top_k": 0, "successors": 0, "allowed_mask": 0, "advance": 0}
 
         def count(owner, name):
             fn = getattr(owner, name)
@@ -373,8 +372,8 @@ class TestLockstepBatch:
 
         cls = NoConstraint if kind == "none" else PermutationConstraint
         count(beam_mod, "top_k")
-        count(cls, "allowed_mask")
-        count(cls, "advance")
+        for name in ("successors", "allowed_mask", "advance"):
+            count(cls, name)
         rng = np.random.default_rng(4)
         model = toy_model(4, dtype=np.float32)
         n, k = 16, 6
@@ -391,10 +390,8 @@ class TestLockstepBatch:
                           delta_01, BOS)
         assert fwd.records
         t_max = max(len(g) for g in golds)
-        assert calls["allowed_mask"] == t_max
-        assert calls["advance"] == 2 * t_max
-        chunks = -(-n * k // beam_mod.CHUNK_ROWS) + 1
-        assert t_max <= calls["top_k"] <= t_max * chunks < t_max * n
+        assert calls == {"top_k": t_max, "successors": t_max, "allowed_mask": 0,
+                         "advance": 2 * t_max}
 
     def test_epoch_minibatch_runs_in_lockstep(self):
         model = toy_model(2, dtype=np.float32)
