@@ -5,11 +5,11 @@ A beam is a set of arrays with one row per hypothesis: token prefixes,
 scores and the index of the sentence each row belongs to, so that the
 beams of many sentences form one :class:`Beam`, whose rows need not be
 grouped by sentence. Constraint states are row-batched the same way:
-``successors()`` gives the admissible ``(row, word)`` pairs of every row,
-the one definition of a successor set (``allowed_mask()`` is the same set
-as an ``[n, V]`` boolean mask), ``advance(words)`` consumes one word per
-row, ``select(rows)`` gathers rows and :func:`join_constraints` stacks the
-states of several sentences. Every constraint of one batch must be of the
+``allowed_mask(sparse=True)`` gives the admissible ``(row, word)`` pairs of
+every row, the one definition of a successor set (``allowed_mask()`` is the
+same set as an ``[n, V]`` boolean mask), ``advance(words)`` consumes one
+word per row, ``select(rows)`` gathers rows and :func:`join_constraints`
+stacks the states of several sentences. Every constraint of one batch must be of the
 same class. :func:`search_step`, one ``decode_step`` and one
 :func:`beam_step` for all sentences of a batch, is the one search step:
 test-time decoding (:func:`beam_search`) and BSO training both take it.
@@ -83,11 +83,14 @@ class NonFiniteScoreError(FloatingPointError):
 # class-wide settings (vocabulary size, blocked words, EOS and reduce ids);
 # everything a word changes is an array with one entry per row.
 #
-# successors(f, f_rows, seg, k) returns the admissible (row, word) pairs
-# as two int64 arrays, in any order and no pair twice. Given f-scores (row
-# f_rows[i] of f, or row i, scoring state row i), their float64 sums with
-# ``seg`` and a beam size k, a class may leave out pairs that cannot be
-# among their sentence's K best; without f it returns them all.
+# allowed_mask(sparse=True, f, f_rows, seg, k) returns the admissible
+# (row, word) pairs as two int64 arrays, in any order and no pair twice.
+# Given f-scores (row f_rows[i] of f, or row i, scoring state row i), their
+# float64 sums with ``seg`` and a beam size k, a class may leave out pairs
+# that cannot be among their sentence's K best; without f it returns them
+# all. Each class builds the set as pairs; without ``sparse`` it comes back
+# as an [n, V] boolean mask. Both forms share the one method, so a trace of
+# allowed_mask times every successor set the search builds.
 
 
 def _words(words, rows):
@@ -122,11 +125,13 @@ def _pad_cols(arrays, fill):
     return out
 
 
-def _mask(state, n):
-    """The successor pairs of an n-row state as an [n, V] boolean mask."""
-    rows, words = state.successors()
-    mask = np.zeros((n, state.vocab_size), dtype=bool)
-    mask[rows, words] = True
+def _mask(pairs, sparse, n, vocab_size):
+    """Successor pairs as they are or, unless ``sparse``, as an [n, V]
+    boolean mask."""
+    if sparse:
+        return pairs
+    mask = np.zeros((n, vocab_size), dtype=bool)
+    mask[pairs] = True
     return mask
 
 
@@ -169,14 +174,15 @@ class NoConstraint:
     def settings(self):
         return self.vocab_size, self.blocked
 
-    def successors(self, f=None, f_rows=None, seg=None, k=None):
+    def allowed_mask(self, sparse=False, f=None, f_rows=None, seg=None, k=None):
         """Every unblocked word of every row. Given f-scores, a row keeps
         only the words whose f is at least its K-th best f, unless rounding
         lets a smaller f tie the K-th best's sum with ``seg`` in float64:
         such a row keeps every word."""
         if f is None or k >= len(self.words):
-            return (np.repeat(np.arange(self.rows), len(self.words)),
-                    np.tile(self.words, self.rows))
+            pairs = (np.repeat(np.arange(self.rows), len(self.words)),
+                     np.tile(self.words, self.rows))
+            return _mask(pairs, sparse, self.rows, self.vocab_size)
         f = f.copy() if f_rows is None else f[f_rows]
         f[:, list(self.blocked)] = -np.inf
         kth = np.partition(f, -k, axis=1)[:, -k]
@@ -187,10 +193,7 @@ class NoConstraint:
         tie = seg + np.nextafter(kth, -np.inf) >= seg + kth
         if tie.any():
             keep[tie] = self.allowed
-        return _nonzero(keep)
-
-    def allowed_mask(self):
-        return _mask(self, self.rows)
+        return _nonzero(keep) if sparse else keep
 
     def advance(self, words):
         words = _words(words, self.rows)
@@ -226,16 +229,15 @@ class PermutationConstraint:
     def settings(self):
         return self.vocab_size, self.eos_id
 
-    def successors(self, f=None, f_rows=None, seg=None, k=None):
+    def allowed_mask(self, sparse=False, f=None, f_rows=None, seg=None, k=None):
         """Each row's unused source words, or EOS once it has none."""
         unused = self.counts > 0
         rows, cols = _nonzero(unused)
         pairs = rows, self.types[rows, cols]
         done = np.flatnonzero(~unused.any(axis=1))
-        return _pairs(pairs, (done, np.full(len(done), self.eos_id))) if done.size else pairs
-
-    def allowed_mask(self):
-        return _mask(self, len(self.counts))
+        if done.size:
+            pairs = _pairs(pairs, (done, np.full(len(done), self.eos_id)))
+        return _mask(pairs, sparse, len(unused), self.vocab_size)
 
     def advance(self, words):
         words = _words(words, len(self.counts))
@@ -290,19 +292,17 @@ class ArcStandardConstraint:
         rows = np.arange(len(self.next_idx))
         return self.source[rows, np.minimum(self.next_idx, self.source.shape[1] - 1)]
 
-    def successors(self, f=None, f_rows=None, seg=None, k=None):
+    def allowed_mask(self, sparse=False, f=None, f_rows=None, seg=None, k=None):
         """Each row's next source word, every reduce action once its stack
         holds two items, and EOS once its parse is complete."""
         shift = np.flatnonzero(self.next_idx < self.n_source)
         reduce = np.flatnonzero(self.depth >= 2)
         done = np.flatnonzero((self.next_idx == self.n_source) & (self.depth == 1))
-        return _pairs((shift, self.source[shift, self.next_idx[shift]]),
-                      (np.repeat(reduce, len(self.reduce_ids)),
-                       np.tile(self.reduce_ids, len(reduce))),
-                      (done, np.full(len(done), self.eos_id)))
-
-    def allowed_mask(self):
-        return _mask(self, len(self.next_idx))
+        pairs = _pairs((shift, self.source[shift, self.next_idx[shift]]),
+                       (np.repeat(reduce, len(self.reduce_ids)),
+                        np.tile(self.reduce_ids, len(reduce))),
+                       (done, np.full(len(done), self.eos_id)))
+        return _mask(pairs, sparse, len(self.next_idx), self.vocab_size)
 
     def advance(self, words):
         words = _words(words, len(self.next_idx))
@@ -441,7 +441,8 @@ def beam_step(beam, f, k, rows=None):
     """
     if not np.isfinite(f).all():
         raise NonFiniteScoreError(beam.tokens.shape[1] + 1)
-    parents, words = beam.constraint.successors(f, rows, beam.seg_score, k)
+    parents, words = beam.constraint.allowed_mask(sparse=True, f=f, f_rows=rows,
+                                                 seg=beam.seg_score, k=k)
     fw = f[parents if rows is None else rows[parents], words].astype(np.float64)
     # seg_score + f: the float64 sum the successor's seg_score keeps
     cum = beam.seg_score[parents] + fw

@@ -293,14 +293,15 @@ class TestBeamStep:
 
     def test_one_allowed_mask_and_advance_per_step(self, monkeypatch):
         # one successor set, one advance and one ranking per step for the
-        # whole beam; no dense mask
-        calls = {"successors": 0, "allowed_mask": 0, "advance": 0, "top_k": 0}
+        # whole beam; the set as pairs, never as a dense mask
+        calls = {"allowed_mask": 0, "dense": 0, "advance": 0, "top_k": 0}
 
         def counting(owner, name):
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                calls["dense"] += name == "allowed_mask" and not kwargs.get("sparse")
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -308,13 +309,13 @@ class TestBeamStep:
         sentences = [[Hypothesis((), 0.0, PermutationConstraint(V, [4, 5, 6, 7], EOS_ID))]
                      for _ in range(3)]
         beam = as_beam(sentences)
-        for name in ("successors", "allowed_mask", "advance"):
+        for name in ("allowed_mask", "advance"):
             counting(PermutationConstraint, name)
         counting(beam_mod, "top_k")
         beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
         beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
         assert len(beam) == 12
-        assert calls == {"successors": 2, "allowed_mask": 0, "advance": 2, "top_k": 2}
+        assert calls == {"allowed_mask": 2, "dense": 0, "advance": 2, "top_k": 2}
 
 
 REDUCE = (8, 9)
@@ -409,7 +410,7 @@ class TestSuccessorPairs:
         blocked = (PAD_ID, BOS_ID) if rng.random() < 0.9 else tuple(range(V))
         state = join_constraints([random_constraint(kind, rng, blocked)
                                   for _ in range(int(rng.integers(1, 6)))])
-        rows, words = state.successors()
+        rows, words = state.allowed_mask(sparse=True)
         mask = state.allowed_mask()
         assert len(set(zip(rows.tolist(), words.tolist()))) == len(rows)
         assert sorted(zip(rows.tolist(), words.tolist())) == \
@@ -444,10 +445,13 @@ class TestUnconstrainedCut:
         f[0, [4, 6, 9]] = [1.0, 2.0, 3.0]
         f[1, 5] = 2.5
         assert self.step(f, [0.0, 0.0], 3) == [9, 5, 6]
-        rows, words = NoConstraint(V).join([NoConstraint(V)] * 2).successors(
-            f, None, np.zeros(2), 3)
+        both = NoConstraint(V).join([NoConstraint(V)] * 2)
+        rows, words = both.allowed_mask(sparse=True, f=f, seg=np.zeros(2), k=3)
         assert sorted(zip(rows.tolist(), words.tolist())) == \
             [(0, 4), (0, 6), (0, 9)] + [(1, w) for w in range(V)]
+        mask = both.allowed_mask(f=f, seg=np.zeros(2), k=3)
+        assert list(zip(*(a.tolist() for a in np.nonzero(mask)))) == \
+            sorted(zip(rows.tolist(), words.tolist()))
 
     def test_float32_f_under_a_seg_score_near_2_60(self):
         f = np.full((1, V), -1000.0, dtype=np.float32)
@@ -563,7 +567,7 @@ class TestBeamDecode:
         enc = model.encode(np.array([[1]]))
 
         class Stuck:
-            def successors(self, *args):
+            def allowed_mask(self, *args, **kwargs):
                 return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
             def advance(self, w):

@@ -359,20 +359,22 @@ class TestLockstepBatch:
     def test_search_ranks_the_batch_together(self, kind, monkeypatch):
         """One successor set, one advance and one top_k per step for the
         whole beam (plus one advance per step validating the golds), never
-        one per sentence or per hypothesis, and no dense mask."""
-        calls = {"top_k": 0, "successors": 0, "allowed_mask": 0, "advance": 0}
+        one per sentence or per hypothesis, and the set as pairs, never as a
+        dense mask."""
+        calls = {"top_k": 0, "allowed_mask": 0, "dense": 0, "advance": 0}
 
         def count(owner, name):
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                calls["dense"] += name == "allowed_mask" and not kwargs.get("sparse")
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
         cls = NoConstraint if kind == "none" else PermutationConstraint
         count(beam_mod, "top_k")
-        for name in ("successors", "allowed_mask", "advance"):
+        for name in ("allowed_mask", "advance"):
             count(cls, name)
         rng = np.random.default_rng(4)
         model = toy_model(4, dtype=np.float32)
@@ -390,7 +392,7 @@ class TestLockstepBatch:
                           delta_01, BOS)
         assert fwd.records
         t_max = max(len(g) for g in golds)
-        assert calls == {"top_k": t_max, "successors": t_max, "allowed_mask": 0,
+        assert calls == {"top_k": t_max, "allowed_mask": t_max, "dense": 0,
                          "advance": 2 * t_max}
 
     def test_epoch_minibatch_runs_in_lockstep(self):
