@@ -5,14 +5,15 @@ A beam is a set of arrays with one row per hypothesis: token prefixes,
 scores and the index of the sentence each row belongs to, so that the
 beams of many sentences form one :class:`Beam`, whose rows need not be
 grouped by sentence. Constraint states are row-batched the same way:
-``allowed_mask(sparse=True)`` gives the admissible ``(row, word)`` pairs of
-every row, the one definition of a successor set (``allowed_mask()`` is the
-same set as an ``[n, V]`` boolean mask), ``advance(words)`` consumes one
-word per row, ``select(rows)`` gathers rows and :func:`join_constraints`
-stacks the states of several sentences. Every constraint of one batch must be of the
-same class. :func:`search_step`, one ``decode_step`` and one
-:func:`beam_step` for all sentences of a batch, is the one search step:
-test-time decoding (:func:`beam_search`) and BSO training both take it.
+``allowed_mask()`` gives the admissible ``(row, word)`` pairs of every row,
+the one statement of a constraint's rule, ``advance(words)`` moves every
+row by one word it allows, ``select(rows)`` gathers rows and
+:func:`join_constraints` stacks the states of several sentences. Every
+constraint of one batch must be of the same class. Search only takes words
+from the pairs; :func:`validate_gold` checks gold sequences against them.
+:func:`search_step`, one ``decode_step`` and one :func:`beam_step` for all
+sentences of a batch, is the one search step: test-time decoding
+(:func:`beam_search`) and BSO training both take it.
 
 A beam step scores only admissible candidates and ranks those of the
 whole batch at once, so its successors come out grouped by sentence
@@ -33,10 +34,10 @@ from .tasks import pad_ids
 
 
 class ConstraintError(ValueError):
-    """A constraint was built from a source it cannot constrain, or
-    advanced with a word it does not allow.
+    """A constraint was built from a source it cannot constrain, or a gold
+    sequence takes a word its constraint does not allow.
 
-    ``row`` is the index of a row of the state whose word it rejects;
+    ``row`` is the index of the gold sequence whose word it rejects, if any;
     ``sentence``, if set, the input sentence the error belongs to. The
     message is built when shown, so a caller may set ``sentence``.
     """
@@ -83,29 +84,14 @@ class NonFiniteScoreError(FloatingPointError):
 # class-wide settings (vocabulary size, blocked words, EOS and reduce ids);
 # everything a word changes is an array with one entry per row.
 #
-# allowed_mask(sparse=True, f, f_rows, seg, k) returns the admissible
-# (row, word) pairs as two int64 arrays, in any order and no pair twice.
-# Given f-scores (row f_rows[i] of f, or row i, scoring state row i), their
-# float64 sums with ``seg`` and a beam size k, a class may leave out pairs
-# that cannot be among their sentence's K best; without f it returns them
-# all. Each class builds the set as pairs; without ``sparse`` it comes back
-# as an [n, V] boolean mask. Both forms share the one method, so a trace of
-# allowed_mask times every successor set the search builds.
-
-
-def _words(words, rows):
-    """One word id per row, as an int64 array (a scalar for a one-row state)."""
-    words = np.asarray(words, dtype=np.int64).reshape(-1)
-    if len(words) != rows:
-        raise ValueError(f"need one word per row: {rows} rows, words of shape {words.shape}")
-    return words
-
-
-def _reject(bad, message):
-    """Raise ConstraintError for the first row flagged in ``bad``, if any."""
-    if np.count_nonzero(bad):
-        row = int(np.flatnonzero(bad)[0])
-        raise ConstraintError(message(row), row=row)
+# allowed_mask(f, f_rows, seg, k) returns the admissible (row, word) pairs
+# as two int64 arrays, in any order and no pair twice: the one statement of
+# a class's rule. Given f-scores (row f_rows[i] of f, or row i, scoring
+# state row i), their float64 sums with ``seg`` and a beam size k, a class
+# may leave out pairs that cannot be among their sentence's K best; without
+# f it returns them all. advance(words) takes one word per row (a scalar
+# for a one-row state) from those pairs and checks nothing: search only
+# picks pairs, and validate_gold checks gold words against them.
 
 
 def _replace(state, **fields):
@@ -123,16 +109,6 @@ def _pad_cols(arrays, fill):
         out[lo:lo + len(a), :a.shape[1]] = a
         lo += len(a)
     return out
-
-
-def _mask(pairs, sparse, n, vocab_size):
-    """Successor pairs as they are or, unless ``sparse``, as an [n, V]
-    boolean mask."""
-    if sparse:
-        return pairs
-    mask = np.zeros((n, vocab_size), dtype=bool)
-    mask[pairs] = True
-    return mask
 
 
 def _nonzero(mask):
@@ -174,15 +150,13 @@ class NoConstraint:
     def settings(self):
         return self.vocab_size, self.blocked
 
-    def allowed_mask(self, sparse=False, f=None, f_rows=None, seg=None, k=None):
+    def allowed_mask(self, f=None, f_rows=None, seg=None, k=None):
         """Every unblocked word of every row. Given f-scores, a row keeps
         only the words whose f is at least its K-th best f, unless rounding
         lets a smaller f tie the K-th best's sum with ``seg`` in float64:
         such a row keeps every word."""
         if f is None or k >= len(self.words):
-            pairs = (np.repeat(np.arange(self.rows), len(self.words)),
-                     np.tile(self.words, self.rows))
-            return _mask(pairs, sparse, self.rows, self.vocab_size)
+            return np.repeat(np.arange(self.rows), len(self.words)), np.tile(self.words, self.rows)
         f = f.copy() if f_rows is None else f[f_rows]
         f[:, list(self.blocked)] = -np.inf
         kth = np.partition(f, -k, axis=1)[:, -k]
@@ -193,13 +167,9 @@ class NoConstraint:
         tie = seg + np.nextafter(kth, -np.inf) >= seg + kth
         if tie.any():
             keep[tie] = self.allowed
-        return _nonzero(keep) if sparse else keep
+        return _nonzero(keep)
 
     def advance(self, words):
-        words = _words(words, self.rows)
-        _reject((words < 0) | (words >= self.vocab_size),
-                lambda i: f"word {words[i]} is outside the vocabulary")
-        _reject(~self.allowed[words], lambda i: f"word {words[i]} is blocked")
         return self
 
     def select(self, rows):
@@ -229,28 +199,16 @@ class PermutationConstraint:
     def settings(self):
         return self.vocab_size, self.eos_id
 
-    def allowed_mask(self, sparse=False, f=None, f_rows=None, seg=None, k=None):
+    def allowed_mask(self, f=None, f_rows=None, seg=None, k=None):
         """Each row's unused source words, or EOS once it has none."""
         unused = self.counts > 0
         rows, cols = _nonzero(unused)
-        pairs = rows, self.types[rows, cols]
         done = np.flatnonzero(~unused.any(axis=1))
-        if done.size:
-            pairs = _pairs(pairs, (done, np.full(len(done), self.eos_id)))
-        return _mask(pairs, sparse, len(unused), self.vocab_size)
+        return _pairs((rows, self.types[rows, cols]), (done, np.full(len(done), self.eos_id)))
 
     def advance(self, words):
-        words = _words(words, len(self.counts))
-        hit = (self.types == words[:, None]) & (self.counts > 0)
-        # each row hits at most one type: all is well when every row hits
-        # one, or is an EOS row with no words left
-        if np.count_nonzero(hit) != len(words):
-            eos = words == self.eos_id
-            _reject(eos & self.counts.any(axis=1),
-                    lambda i: "EOS before all source words were used")
-            _reject(~eos & ~hit.any(axis=1),
-                    lambda i: f"word {words[i]} not among unused source words")
-        return _replace(self, counts=self.counts - hit)
+        # EOS is no type: an EOS row keeps its counts
+        return _replace(self, counts=self.counts - (self.types == np.reshape(words, (-1, 1))))
 
     def select(self, rows):
         return _replace(self, types=self.types[rows], counts=self.counts[rows])
@@ -288,32 +246,22 @@ class ArcStandardConstraint:
     def settings(self):
         return self.vocab_size, self.eos_id, tuple(self.reduce_ids.tolist())
 
-    def _next_word(self):
-        rows = np.arange(len(self.next_idx))
-        return self.source[rows, np.minimum(self.next_idx, self.source.shape[1] - 1)]
-
-    def allowed_mask(self, sparse=False, f=None, f_rows=None, seg=None, k=None):
+    def allowed_mask(self, f=None, f_rows=None, seg=None, k=None):
         """Each row's next source word, every reduce action once its stack
         holds two items, and EOS once its parse is complete."""
         shift = np.flatnonzero(self.next_idx < self.n_source)
         reduce = np.flatnonzero(self.depth >= 2)
         done = np.flatnonzero((self.next_idx == self.n_source) & (self.depth == 1))
-        pairs = _pairs((shift, self.source[shift, self.next_idx[shift]]),
-                       (np.repeat(reduce, len(self.reduce_ids)),
-                        np.tile(self.reduce_ids, len(reduce))),
-                       (done, np.full(len(done), self.eos_id)))
-        return _mask(pairs, sparse, len(self.next_idx), self.vocab_size)
+        return _pairs((shift, self.source[shift, self.next_idx[shift]]),
+                      (np.repeat(reduce, len(self.reduce_ids)),
+                       np.tile(self.reduce_ids, len(reduce))),
+                      (done, np.full(len(done), self.eos_id)))
 
     def advance(self, words):
-        words = _words(words, len(self.next_idx))
+        words = np.reshape(words, -1)
         eos = words == self.eos_id
-        complete = (self.next_idx == self.n_source) & (self.depth == 1)
-        _reject(eos & ~complete, lambda i: "EOS before parse is complete")
         reduce = ~eos & np.isin(words, self.reduce_ids)
-        _reject(reduce & (self.depth < 2), lambda i: "reduce with stack depth < 2")
-        shift = ~eos & ~reduce & (self.next_idx < self.n_source) & (words == self._next_word())
-        _reject(~(eos | reduce | shift), lambda i: f"word {words[i]} is neither the next "
-                                                   f"source word nor a legal action")
+        shift = ~eos & ~reduce
         if eos.all():
             return self
         return _replace(self, next_idx=self.next_idx + shift,
@@ -335,18 +283,28 @@ def validate_gold(constraint, golds):
 
     Returns the gold prefix states: entry j is the state, after its first
     j words, of every row whose sequence is longer than j, in row order.
-    Raises ConstraintError naming the sequence and the step.
+    Every word must be one of its row's ``allowed_mask`` pairs; else
+    ConstraintError names the sequence, the step, the word and the words
+    its row allows.
     """
     padded, lengths = pad_ids(golds)
     rows = np.flatnonzero(lengths > 0)
     state = constraint.select(rows)
     states = [state]
     for j in range(padded.shape[1]):
-        try:
-            state = state.advance(padded[rows, j])
-        except ConstraintError as exc:
-            raise ConstraintError(f"gold sequence {rows[exc.row]} invalid at step {j + 1}: "
-                                  f"{exc}", row=int(rows[exc.row])) from None
+        words = padded[rows, j]
+        pair_rows, pair_words = state.allowed_mask()
+        hit = pair_words == words[pair_rows]
+        # no pair twice: every row is valid when each has one hit
+        if np.count_nonzero(hit) != len(rows):
+            bad = np.ones(len(rows), dtype=bool)
+            bad[pair_rows[hit]] = False
+            i = int(np.flatnonzero(bad)[0])
+            allowed = np.sort(pair_words[pair_rows == i]).tolist()
+            raise ConstraintError(f"gold sequence {rows[i]} invalid at step {j + 1}: word "
+                                  f"{words[i]} not among the allowed words {allowed}",
+                                  row=int(rows[i]))
+        state = state.advance(words)
         live = np.flatnonzero(lengths[rows] > j + 1)
         rows = rows[live]
         state = state.select(live)
@@ -365,7 +323,6 @@ class Beam:
     contiguous and in rank order, sentences ascending."""
 
     tokens: np.ndarray           # [n, t] token prefixes
-    score: np.ndarray            # [n] cumulative f of the tokens search appended
     seg_score: np.ndarray        # [n] cumulative f since the last search reset
     last_f: np.ndarray           # [n] f of the last token
     sent: np.ndarray             # [n] index of each row's sentence
@@ -375,21 +332,21 @@ class Beam:
     def seed(cls, tokens, sent, constraint):
         """Hypotheses that search starts or resumes from, with zero scores."""
         n = len(sent)
-        return cls(np.asarray(tokens, dtype=np.int64), np.zeros(n), np.zeros(n), np.zeros(n),
+        return cls(np.asarray(tokens, dtype=np.int64), np.zeros(n), np.zeros(n),
                    np.asarray(sent, dtype=np.int64), constraint)
 
     def __len__(self):
         return len(self.sent)
 
     def select(self, rows):
-        return Beam(self.tokens[rows], self.score[rows], self.seg_score[rows],
+        return Beam(self.tokens[rows], self.seg_score[rows],
                     self.last_f[rows], self.sent[rows], self.constraint.select(rows))
 
     @staticmethod
     def join(beams):
         """Stack the rows of several beams, in order."""
         return Beam(*(np.concatenate([getattr(b, name) for b in beams])
-                      for name in ("tokens", "score", "seg_score", "last_f", "sent")),
+                      for name in ("tokens", "seg_score", "last_f", "sent")),
                     join_constraints([b.constraint for b in beams]))
 
 
@@ -441,8 +398,7 @@ def beam_step(beam, f, k, rows=None):
     """
     if not np.isfinite(f).all():
         raise NonFiniteScoreError(beam.tokens.shape[1] + 1)
-    parents, words = beam.constraint.allowed_mask(sparse=True, f=f, f_rows=rows,
-                                                 seg=beam.seg_score, k=k)
+    parents, words = beam.constraint.allowed_mask(f=f, f_rows=rows, seg=beam.seg_score, k=k)
     fw = f[parents if rows is None else rows[parents], words].astype(np.float64)
     # seg_score + f: the float64 sum the successor's seg_score keeps
     cum = beam.seg_score[parents] + fw
@@ -454,7 +410,7 @@ def beam_step(beam, f, k, rows=None):
     constraint = beam.constraint if len(parents) == len(beam) == 1 \
         else beam.constraint.select(parents)
     succ = Beam(np.concatenate([beam.tokens[parents], words[:, None]], axis=1),
-                beam.score[parents] + fw, cum[pick], fw, sent[parents],
+                cum[pick], fw, sent[parents],
                 constraint.advance(words))
     return succ, parents
 
@@ -485,8 +441,8 @@ def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
     sentence. A sentence sets EOS-terminated candidates aside and searches
     on until its beam empties or it reaches its max_len. Its best completed
     sequence wins, the first found among equals, else its best hypothesis
-    at max_len. k=1 is greedy search. Decoding never resets, so segment and
-    total scores coincide. Returns (tokens, score) per sentence;
+    at max_len. k=1 is greedy search. Decoding never resets, so a row's
+    segment score is its total score. Returns (tokens, score) per sentence;
     DecodeError names a sentence that got stuck before it ended.
     """
     if k < 1:
@@ -512,7 +468,7 @@ def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
             # beat the rest, then higher scores, then rows found earlier
             stop = done | (max_lens[succ.sent] == step + 1)
             for r in np.flatnonzero(stop):
-                b, rank = succ.sent[r], (bool(done[r]), float(succ.score[r]))
+                b, rank = succ.sent[r], (bool(done[r]), float(succ.seg_score[r]))
                 if found[b] is None or rank > found[b][1]:
                     found[b] = (tuple(succ.tokens[r].tolist()), rank)
             keep = np.flatnonzero(~stop)

@@ -328,10 +328,14 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     tcfg = cfg.train_config()
     rng = np.random.default_rng(cfg.seed)
-    raw_factory = constraint_factory(cfg, tgt_vocab)
-    examples = [(src_ids, tgt_ids, raw_factory(src_toks))
-                for (src_ids, tgt_ids), (src_toks, _)
-                in zip(pairs, train_examples)]
+    factory = constraint_factory(cfg, tgt_vocab)
+    examples = []
+    for i, ((src_ids, tgt_ids), (src_toks, _)) in enumerate(zip(pairs, train_examples)):
+        try:
+            examples.append((src_ids, tgt_ids, factory(src_toks)))
+        except beam_mod.ConstraintError as exc:
+            exc.sentence = i
+            raise
     best = -float("inf")
     print("epoch\tbeam\tmargin_loss\tviolation_rate\tdev_metric")
     for epoch in range(1, cfg.bso_epochs + 1):

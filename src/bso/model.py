@@ -104,7 +104,6 @@ class StateGrad:
 class EncodedSource:
     annotations: np.ndarray          # [B, S, H]
     init_state: DecoderState
-    lengths: np.ndarray              # [B]
     attn_bias: np.ndarray | None     # [B, S], 0 for real tokens, ATTN_NEG for pad
     cache: object = None
 
@@ -260,7 +259,7 @@ class Seq2SeqModel:
                                   np.zeros((B, cfg.d_h), dtype=self.dtype),
                                   np.arange(B))
         cache = {"src": src, "lengths": lengths, "steps": step_caches}
-        return EncodedSource(annotations, init_state, lengths, attn_bias, cache)
+        return EncodedSource(annotations, init_state, attn_bias, cache)
 
     def encode_backward(self, enc, d_annotations, d_init):
         """Backprop through encode; accumulates into parameter grads.
@@ -345,8 +344,7 @@ class Seq2SeqModel:
         p = self.params
         return nn.affine_forward(out.attn_hidden, p["out.w"].value, p["out.b"].value)
 
-    def decode_step_backward(self, cache, d_state, d_f=None,
-                             d_annotations=None, masks=None):
+    def decode_step_backward(self, cache, d_state, d_f=None, d_annotations=None):
         """Backprop one decoder step.
 
         d_state is the StateGrad w.r.t. the step's output state; d_f, if
@@ -405,9 +403,8 @@ class Seq2SeqModel:
         np.add.at(p["tgt_embed"].grad, cache["words"], d_emb)
         return StateGrad(dh_prev, dc_prev, d_feed_prev)
 
-    def state_grad_zeros(self, batch, dtype=None):
-        return StateGrad.zeros(self.config.layers, batch, self.config.d_h,
-                               dtype or self.dtype)
+    def state_grad_zeros(self, batch):
+        return StateGrad.zeros(self.config.layers, batch, self.config.d_h, self.dtype)
 
     # -- checkpointing ------------------------------------------------------
 

@@ -288,8 +288,7 @@ def bso_backward(model, fwd):
             d_f = np.zeros((len(rows), v), dtype=model.dtype)
             for row, w, c in coefs:
                 d_f[row, w] += c
-        d_in = model.decode_step_backward(cache, d_state, d_f, d_annotations=d_ann,
-                                          masks=fwd.masks)
+        d_in = model.decode_step_backward(cache, d_state, d_f, d_annotations=d_ann)
         d_state = d_in.scatter(rows, n_in)
     model.encode_backward(enc, d_ann, d_state)
 
@@ -351,7 +350,6 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
 class CurriculumSchedule:
     target: int
     start: int = 2
-    increment: int = 1
     epochs_per_increment: int = 2
 
 
@@ -359,8 +357,7 @@ def curriculum_beam(epoch, sched):
     """Training beam size for a 1-indexed epoch."""
     if epoch < 1:
         raise ValueError("epochs are 1-indexed")
-    size = sched.start + ((epoch - 1) // sched.epochs_per_increment) * sched.increment
-    return min(size, sched.target)
+    return min(sched.start + (epoch - 1) // sched.epochs_per_increment, sched.target)
 
 
 @dataclass

@@ -7,7 +7,8 @@ violation record (O(T^2) per sequence). Agreement with the O(T) merged
 implementations is what the tests assert. The frozen-search margin loss is
 the quantity the merged backward pass is finite-differenced against. The
 per-hypothesis beam step is the reference for the array beam step: one
-sentence, one Hypothesis object and one constraint state per hypothesis.
+sentence, one Hypothesis object and one constraint state per hypothesis,
+whose successors it reads from a dense mask of the state's pairs.
 The three-sigmoid LSTM cell, with its gates as four arrays, is the
 reference for the fused one-array cell in ``bso.nn``.
 """
@@ -62,6 +63,14 @@ def reference_lstm_cell_backward(cache, dh, dc, w_x, w_h, gw_x, gw_h, gb):
     return dx, dh_prev, dc_prev
 
 
+def successor_mask(state, n=1):
+    """The successor pairs of an n-row constraint state as an [n, V]
+    boolean mask."""
+    mask = np.zeros((n, state.vocab_size), dtype=bool)
+    mask[state.allowed_mask()] = True
+    return mask
+
+
 @dataclass
 class Hypothesis:
     tokens: tuple
@@ -101,7 +110,7 @@ def reference_beam_step(hyps, f, k):
     advanced by its word. Returns (successors, parent row of each).
     """
     cum = f + np.array([h.seg_score for h in hyps])[:, None]
-    valid = np.stack([h.constraint.allowed_mask()[0] for h in hyps])
+    valid = np.stack([successor_mask(h.constraint)[0] for h in hyps])
     succ, rows = [], []
     for parent, w in reference_top_k(cum, valid, k):
         h = hyps[parent]
@@ -152,7 +161,7 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
         base = beam if beam is not None else [(gold[:r], gold_constraints[r])]
         cands = []
         for parent, (toks, cstate) in enumerate(base):
-            mask = cstate.allowed_mask()[0]
+            mask = successor_mask(cstate)[0]
             for w in range(vocab):
                 if not mask[w]:
                     continue
@@ -213,8 +222,7 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann, masks=None):
         if coefs[t] != 0.0:
             d_f = np.zeros((1, v), dtype=model.dtype)
             d_f[0, tokens[t]] = coefs[t]
-        d_state = model.decode_step_backward(caches[t], d_state, d_f,
-                                             d_annotations=d_ann, masks=masks)
+        d_state = model.decode_step_backward(caches[t], d_state, d_f, d_annotations=d_ann)
     return d_state
 
 

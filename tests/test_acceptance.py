@@ -23,7 +23,7 @@ from bso.training import (CurriculumSchedule, TrainConfig, bso_backward,
                           eval_perplexity, train_bso_epoch, train_xent_epoch)
 from gradcheck import max_relative_error, numerical_grad
 from oracles import (bso_frozen_loss, grad_snapshot, naive_bso_backward,
-                     oracle_bso_forward, rescore_prefix)
+                     oracle_bso_forward, rescore_prefix, successor_mask)
 from test_metrics import reference_bleu
 
 BOS = BOS_ID
@@ -154,8 +154,7 @@ def enumerate_continuations(model, enc, gold_prefix, constraint, length, bos):
                 seg = seg + f
             out.append((tokens, seg))
             return
-        mask = cstate.allowed_mask()
-        for w in np.flatnonzero(mask):
+        for w in np.flatnonzero(successor_mask(cstate)):
             dfs(tokens + (int(w),), cstate.advance(int(w)), remaining - 1)
 
     dfs(gold_prefix, constraint, length)
@@ -242,7 +241,7 @@ class TestCriterion5ConstraintSoundness:
                 c = ArcStandardConstraint(10, word_ids, reduce_ids, EOS)
                 gold = []
                 while True:
-                    allowed = list(np.flatnonzero(c.allowed_mask()))
+                    allowed = list(np.flatnonzero(successor_mask(c)))
                     w = int(allowed[rng.integers(len(allowed))])
                     gold.append(w)
                     c = c.advance(w)

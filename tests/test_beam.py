@@ -13,14 +13,14 @@ from bso.beam import (ArcStandardConstraint, Beam, ConstraintError, DecodeError,
                       validate_gold)
 from bso.model import ModelConfig, Seq2SeqModel
 from bso.tasks import BOS_ID, EOS_ID, PAD_ID, pad_ids
-from oracles import Hypothesis, reference_beam_step, rescore_prefix
+from oracles import Hypothesis, reference_beam_step, rescore_prefix, successor_mask
 
 V = 10
 
 
 def successors(constraint):
-    """The successor set of a constraint state, as sorted word ids."""
-    return np.flatnonzero(constraint.allowed_mask()).tolist()
+    """The successor set of a one-row constraint state, as sorted word ids."""
+    return sorted(constraint.allowed_mask()[1].tolist())
 
 
 class TestSuccUnconstrained:
@@ -28,7 +28,7 @@ class TestSuccUnconstrained:
         assert successors(NoConstraint(5, blocked=(0, 2))) == [1, 3, 4]
 
     def test_beam_union_size(self):
-        valid = np.stack([NoConstraint(5).allowed_mask() for _ in range(3)])
+        valid = np.stack([successor_mask(NoConstraint(5)) for _ in range(3)])
         assert np.count_nonzero(valid) == 15
 
 
@@ -43,13 +43,6 @@ class TestSuccPermutation:
             c = c.advance(w)
         assert successors(c) == [EOS_ID]
 
-    def test_illegal_advance_raises(self):
-        c = PermutationConstraint(V, [4], EOS_ID)
-        with pytest.raises(ConstraintError):
-            c.advance(5)
-        with pytest.raises(ConstraintError):
-            c.advance(EOS_ID)
-
     def test_eos_as_source_word_rejected(self):
         with pytest.raises(ValueError, match="EOS"):
             PermutationConstraint(V, [4, EOS_ID], EOS_ID)
@@ -61,8 +54,7 @@ class TestSuccPermutation:
         c = PermutationConstraint(V, source, EOS_ID)
         emitted = []
         while True:
-            allowed = list(np.flatnonzero(c.allowed_mask()))
-            w = rnd.choice(allowed)
+            w = rnd.choice(successors(c))
             c = c.advance(w)
             if w == EOS_ID:
                 break
@@ -108,8 +100,7 @@ class TestSuccArcStandard:
                 id_to_tok[wid] = src[i]
 
             def complete(c, seq, acc):
-                allowed = list(np.flatnonzero(c.allowed_mask()))
-                for w in allowed:
+                for w in successors(c):
                     if w == EOS_ID:
                         acc.append(list(seq))
                     else:
@@ -135,11 +126,19 @@ class TestValidateGold:
         with pytest.raises(ConstraintError, match="step 2"):
             validate_gold(c, [[5, 6, EOS_ID]])
 
+    def test_illegal_gold_word_raises(self):
+        c = PermutationConstraint(V, [4], EOS_ID)
+        with pytest.raises(ConstraintError, match=r"word 5 not among the allowed words \[4\]"):
+            validate_gold(c, [[5]])
+        with pytest.raises(ConstraintError, match=rf"step 1: word {EOS_ID} not among"):
+            validate_gold(c, [[EOS_ID]])
+
     def test_error_names_the_offending_row(self):
         c = join_constraints([PermutationConstraint(V, [], EOS_ID),
                               PermutationConstraint(V, [4], EOS_ID)])
-        with pytest.raises(ConstraintError, match="word 5 not among") as err:
-            c.advance([EOS_ID, 5])
+        with pytest.raises(ConstraintError, match="sequence 1 invalid at step 1: word 5 "
+                                                  "not among") as err:
+            validate_gold(c, [[EOS_ID], [5]])
         assert err.value.row == 1
 
     def test_invalid_names_sequence_of_batch(self):
@@ -172,8 +171,8 @@ class TestJoin:
         a = ArcStandardConstraint(V, [4, 5], (8, 9), EOS_ID).advance(4).advance(5)
         b = ArcStandardConstraint(V, [6], (8, 9), EOS_ID)
         both = join_constraints([a, b])
-        assert np.array_equal(both.allowed_mask(), np.concatenate([a.allowed_mask(),
-                                                                   b.allowed_mask()]))
+        assert np.array_equal(successor_mask(both, 2),
+                              np.concatenate([successor_mask(a), successor_mask(b)]))
         c = both.advance([8, 6])
         assert successors(c.select([0])) == [EOS_ID]
         assert successors(c.select([1])) == [EOS_ID]
@@ -248,7 +247,6 @@ def as_beam(sentences):
     """One Beam holding per-sentence lists of reference Hypothesis objects."""
     rows = [(b, h) for b, hyps in enumerate(sentences) for h in hyps]
     return Beam(np.array([h.tokens for _, h in rows], dtype=np.int64).reshape(len(rows), -1),
-                np.array([h.score for _, h in rows]),
                 np.array([h.seg_score for _, h in rows]),
                 np.array([h.last_f for _, h in rows]),
                 np.array([b for b, _ in rows], dtype=np.int64),
@@ -268,7 +266,6 @@ class TestBeamStep:
         assert succ.tokens.tolist() == [[5, 4], [4, 6], [4, 5]]
         assert rows.tolist() == [1, 0, 0]
         assert succ.seg_score.tolist() == [2.5, 2.0, 1.75]
-        assert succ.score.tolist() == [2.5, 2.5, 2.25]
         assert succ.last_f.tolist() == [1.5, 0.5, 0.25]
         assert successors(succ.constraint.select([0])) == [6]
 
@@ -293,15 +290,14 @@ class TestBeamStep:
 
     def test_one_allowed_mask_and_advance_per_step(self, monkeypatch):
         # one successor set, one advance and one ranking per step for the
-        # whole beam; the set as pairs, never as a dense mask
-        calls = {"allowed_mask": 0, "dense": 0, "advance": 0, "top_k": 0}
+        # whole beam
+        calls = {"allowed_mask": 0, "advance": 0, "top_k": 0}
 
         def counting(owner, name):
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                calls["dense"] += name == "allowed_mask" and not kwargs.get("sparse")
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -315,7 +311,7 @@ class TestBeamStep:
         beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
         beam, _ = beam_step(beam, rng.normal(size=(len(beam), V)), 4)
         assert len(beam) == 12
-        assert calls == {"allowed_mask": 2, "dense": 0, "advance": 2, "top_k": 2}
+        assert calls == {"allowed_mask": 2, "advance": 2, "top_k": 2}
 
 
 REDUCE = (8, 9)
@@ -331,10 +327,10 @@ def random_constraint(kind, rng, blocked):
         c = (PermutationConstraint(V, src, EOS_ID) if kind == "perm"
              else ArcStandardConstraint(V, src, REDUCE, EOS_ID))
     for _ in range(int(rng.integers(0, 6))):
-        allowed = np.flatnonzero(c.allowed_mask())
+        allowed = c.allowed_mask()[1]
         if not allowed.size:
             break
-        c = c.advance(int(rng.choice(allowed)))
+        c = c.advance(int(rng.choice(np.sort(allowed))))
     return c
 
 
@@ -385,17 +381,17 @@ class TestArrayBeamStepMatchesReference:
                 for h in hyps:
                     h.seg_score += 2.0 ** 60
         succ, parents = beam_step(as_beam(sentences), f, k)
-        masks = succ.constraint.allowed_mask()
+        masks = successor_mask(succ.constraint, len(succ))
         lo = 0
         for b, hyps in enumerate(sentences):
             ref, ref_rows = reference_beam_step(hyps, f[lo:lo + len(hyps)].astype(np.float64), k)
             mine = np.flatnonzero(succ.sent == b)
             assert succ.tokens[mine].tolist() == [list(h.tokens) for h in ref]
             assert (parents[mine] - lo).tolist() == ref_rows
-            for name in ("seg_score", "score", "last_f"):
+            for name in ("seg_score", "last_f"):
                 want = np.array([getattr(h, name) for h in ref], dtype=np.float64)
                 assert getattr(succ, name)[mine].tobytes() == want.tobytes()
-            want = np.array([h.constraint.allowed_mask()[0] for h in ref], dtype=bool)
+            want = np.array([successor_mask(h.constraint)[0] for h in ref], dtype=bool)
             assert np.array_equal(masks[mine], want.reshape(len(ref), V))
             lo += len(hyps)
         assert np.all(np.diff(succ.sent) >= 0)
@@ -405,26 +401,25 @@ class TestSuccessorPairs:
     @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)
-    def test_pairs_are_the_mask_and_what_advance_accepts(self, kind, seed):
+    def test_gold_validation_accepts_exactly_the_pairs(self, kind, seed):
         rng = np.random.default_rng(seed)
         blocked = (PAD_ID, BOS_ID) if rng.random() < 0.9 else tuple(range(V))
-        state = join_constraints([random_constraint(kind, rng, blocked)
-                                  for _ in range(int(rng.integers(1, 6)))])
-        rows, words = state.allowed_mask(sparse=True)
-        mask = state.allowed_mask()
-        assert len(set(zip(rows.tolist(), words.tolist()))) == len(rows)
-        assert sorted(zip(rows.tolist(), words.tolist())) == \
-            list(zip(*(a.tolist() for a in np.nonzero(mask))))
-        # advance is the transition, and checks its words on its own
-        for r in range(len(mask)):
+        n = int(rng.integers(1, 6))
+        state = join_constraints([random_constraint(kind, rng, blocked) for _ in range(n)])
+        rows, words = state.allowed_mask()
+        pairs = set(zip(rows.tolist(), words.tolist()))
+        assert len(pairs) == len(rows)
+        # a one-step gold passes exactly where it is a pair; words outside
+        # the vocabulary are refused as any other word is
+        for r in range(n):
             one = state.select([r])
-            for w in range(V):
+            for w in range(-1, V + 1):
                 try:
-                    one.advance(w)
+                    validate_gold(one, [[w]])
                     accepted = True
                 except ConstraintError:
                     accepted = False
-                assert accepted == mask[r, w]
+                assert accepted == ((r, w) in pairs)
 
 
 class TestUnconstrainedCut:
@@ -446,12 +441,9 @@ class TestUnconstrainedCut:
         f[1, 5] = 2.5
         assert self.step(f, [0.0, 0.0], 3) == [9, 5, 6]
         both = NoConstraint(V).join([NoConstraint(V)] * 2)
-        rows, words = both.allowed_mask(sparse=True, f=f, seg=np.zeros(2), k=3)
+        rows, words = both.allowed_mask(f=f, seg=np.zeros(2), k=3)
         assert sorted(zip(rows.tolist(), words.tolist())) == \
             [(0, 4), (0, 6), (0, 9)] + [(1, w) for w in range(V)]
-        mask = both.allowed_mask(f=f, seg=np.zeros(2), k=3)
-        assert list(zip(*(a.tolist() for a in np.nonzero(mask)))) == \
-            sorted(zip(rows.tolist(), words.tolist()))
 
     def test_float32_f_under_a_seg_score_near_2_60(self):
         f = np.full((1, V), -1000.0, dtype=np.float32)
@@ -488,9 +480,10 @@ class TestInterleavedRows:
         got, got_parents = beam_step(grouped.select(perm), f, k, rows=perm)
         assert np.all(np.diff(got.sent) >= 0)
         assert perm[got_parents].tolist() == want_parents.tolist()
-        for name in ("tokens", "score", "seg_score", "last_f", "sent"):
+        for name in ("tokens", "seg_score", "last_f", "sent"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert np.array_equal(got.constraint.allowed_mask(), want.constraint.allowed_mask())
+        assert np.array_equal(successor_mask(got.constraint, len(got)),
+                              successor_mask(want.constraint, len(want)))
 
 
 def toy_model(tgt_vocab=6, seed=0):

@@ -69,7 +69,7 @@ class TestConstraintFactory:
         cfg = RunConfig(task="word_order", constraint="permutation")
         c = constraint_factory(cfg, self.vocab())(["a", "b"])
         assert isinstance(c, PermutationConstraint)
-        assert np.flatnonzero(c.allowed_mask()[0]).tolist() == [4, 5]
+        assert c.allowed_mask()[1].tolist() == [4, 5]
 
     def test_arc_standard(self):
         cfg = RunConfig(task="parse", constraint="arc_standard")
@@ -380,6 +380,17 @@ class TestCleanFailures:
         assert self.decode(tmp_path, text="the dog runs fast\ndog\nthe </s> dog\n") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: sentence 2:") and "EOS" in err
+
+    def test_eos_in_a_permutation_training_source(self, tmp_path, capsys):
+        # train-bso names the training line as decode names its input line
+        write_word_order_data(tmp_path)
+        lines = (tmp_path / "train.txt").read_text().splitlines()
+        lines[1] = "the </s> cat"
+        (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
+        assert cli.main(["train-bso", "--config", str(base_config(tmp_path)),
+                         "--allow-cold-start", "--model-out", str(tmp_path / "m.bso")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: sentence 1: EOS")
 
     def test_action_in_an_arc_standard_source(self, tmp_path, capsys):
         assert self.decode(tmp_path, text="the @L_x dog\n", words=("the", "dog", "@L_x"),

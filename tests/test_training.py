@@ -358,17 +358,15 @@ class TestLockstepBatch:
     @pytest.mark.parametrize("kind", ["none", "perm"])
     def test_search_ranks_the_batch_together(self, kind, monkeypatch):
         """One successor set, one advance and one top_k per step for the
-        whole beam (plus one advance per step validating the golds), never
-        one per sentence or per hypothesis, and the set as pairs, never as a
-        dense mask."""
-        calls = {"top_k": 0, "allowed_mask": 0, "dense": 0, "advance": 0}
+        whole beam (plus one successor set and one advance per step
+        validating the golds), never one per sentence or per hypothesis."""
+        calls = {"top_k": 0, "allowed_mask": 0, "advance": 0}
 
         def count(owner, name):
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                calls["dense"] += name == "allowed_mask" and not kwargs.get("sparse")
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -392,8 +390,7 @@ class TestLockstepBatch:
                           delta_01, BOS)
         assert fwd.records
         t_max = max(len(g) for g in golds)
-        assert calls == {"top_k": t_max, "allowed_mask": t_max, "dense": 0,
-                         "advance": 2 * t_max}
+        assert calls == {"top_k": t_max, "allowed_mask": 2 * t_max, "advance": 2 * t_max}
 
     def test_epoch_minibatch_runs_in_lockstep(self):
         model = toy_model(2, dtype=np.float32)
