@@ -448,7 +448,7 @@ def main(argv=None):
             cmd_eval(args.task, args.hyp, args.ref)
     except (ConfigError, DataError, OSError, CheckpointError, InputError,
             beam_mod.ConstraintError, beam_mod.DecodeError,
-            beam_mod.NonFiniteScoreError) as exc:
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

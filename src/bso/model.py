@@ -7,9 +7,13 @@ of the same scores.
 
 All forward functions keep caches so the matching hand-derived backward
 passes can be replayed later. States and caches are batched along the first
-axis. Decoder rows need not map one to one onto encoded sources: each state
-row carries the index of the source it attends to, so the rows of many
-hypotheses of many sentences can share one decoder step.
+axis. A decoder step's cache holds arrays of hidden or source size only: the
+output layer keeps none. Its backward, ``score_f_backward``, turns a step's
+[B, V] score gradient into a [B, H] one at once, which is what
+``decode_step_backward`` takes. Decoder rows need not map one to one onto
+encoded sources: each state row carries the index of the source it attends
+to, so the rows of many hypotheses of many sentences can share one decoder
+step.
 """
 
 from __future__ import annotations
@@ -344,23 +348,38 @@ class Seq2SeqModel:
         p = self.params
         return nn.affine_forward(out.attn_hidden, p["out.w"].value, p["out.b"].value)
 
-    def decode_step_backward(self, cache, d_state, d_f=None, d_annotations=None):
-        """Backprop one decoder step.
+    def score_f_backward(self, attn_hidden, d_f):
+        """The adjoint of score_f.
 
-        d_state is the StateGrad w.r.t. the step's output state; d_f, if
-        given, is the gradient w.r.t. score_f. Parameter grads accumulate in
-        place; annotation grads accumulate into d_annotations (shape
-        [enc_batch, S, H]) at each row's source. Returns the StateGrad
-        w.r.t. the input state.
+        ``d_f`` [B, V] is the gradient w.r.t. the scores of the step whose
+        attention hidden state is ``attn_hidden`` [B, H]. Adds the out.w and
+        out.b gradients in place and returns the [B, H] gradient w.r.t.
+        ``attn_hidden``, for ``decode_step_backward``'s ``d_hidden``. A
+        caller can take it at the step that scores, so no array of
+        vocabulary size has to outlive that step.
+        """
+        p = self.params
+        return nn.affine_backward(attn_hidden, p["out.w"].value, d_f,
+                                  p["out.w"].grad, p["out.b"].grad)
+
+    def decode_step_backward(self, cache, d_state, d_hidden=None, d_annotations=None):
+        """Backprop one decoder step, up to the attention hidden state.
+
+        d_state is the StateGrad w.r.t. the step's output state; d_hidden,
+        if given, is the gradient [B, H] w.r.t. the step's attention hidden
+        state from its scores, as score_f_backward returns it. It adds to
+        the gradient the same state receives as the next step's input feed.
+        Parameter grads accumulate in place; annotation grads accumulate
+        into d_annotations (shape [enc_batch, S, H]) at each row's source.
+        Returns the StateGrad w.r.t. the input state.
         """
         cfg = self.config
         p = self.params
         src = cache["src"]
         ah = cache["attn_hidden"]
         d_ah = d_state.input_feed.copy()
-        if d_f is not None:
-            d_ah += nn.affine_backward(ah, p["out.w"].value, d_f,
-                                       p["out.w"].grad, p["out.b"].grad)
+        if d_hidden is not None:
+            d_ah += d_hidden
         d_pre = d_ah * (1.0 - ah * ah)
         attn = cache["attn"]
         top = cache["top"]

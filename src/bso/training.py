@@ -30,6 +30,12 @@ state after r steps and consumes the same word as the gold step r+1, so
 both share that step's row: the violating stream folds into the gold stream
 there. The sweep reproduces exactly what independent per-violation BPTT
 would compute, in O(T) instead of O(T^2).
+
+Cross-entropy pretraining (:func:`xent_loss`) is teacher-forced over a
+padded batch. Each step backpropagates its log-softmax loss through the
+output layer as soon as it has scored, and keeps for the reverse sweep only
+its decoder cache and the [B, H] gradient w.r.t. its attention hidden
+state: nothing of vocabulary size is held across steps.
 """
 
 from __future__ import annotations
@@ -283,12 +289,13 @@ def bso_backward(model, fwd):
     while steps:
         # popped, so each step's cache is freed once it has been used
         cache, rows, n_in, coefs = steps.pop()
-        d_f = None
+        d_hidden = None
         if coefs:
             d_f = np.zeros((len(rows), v), dtype=model.dtype)
             for row, w, c in coefs:
                 d_f[row, w] += c
-        d_in = model.decode_step_backward(cache, d_state, d_f, d_annotations=d_ann)
+            d_hidden = model.score_f_backward(cache["attn_hidden"], d_f)
+        d_in = model.decode_step_backward(cache, d_state, d_hidden, d_annotations=d_ann)
         d_state = d_in.scatter(rows, n_in)
     model.encode_backward(enc, d_ann, d_state)
 
@@ -303,6 +310,13 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
 
     Returns (summed loss, token count). Padding positions contribute
     exactly zero to both the loss and the gradients.
+
+    With ``backward``, each step backpropagates its loss through the output
+    layer as soon as it has scored (``score_f_backward``), with the score
+    gradient formed in the buffer of its log-probabilities. A step keeps
+    its decoder cache and the [B, H] gradient w.r.t. its attention hidden
+    state, so nothing of vocabulary size outlives the step; the reverse
+    sweep frees each step's cache once ``decode_step_backward`` has used it.
     """
     src = np.asarray(src)
     tgt = np.asarray(tgt)
@@ -327,16 +341,19 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
         live = (t < tgt_lengths)
         loss += float(-(logp[rows, tgt[:, t]] * live).sum())
         if backward:
-            d_f = np.exp(logp)
+            d_f = np.exp(logp, out=logp)
             d_f[rows, tgt[:, t]] -= 1.0
             d_f *= live[:, None]
-            steps.append((cache, d_f.astype(model.dtype)))
+            steps.append((cache, model.score_f_backward(out.attn_hidden,
+                                                        d_f.astype(model.dtype))))
         state = out.state
     if backward:
         d_state = model.state_grad_zeros(B)
         d_ann = np.zeros_like(enc.annotations)
-        for cache, d_f in reversed(steps):
-            d_state = model.decode_step_backward(cache, d_state, d_f,
+        while steps:
+            # popped, so each step's cache is freed once it has been used
+            cache, d_hidden = steps.pop()
+            d_state = model.decode_step_backward(cache, d_state, d_hidden,
                                                  d_annotations=d_ann)
         model.encode_backward(enc, d_ann, d_state)
     return loss, tokens

@@ -218,11 +218,12 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann, masks=None):
     d_state = model.state_grad_zeros(1)
     v = model.config.tgt_vocab
     for t in range(len(tokens) - 1, -1, -1):
-        d_f = None
+        d_hidden = None
         if coefs[t] != 0.0:
             d_f = np.zeros((1, v), dtype=model.dtype)
             d_f[0, tokens[t]] = coefs[t]
-        d_state = model.decode_step_backward(caches[t], d_state, d_f, d_annotations=d_ann)
+            d_hidden = model.score_f_backward(caches[t]["attn_hidden"], d_f)
+        d_state = model.decode_step_backward(caches[t], d_state, d_hidden, d_annotations=d_ann)
     return d_state
 
 

@@ -322,6 +322,19 @@ class TestCleanFailures:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
 
+    # steps this large overflow the parameters within a few updates; numpy's
+    # warnings on the way are expected, the run must end in one clean error
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverged_pretraining(self, tmp_path, capsys):
+        write_word_order_data(tmp_path)
+        cfg_path = base_config(tmp_path, lr_main=1e38, lr_out=1e38, clip_norm=1e38)
+        rc = cli.main(["pretrain", "--config", str(cfg_path),
+                       "--model-out", str(tmp_path / "m.bso")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite ")
+
     def test_search_stuck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "constraint_factory", lambda cfg, vocab: lambda src: (
             NoConstraint(len(vocab), blocked=range(len(vocab)))))

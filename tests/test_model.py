@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,62 @@ class TestScores:
         assert np.allclose(g1, g0, atol=1e-9)
 
 
+class TestScoreBackward:
+    """score_f_backward is the adjoint of score_f."""
+
+    def step(self, m):
+        enc = m.encode(np.array([[1, 2, 3], [4, 5, 6], [2, 2, 1]]))
+        return m.decode_step(m.init_state(enc), [BOS, 4, 6], enc)
+
+    def test_matches_the_affine_products(self):
+        m = toy_model()
+        out, _ = self.step(m)
+        ah = out.attn_hidden
+        d_f = np.random.default_rng(1).normal(size=(3, 9))
+        m.zero_grads()
+        d_ah = m.score_f_backward(ah, d_f)
+        assert np.allclose(m.params["out.w"].grad, ah.T @ d_f, rtol=1e-12, atol=1e-15)
+        assert np.allclose(m.params["out.b"].grad, d_f.sum(0), rtol=1e-12, atol=1e-15)
+        assert np.allclose(d_ah, d_f @ m.params["out.w"].value.T, rtol=1e-12, atol=1e-15)
+        # gradients accumulate across calls
+        m.score_f_backward(ah, d_f)
+        assert np.allclose(m.params["out.b"].grad, 2 * d_f.sum(0), rtol=1e-12, atol=1e-15)
+
+    def test_matches_finite_differences(self):
+        m = toy_model(dtype=np.float64)
+        out, _ = self.step(m)
+        weights = np.random.default_rng(2).normal(size=(3, 9))
+
+        def loss():
+            return float(np.sum(m.score_f(out) * weights))
+
+        m.zero_grads()
+        d_ah = m.score_f_backward(out.attn_hidden, weights)
+        for name in ("out.w", "out.b"):
+            num = numerical_grad(loss, m.params[name].value, step=1e-4)
+            assert max_relative_error(m.params[name].grad, num) < 1e-7
+        num = numerical_grad(loss, out.attn_hidden, step=1e-4)
+        assert max_relative_error(d_ah, num) < 1e-7
+
+    def test_decode_step_backward_adds_d_hidden_to_the_input_feed_gradient(self):
+        m = toy_model()
+        _, cache = self.step(m)
+        d_state = m.state_grad_zeros(3)
+        d_state.input_feed[...] = np.random.default_rng(3).normal(size=(3, 5))
+        d_hidden = np.random.default_rng(4).normal(size=(3, 5))
+        m.zero_grads()
+        a = m.decode_step_backward(cache, d_state, d_hidden)
+        ga = {n: s.grad.copy() for n, s in m.params.items()}
+        merged = m.state_grad_zeros(3)
+        merged.input_feed[...] = d_state.input_feed + d_hidden
+        m.zero_grads()
+        b = m.decode_step_backward(cache, merged)
+        assert np.array_equal(a.input_feed, b.input_feed)
+        assert np.array_equal(a.h[0], b.h[0]) and np.array_equal(a.c[0], b.c[0])
+        for n, s in m.params.items():
+            assert np.array_equal(ga[n], s.grad)
+
+
 class TestSelectStates:
     def make_state(self, m):
         enc = m.encode(np.array([[1, 2], [3, 4], [5, 6]]))
@@ -227,6 +284,27 @@ class TestEndToEndGradients:
         assert n1 == n2 == 3
         for s in m.slots():
             assert np.allclose(g1[s.name], s.grad, atol=1e-12)
+
+
+class TestXentMemory:
+    def test_nothing_of_vocabulary_size_is_kept_across_steps(self):
+        """The traced peak of one xent_loss grows with the number of target
+        steps by far less than one [B, V] float32 array per step."""
+        B, V = 8, 3000
+        rng = np.random.default_rng(0)
+        m = toy_model(src_vocab=7, tgt_vocab=V, d_emb=4, d_h=8, dtype=np.float32)
+        src = rng.integers(3, 7, size=(B, 5))
+        tgts = {T: rng.integers(3, V, size=(B, T)) for T in (10, 40)}
+        m.zero_grads()
+        peaks = {}
+        for T, tgt in tgts.items():
+            tracemalloc.start()
+            try:
+                training.xent_loss(m, src, tgt, BOS)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] - peaks[10] < 0.5 * 30 * B * V * 4
 
 
 class TestCheckpoint:
