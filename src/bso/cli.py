@@ -293,10 +293,15 @@ def cmd_pretrain(cfg, model_out):
     return best
 
 
-def load_with_vocabs(path):
+def load_with_vocabs(path, task):
     """A checkpoint's model, header ``extra`` and source and target
-    vocabularies; CheckpointError if the header stores no vocabularies."""
+    vocabularies; CheckpointError if the header stores no vocabularies,
+    ConfigError if it was written for a task other than ``task`` (a header
+    without a task loads for any)."""
     model, extra = Seq2SeqModel.load(path, with_extra=True)
+    if isinstance(extra, dict) and extra.get("task", task) != task:
+        raise ConfigError(f"checkpoint {path} was written for task {extra['task']!r}; "
+                          f"the configuration is for task {task!r}")
     vocabs = []
     for key in ("src_vocab", "tgt_vocab"):
         if not isinstance(extra, dict) or key not in extra:
@@ -323,7 +328,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
         extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
                  "task": cfg.task}
     else:
-        model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in)
+        model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
     dev_examples, _, _ = load_pairs(cfg, "dev")
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     tcfg = cfg.train_config()
@@ -353,7 +358,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
 
 def cmd_decode(cfg, model_in, input_path, output_path, k=None, with_scores=False):
     cfg.validate()
-    model, _, src_vocab, tgt_vocab = load_with_vocabs(model_in)
+    model, _, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
     srcs = read_sentences(input_path)
     outs = decode_corpus(model, cfg, srcs, src_vocab, tgt_vocab, k or cfg.k_te)
     with open(output_path, "w", encoding="utf-8") as fh:

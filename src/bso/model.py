@@ -7,9 +7,17 @@ of the same scores.
 
 All forward functions keep caches so the matching hand-derived backward
 passes can be replayed later. States and caches are batched along the first
-axis. A decoder step's cache holds arrays of hidden or source size only: the
-output layer keeps none. Its backward, ``score_f_backward``, turns a step's
-[B, V] score gradient into a [B, H] one at once, which is what
+axis. A cache keeps only what its backward cannot rebuild exactly and
+cheaply. A decoder step's cache holds, per layer, the LSTM cell's cache
+(``h_prev``, ``c_prev``, the gates and the new cell state ``c``) and the
+layer's output; then the attention weights, the attention hidden state,
+the consumed words and the input feed. Its backward rebuilds bit for bit
+the layer inputs (the embedded words joined to the feed below, the masked
+output of the layer beneath above), tanh(c) and the attention context,
+from the annotations it gathers anyway. An encoder step keeps each layer's
+input and cell cache; its top layer's ``h_prev`` is a view of the
+annotations. The output layer keeps nothing: ``score_f_backward`` turns a
+step's [B, V] score gradient into a [B, H] one at once, which is what
 ``decode_step_backward`` takes. Decoder rows need not map one to one onto
 encoded sources: each state row carries the index of the source it attends
 to, so the rows of many hypotheses of many sentences can share one decoder
@@ -242,12 +250,16 @@ class Seq2SeqModel:
                 h[l], c[l], cache = nn.lstm_cell_forward(
                     x, h[l], c[l], p[f"enc{l}.wx"].value, p[f"enc{l}.wh"].value,
                     p[f"enc{l}.b"].value)
+                cache["x"] = x
                 layer_caches.append(cache)
                 if l < cfg.layers - 1:
                     m = masks.get(t, l).astype(self.dtype) if masks is not None else None
                     x = h[l] * m if m is not None else h[l]
                     layer_caches[-1]["drop_mask"] = m
             annotations[:, t] = h[-1]
+            # the top layer's next step reads its h_prev from the
+            # annotations, so no step cache holds a copy of them
+            h[-1] = annotations[:, t]
             if t in last_steps:
                 at_end = lengths - 1 == t
                 for l in range(cfg.layers):
@@ -288,12 +300,13 @@ class Seq2SeqModel:
             dh[-1] += d_annotations[:, t]
             dx_down = None
             for l in range(cfg.layers - 1, -1, -1):
+                layer = cache["steps"][t][l]
                 cur_dh = dh[l]
                 if dx_down is not None:
-                    m = cache["steps"][t][l].get("drop_mask")
+                    m = layer.get("drop_mask")
                     cur_dh = cur_dh + (dx_down * m if m is not None else dx_down)
                 dx, dh[l], dc[l] = nn.lstm_cell_backward(
-                    cache["steps"][t][l], cur_dh, dc[l],
+                    layer, cur_dh, dc[l], layer["x"],
                     p[f"enc{l}.wx"].value, p[f"enc{l}.wh"].value,
                     p[f"enc{l}.wx"].grad, p[f"enc{l}.wh"].grad, p[f"enc{l}.b"].grad)
                 dx_down = dx
@@ -319,29 +332,35 @@ class Seq2SeqModel:
             raise InputError("target token id out of vocabulary range")
         cfg = self.config
         p = self.params
-        emb = p["tgt_embed"].value[words]                  # [B, E]
-        x = np.concatenate([emb, state.input_feed], axis=1)
         new_h, new_c, layer_caches = [], [], []
+        cache = {"words": words, "feed": state.input_feed, "h": new_h, "layers": layer_caches}
         for l in range(cfg.layers):
-            hl, cl, cache = nn.lstm_cell_forward(
-                x, state.h[l], state.c[l], p[f"dec{l}.wx"].value,
-                p[f"dec{l}.wh"].value, p[f"dec{l}.b"].value)
+            hl, cl, layer = nn.lstm_cell_forward(
+                self._layer_input(cache, l), state.h[l], state.c[l],
+                p[f"dec{l}.wx"].value, p[f"dec{l}.wh"].value, p[f"dec{l}.b"].value)
+            masked = masks is not None and l < cfg.layers - 1
+            layer["drop_mask"] = masks.get(step, l).astype(self.dtype) if masked else None
             new_h.append(hl)
             new_c.append(cl)
-            layer_caches.append(cache)
-            if l < cfg.layers - 1:
-                m = masks.get(step, l).astype(self.dtype) if masks is not None else None
-                x = hl * m if m is not None else hl
-                layer_caches[-1]["drop_mask"] = m
+            layer_caches.append(layer)
         top = new_h[-1]                                     # [B, H]
         attn, context = _attend(enc, state.src, top)
         attn_in = np.concatenate([context, top], axis=1)
         attn_hidden = np.tanh(nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value))
         out_state = DecoderState(new_h, new_c, attn_hidden, state.src)
-        cache = {"words": words, "layers": layer_caches, "top": top,
-                 "attn": attn, "context": context, "attn_hidden": attn_hidden,
-                 "enc": enc, "src": state.src}
+        cache.update(attn=attn, attn_hidden=attn_hidden, enc=enc, src=state.src)
         return StepOutput(out_state, attn, attn_hidden), cache
+
+    def _layer_input(self, cache, l):
+        """The input of decoder layer l at the step of ``cache``: the
+        embedded word and the input feed for layer 0, above it the output
+        of layer l - 1 under its dropout mask. The step's backward rebuilds
+        the inputs from the cache bit for bit, so the cache keeps none."""
+        if l == 0:
+            emb = self.params["tgt_embed"].value[cache["words"]]     # [B, E]
+            return np.concatenate([emb, cache["feed"]], axis=1)
+        h, m = cache["h"][l - 1], cache["layers"][l - 1]["drop_mask"]
+        return h * m if m is not None else h
 
     def score_f(self, out):
         """Unnormalized next-token scores [B, V]."""
@@ -382,14 +401,15 @@ class Seq2SeqModel:
             d_ah += d_hidden
         d_pre = d_ah * (1.0 - ah * ah)
         attn = cache["attn"]
-        top = cache["top"]
-        d_attn_in = nn.affine_backward(np.concatenate([cache["context"], top], axis=1),
+        top = cache["h"][-1]
+        ann = cache["enc"].annotations[src]
+        context = np.einsum("bs,bsh->bh", attn, ann)        # as _attend computed it
+        d_attn_in = nn.affine_backward(np.concatenate([context, top], axis=1),
                                        p["attn.w"].value, d_pre,
                                        p["attn.w"].grad, p["attn.b"].grad)
         H = cfg.d_h
         d_context = d_attn_in[:, :H]
         d_top = d_attn_in[:, H:].copy()
-        ann = cache["enc"].annotations[src]
         d_attn = np.einsum("bh,bsh->bs", d_context, ann)
         d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
         d_top += np.einsum("bs,bsh->bh", d_scores, ann)
@@ -407,10 +427,10 @@ class Seq2SeqModel:
             if l == cfg.layers - 1:
                 cur_dh += d_top
             if dx_down is not None:
-                m = cache["layers"][l].get("drop_mask")
+                m = cache["layers"][l]["drop_mask"]
                 cur_dh += dx_down * m if m is not None else dx_down
             dx, dhp, dcp = nn.lstm_cell_backward(
-                cache["layers"][l], cur_dh, d_state.c[l],
+                cache["layers"][l], cur_dh, d_state.c[l], self._layer_input(cache, l),
                 p[f"dec{l}.wx"].value, p[f"dec{l}.wh"].value,
                 p[f"dec{l}.wx"].grad, p[f"dec{l}.wh"].grad, p[f"dec{l}.b"].grad)
             dh_prev[l] = dhp

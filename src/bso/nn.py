@@ -71,7 +71,11 @@ def sigmoid(x):
 # LSTM cell. The four gates are one [B, 4H] array, blocks along the last
 # axis [input, forget, candidate, output]: the forward pass takes one
 # sigmoid over the whole pre-activation, then overwrites the candidate
-# block with its tanh, and caches that array as ``gates``.
+# block with its tanh, and caches that array as ``gates``. The cache holds
+# ``h_prev``, ``c_prev``, ``gates`` and the new cell state ``c``, which a
+# recurrence keeps alive anyway as the next step's ``c_prev``. It holds
+# neither the input ``x``, which the caller passes to the backward, nor
+# tanh(c), which the backward recomputes bit for bit from ``c``.
 
 
 def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
@@ -89,16 +93,16 @@ def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     np.tanh(pre[:, 2 * H:3 * H], out=gates[:, 2 * H:3 * H])
     i, f, g, o = gates.reshape(-1, 4, H).transpose(1, 0, 2)
     c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev, "gates": gates, "tc": tc}
+    h = o * np.tanh(c)
+    cache = {"h_prev": h_prev, "c_prev": c_prev, "gates": gates, "c": c}
     return h, c, cache
 
 
-def lstm_cell_backward(cache, dh, dc, w_x, w_h, gw_x, gw_h, gb):
-    """Backward of :func:`lstm_cell_forward`; adds into gw_x/gw_h/gb."""
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-    gates, tc = cache["gates"], cache["tc"]
+def lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
+    """Backward of :func:`lstm_cell_forward`, whose input ``x`` was the
+    given one; adds into gw_x/gw_h/gb."""
+    h_prev, c_prev, gates = cache["h_prev"], cache["c_prev"], cache["gates"]
+    tc = np.tanh(cache["c"])
     B, H = tc.shape
     # a gate-major copy [4, B, H]: elementwise arithmetic on whole
     # contiguous blocks is cheaper than on strided column slices
@@ -176,12 +180,16 @@ def scatter_add(out, rows, values):
 # Log-softmax (max-subtracted, rows).
 
 
-def log_softmax(scores):
+def log_softmax(scores, out=None):
+    """Row-wise log-softmax of ``scores``, written into ``out`` if given
+    (``out=scores`` overwrites the input). Besides the result it holds one
+    array of the input's size, the exponentials, at a time."""
     assert_finite(scores, "log_softmax input")
     m = scores.max(axis=-1, keepdims=True)
-    shifted = scores - m
+    shifted = np.subtract(scores, m, out=out)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted - lse
+    shifted -= lse
+    return shifted
 
 
 # ---------------------------------------------------------------------------

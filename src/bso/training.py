@@ -312,11 +312,16 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
     exactly zero to both the loss and the gradients.
 
     With ``backward``, each step backpropagates its loss through the output
-    layer as soon as it has scored (``score_f_backward``), with the score
-    gradient formed in the buffer of its log-probabilities. A step keeps
-    its decoder cache and the [B, H] gradient w.r.t. its attention hidden
-    state, so nothing of vocabulary size outlives the step; the reverse
-    sweep frees each step's cache once ``decode_step_backward`` has used it.
+    layer as soon as it has scored (``score_f_backward``). Its float64
+    scores, log-probabilities and score gradient share one [B, V] buffer,
+    which the step frees, so nothing of vocabulary size outlives it. A step
+    keeps for the reverse sweep its decoder cache and the [B, H] gradient
+    w.r.t. its attention hidden state: per row and layer the gates (4H),
+    cell state and output (H each), plus the attention weights (S), the
+    attention hidden state and that gradient (H each). The backward
+    rebuilds the layer inputs, tanh(c) and the attention context, and the
+    reverse sweep frees each step's cache once ``decode_step_backward`` has
+    used it.
     """
     src = np.asarray(src)
     tgt = np.asarray(tgt)
@@ -330,22 +335,16 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
     tgt_lengths = np.asarray(tgt_lengths)
     enc = model.encode(src, src_lengths, masks)
     state = model.init_state(enc)
-    rows = np.arange(B)
     loss = 0.0
     tokens = int(tgt_lengths.sum())
     steps = []
     for t in range(T):
         in_w = tgt[:, t - 1] if t > 0 else np.full(B, bos_id, dtype=tgt.dtype)
         out, cache = model.decode_step(state, in_w, enc, step=t, masks=masks)
-        logp = nn.log_softmax(model.score_f(out).astype(np.float64))
-        live = (t < tgt_lengths)
-        loss += float(-(logp[rows, tgt[:, t]] * live).sum())
+        step_loss, d_hidden = _xent_step(model, out, tgt[:, t], t < tgt_lengths, backward)
+        loss += step_loss
         if backward:
-            d_f = np.exp(logp, out=logp)
-            d_f[rows, tgt[:, t]] -= 1.0
-            d_f *= live[:, None]
-            steps.append((cache, model.score_f_backward(out.attn_hidden,
-                                                        d_f.astype(model.dtype))))
+            steps.append((cache, d_hidden))
         state = out.state
     if backward:
         d_state = model.state_grad_zeros(B)
@@ -357,6 +356,24 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
                                                  d_annotations=d_ann)
         model.encode_backward(enc, d_ann, d_state)
     return loss, tokens
+
+
+def _xent_step(model, out, gold, live, backward):
+    """One step's summed negative log-likelihood of ``gold`` over the
+    ``live`` rows and, with ``backward``, the [B, H] gradient w.r.t. the
+    step's attention hidden state (else None). The log-probabilities, and
+    then the score gradient, are formed in the buffer of the step's float64
+    scores; no [B, V] array outlives the call."""
+    logp = model.score_f(out).astype(np.float64)
+    nn.log_softmax(logp, out=logp)
+    rows = np.arange(len(gold))
+    loss = float(-(logp[rows, gold] * live).sum())
+    if not backward:
+        return loss, None
+    d_f = np.exp(logp, out=logp)
+    d_f[rows, gold] -= 1.0
+    d_f *= live[:, None]
+    return loss, model.score_f_backward(out.attn_hidden, d_f.astype(model.dtype))
 
 
 # ---------------------------------------------------------------------------

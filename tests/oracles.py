@@ -32,15 +32,15 @@ def reference_lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev,
+    cache = {"h_prev": h_prev, "c_prev": c_prev,
              "i": i, "f": f, "g": g, "o": o, "tc": tc}
     return h, c, cache
 
 
-def reference_lstm_cell_backward(cache, dh, dc, w_x, w_h, gw_x, gw_h, gb):
-    """Backward of :func:`reference_lstm_cell_forward`; adds into
-    gw_x/gw_h/gb."""
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
+def reference_lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
+    """Backward of :func:`reference_lstm_cell_forward` at input ``x``;
+    adds into gw_x/gw_h/gb."""
+    h_prev, c_prev = cache["h_prev"], cache["c_prev"]
     i, f, g, o, tc = (cache[k] for k in ("i", "f", "g", "o", "tc"))
 
     do = dh * tc

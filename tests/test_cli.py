@@ -422,3 +422,30 @@ class TestCleanFailures:
                          "--model-out", str(tmp_path / "out.bso")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(missing) in err
+
+    @pytest.mark.parametrize("command", ["decode", "train-bso"])
+    def test_checkpoint_of_another_task(self, tmp_path, capsys, command):
+        words = ("the", "dog", "runs", "fast")
+        itos = Vocab(words).itos
+        if command == "decode":
+            rc = self.decode(tmp_path, extra={"src_vocab": itos, "tgt_vocab": itos,
+                                              "task": "parse"})
+        else:
+            self.decode(tmp_path)
+            model = Seq2SeqModel.load(tmp_path / "m.bso")
+            model.save(tmp_path / "m.bso", extra={"src_vocab": itos, "tgt_vocab": itos,
+                                                  "task": "parse"})
+            capsys.readouterr()
+            rc = cli.main(["train-bso", "--config", str(tmp_path / "run.cfg"),
+                           "--model-in", str(tmp_path / "m.bso"),
+                           "--model-out", str(tmp_path / "out.bso")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'parse'" in err and "'word_order'" in err
+        assert not (tmp_path / "out.bso").exists()
+
+    def test_checkpoint_of_the_same_task_or_none(self, tmp_path, capsys):
+        itos = Vocab(("the", "dog", "runs", "fast")).itos
+        for extra in ({"src_vocab": itos, "tgt_vocab": itos, "task": "word_order"},
+                      {"src_vocab": itos, "tgt_vocab": itos}):
+            assert self.decode(tmp_path, extra=extra) == 0

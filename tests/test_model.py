@@ -306,6 +306,35 @@ class TestXentMemory:
                 tracemalloc.stop()
         assert peaks[40] - peaks[10] < 0.5 * 30 * B * V * 4
 
+    @pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.3)])
+    def test_a_step_keeps_only_what_the_backward_cannot_rebuild(self, layers, dropout):
+        """Per extra target step and row, xent_loss keeps per layer the
+        gates (4H), the cell state and the output (H each), plus the
+        attention weights (S), the attention hidden state and its gradient
+        (H each): 6LH + 2H + S floats. The layer inputs, tanh(c) and the
+        attention context are rebuilt by the backward. E and H outweigh V
+        here, so caching any of those would break the bound."""
+        B, E, H, V, S = 32, 64, 32, 10, 4
+        rng = np.random.default_rng(0)
+        m = toy_model(src_vocab=7, tgt_vocab=V, d_emb=E, d_h=H, layers=layers,
+                      dtype=np.float32)
+        src = rng.integers(3, 7, size=(B, S))
+        peaks = {}
+        for T in (10, 40):
+            tgt = rng.integers(3, V, size=(B, T))
+            masks = (MaskSet.build(dropout, layers, T, np.random.default_rng(1), H)
+                     if dropout else None)
+            tracemalloc.start()
+            try:
+                training.xent_loss(m, src, tgt, BOS, masks=masks)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_step = (peaks[40] - peaks[10]) / 30
+        # 4 KiB per step for the Python objects of a step: dicts, lists,
+        # array headers and the int64 words
+        assert per_step < B * (6 * layers * H + 2 * H + S) * 4 + 4096
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

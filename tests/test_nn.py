@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestLstmCell:
         _, _, cache = nn.lstm_cell_forward(*args, wx, wh, b)
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
         dx, dhp, dcp = nn.lstm_cell_backward(cache, np.zeros((2, h)),
-                                             np.zeros((2, h)), wx, wh, gwx, gwh, gb)
+                                             np.zeros((2, h)), args[0], wx, wh, gwx, gwh, gb)
         for arr in (dx, dhp, dcp, gwx, gwh, gb):
             assert np.allclose(arr, 0.0)
 
@@ -72,10 +73,10 @@ class TestLstmCell:
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
         _, _, cache = nn.lstm_cell_forward(*args, wx, wh, b)
         dh = rand(rng, 1, h)
-        out1 = nn.lstm_cell_backward(cache, dh, np.zeros((1, h)), wx, wh,
+        out1 = nn.lstm_cell_backward(cache, dh, np.zeros((1, h)), args[0], wx, wh,
                                      np.zeros_like(wx), np.zeros_like(wh),
                                      np.zeros_like(b))
-        out2 = nn.lstm_cell_backward(cache, 2 * dh, np.zeros((1, h)), wx, wh,
+        out2 = nn.lstm_cell_backward(cache, 2 * dh, np.zeros((1, h)), args[0], wx, wh,
                                      np.zeros_like(wx), np.zeros_like(wh),
                                      np.zeros_like(b))
         for a, b_ in zip(out1, out2):
@@ -98,7 +99,7 @@ class TestLstmCell:
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
         dh = np.ones((2, h))
         dx, dhp, dcp = nn.lstm_cell_backward(cache, dh, np.zeros((2, h)),
-                                             wx, wh, gwx, gwh, gb)
+                                             x, wx, wh, gwx, gwh, gb)
         for analytic, arr in [(gwx, wx), (gwh, wh), (gb, b), (dx, x),
                               (dhp, hp), (dcp, cp)]:
             num = numerical_grad(loss, arr)
@@ -126,7 +127,7 @@ class TestLstmCellMatchesReference:
                                   (reference_lstm_cell_forward, reference_lstm_cell_backward)):
             h_new, c_new, cache = forward(x, hp, cp, wx, wh, b)
             grads = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
-            dx, dhp, dcp = backward(cache, dh, dc, wx, wh, *grads)
+            dx, dhp, dcp = backward(cache, dh, dc, x, wx, wh, *grads)
             outs.append([h_new, c_new, dx, dhp, dcp, *grads])
         pre = x @ wx + hp @ wh + b
         assert np.abs(pre).max() > scale / 10
@@ -238,6 +239,30 @@ class TestLogSoftmax:
 
         dx = log_softmax_backward(nn.log_softmax(x), d_up)
         assert max_relative_error(dx, numerical_grad(loss, x)) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_gives_the_same_bits(self, dtype):
+        x = (np.random.default_rng(6).standard_normal((7, 300)) * 20).astype(dtype)
+        want = nn.log_softmax(x)
+        into = np.empty_like(x)
+        assert nn.log_softmax(x, out=into) is into
+        got = x.copy()
+        assert nn.log_softmax(got, out=got) is got
+        for arr in (into, got):
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
+
+    def test_in_place_holds_one_array_of_the_input_size(self):
+        """At a vocabulary of the paper's machine-translation size, working
+        in place on the input allocates the exponentials and nothing else
+        of [B, V] size (the out-of-place form holds two such arrays)."""
+        x = np.random.default_rng(7).standard_normal((16, 25000))
+        tracemalloc.start()
+        try:
+            nn.log_softmax(x, out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes <= peak < 1.5 * x.nbytes
 
 
 def two_branch_sigmoid(x):

@@ -6,7 +6,7 @@ import pytest
 from bso import beam as beam_mod
 from bso import training
 from bso.beam import NonFiniteScoreError, NoConstraint, PermutationConstraint
-from bso.model import ModelConfig, Seq2SeqModel
+from bso.model import MaskSet, ModelConfig, Seq2SeqModel
 from bso.training import (CurriculumSchedule, TrainConfig, ViolationRecord,
                           bso_backward, bso_forward, curriculum_beam, delta_01,
                           delta_sentence_bleu, make_batches, margin_loss,
@@ -187,8 +187,8 @@ class TestScriptedForward:
 # Random-model equivalence with the from-scratch-rescoring oracle
 
 
-def toy_model(seed, dtype=np.float32, tgt_vocab=5, d_emb=3, d_h=4):
-    cfg = ModelConfig(src_vocab=5, tgt_vocab=tgt_vocab, d_emb=d_emb, d_h=d_h)
+def toy_model(seed, dtype=np.float32, tgt_vocab=5, d_emb=3, d_h=4, layers=1):
+    cfg = ModelConfig(src_vocab=5, tgt_vocab=tgt_vocab, d_emb=d_emb, d_h=d_h, layers=layers)
     return Seq2SeqModel(cfg, rng=np.random.default_rng(seed), dtype=dtype)
 
 
@@ -420,6 +420,20 @@ class TestLockstepBatch:
 # Merged backward vs naive per-record BPTT, and finite differences
 
 
+def two_layer_case(seed):
+    """A float64 two-layer model, a random_case sentence and dropout masks
+    between the layers, which zero some units. The decoder's
+    backward rebuilds both layers' inputs: the embedded word and input
+    feed below, the masked output of layer 0 above."""
+    _, src, gold, k, constraint = random_case(seed)
+    model = toy_model(seed, dtype=np.float64, layers=2)
+    steps = max(len(src), len(gold))
+    masks = MaskSet.build(0.5, 2, steps, np.random.default_rng(seed), model.config.d_h,
+                          dtype=np.float64)
+    assert any((masks.get(t, 0) == 0).any() for t in range(steps))
+    return model, np.asarray(src)[None, :], gold, k, constraint, masks
+
+
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 2, 4, 5, 6, 8, 12, 14])
     def test_merged_equals_naive_bptt(self, seed):
@@ -470,6 +484,39 @@ class TestBackward:
 
         def frozen():
             return bso_frozen_loss(model, src_b, gold, fwd.records, BOS)
+
+        worst = 0.0
+        for s in model.slots():
+            num = numerical_grad(frozen, s.value, step=1e-4)
+            worst = max(worst, max_relative_error(analytic[s.name], num))
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 2, 5, 6])
+    def test_two_layers_with_dropout_merged_equals_naive_bptt(self, seed):
+        model, src_b, gold, k, constraint, masks = two_layer_case(seed)
+        enc = model.encode(src_b, masks=masks)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS, masks=masks)
+        assert any(r.delta > 0 for r in fwd.records)
+        model.zero_grads()
+        bso_backward(model, fwd)
+        merged = grad_snapshot(model)
+        model.zero_grads()
+        naive_bso_backward(model, src_b, fwd, BOS, masks=masks)
+        worst = max(max_relative_error(merged[s.name], s.grad)
+                    for s in model.slots())
+        assert worst < 1e-6
+
+    def test_two_layers_with_dropout_gradient_matches_finite_differences(self):
+        model, src_b, gold, k, constraint, masks = two_layer_case(6)
+        enc = model.encode(src_b, masks=masks)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS, masks=masks)
+        assert sum(r.delta > 0 for r in fwd.records) >= 1
+        model.zero_grads()
+        bso_backward(model, fwd)
+        analytic = grad_snapshot(model)
+
+        def frozen():
+            return bso_frozen_loss(model, src_b, gold, fwd.records, BOS, masks=masks)
 
         worst = 0.0
         for s in model.slots():
