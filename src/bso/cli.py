@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,27 +38,20 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(training.TrainConfig):
+    """A run's settings: TrainConfig's training settings plus the task,
+    the model sizes, the data and the stopping rules."""
+
     task: str = "word_order"
     constraint: str = "none"
     d_emb: int = 64
     d_h: int = 64
     layers: int = 1
-    dropout: float = 0.0
-    k_tr: int = 6
     k_te: int = 5
-    margin_score: str = "cumulative"
-    delta: str = "zero_one"
-    lr_main: float = 0.02
-    lr_out: float = 0.1
-    clip_norm: float = 5.0
-    batch_size: int = 16
     min_count: int = 2
     xent_epochs: int = 30
     patience: int = 3
     bso_epochs: int = 10
-    curriculum_start: int = 2
-    curriculum_epochs_per_increment: int = 2
     seed: int = 1
     data_dir: str = "."
     shuffle_seed: int = 1234
@@ -69,12 +63,21 @@ class RunConfig:
             raise ConfigError(f"unknown constraint {self.constraint!r}")
         if self.constraint != "none" and self.constraint not in TASK_CONSTRAINTS[self.task]:
             raise ConfigError(f"constraint {self.constraint!r} incompatible with task {self.task!r}")
-        if self.k_tr < 2:
-            raise ConfigError("k_tr must be >= 2")
         if self.margin_score not in ("cumulative", "laststep"):
             raise ConfigError(f"unknown margin_score {self.margin_score!r}")
         if self.delta not in training.DELTA_FNS:
             raise ConfigError(f"unknown delta {self.delta!r}")
+        minimum = {"d_emb": 1, "d_h": 1, "layers": 1, "batch_size": 1, "k_tr": 2, "k_te": 1,
+                   "xent_epochs": 1, "bso_epochs": 1, "patience": 1, "curriculum_start": 2,
+                   "curriculum_epochs_per_increment": 1, "seed": 0, "shuffle_seed": 0}
+        for key, low in minimum.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}")
+        for key in ("lr_main", "lr_out", "clip_norm"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must be in [0, 1)")
         return self
 
     @classmethod
@@ -92,17 +95,17 @@ class RunConfig:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in fields:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = casts[fields[key]](val)
+                try:
+                    values[key] = casts[fields[key]](val)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: {key}: {val!r} is not "
+                                      f"of type {fields[key]}") from None
         return cls(**values)
 
     def dump(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for f in dataclasses.fields(self):
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
-
-    def train_config(self):
-        return training.TrainConfig(**{f.name: getattr(self, f.name)
-                                       for f in dataclasses.fields(training.TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +273,14 @@ def cmd_pretrain(cfg, model_out):
                        d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
     rng = np.random.default_rng(cfg.seed)
     model = Seq2SeqModel(mcfg, rng=rng)
-    tcfg = cfg.train_config()
     extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
              "task": cfg.task}
     best = float("inf")
     patience_left = cfg.patience
     print("epoch\tbeam\txent_loss\tviolation_rate\tdev_ppl")
     for epoch in range(1, cfg.xent_epochs + 1):
-        stats = training.train_xent_epoch(model, pairs, tcfg, rng, BOS_ID, PAD_ID)
-        ppl = training.eval_perplexity(model, dev_pairs, tcfg, BOS_ID, PAD_ID)
+        stats = training.train_xent_epoch(model, pairs, cfg, rng, BOS_ID, PAD_ID)
+        ppl = training.eval_perplexity(model, dev_pairs, cfg, BOS_ID, PAD_ID)
         print(f"{epoch}\t-\t{stats.loss:.4f}\t-\t{ppl:.4f}")
         model.save(model_out + ".last", extra=extra)
         if ppl < best:
@@ -331,7 +333,6 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
         model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
     dev_examples, _, _ = load_pairs(cfg, "dev")
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
-    tcfg = cfg.train_config()
     rng = np.random.default_rng(cfg.seed)
     factory = constraint_factory(cfg, tgt_vocab)
     examples = []
@@ -344,7 +345,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     best = -float("inf")
     print("epoch\tbeam\tmargin_loss\tviolation_rate\tdev_metric")
     for epoch in range(1, cfg.bso_epochs + 1):
-        stats = training.train_bso_epoch(model, examples, tcfg, epoch, rng,
+        stats = training.train_bso_epoch(model, examples, cfg, epoch, rng,
                                          BOS_ID)
         metric = dev_metric(model, cfg, dev_examples, src_vocab, tgt_vocab)
         print(f"{epoch}\t{stats.beam}\t{stats.loss:.4f}\t{stats.violation_rate:.4f}\t{metric:.4f}")

@@ -8,16 +8,20 @@ of the same scores.
 All forward functions keep caches so the matching hand-derived backward
 passes can be replayed later. States and caches are batched along the first
 axis. A cache keeps only what its backward cannot rebuild exactly and
-cheaply. A decoder step's cache holds, per layer, the LSTM cell's cache
-(``h_prev``, ``c_prev``, the gates and the new cell state ``c``) and the
-layer's output; then the attention weights, the attention hidden state,
-the consumed words and the input feed. Its backward rebuilds bit for bit
-the layer inputs (the embedded words joined to the feed below, the masked
-output of the layer beneath above), tanh(c) and the attention context,
-from the annotations it gathers anyway. An encoder step keeps each layer's
-input and cell cache; its top layer's ``h_prev`` is a view of the
-annotations. The output layer keeps nothing: ``score_f_backward`` turns a
-step's [B, V] score gradient into a [B, H] one at once, which is what
+cheaply. The encoder and the decoder are the same stacked LSTM, with
+dropout between layers, run one time step at a time by ``_stack_forward``
+and ``_stack_backward``. A step of either side keeps, per layer, the LSTM
+cell's cache (``h_prev``, ``c_prev``, the gates and the new cell state
+``c``) and the layer's output, plus the step's dropout masks. The backward
+rebuilds bit for bit each layer's input: the embedded source word for
+encoder layer 0, the embedded word joined to the input feed for decoder
+layer 0, and above them the masked output of the layer beneath. It also
+rebuilds tanh(c). The encoder's top-layer outputs are views of the
+annotations. A decoder step adds the attention weights, the attention
+hidden state, the consumed words and the input feed; its backward
+recomputes the attention context from the annotations it gathers anyway.
+The output layer keeps nothing: ``score_f_backward`` turns a step's [B, V]
+score gradient into a [B, H] one at once, which is what
 ``decode_step_backward`` takes. Decoder rows need not map one to one onto
 encoded sources: each state row carries the index of the source it attends
 to, so the rows of many hypotheses of many sentences can share one decoder
@@ -128,25 +132,30 @@ class StepOutput:
 
 
 class MaskSet:
-    """Pre-computed dropout masks, keyed by (time_step, layer boundary).
-
-    The same mask is shared by every hypothesis alive at a given step and is
-    reused verbatim in the backward pass.
-    """
+    """Inverted-dropout masks between stacked LSTM layers: one
+    [steps, layers - 1, d_h] array. The masks of a time step are shared by
+    every row alive at that step, on the encoder and the decoder side, and
+    reused verbatim in the backward pass."""
 
     def __init__(self, masks):
-        self._by_key = {(m.time_step, m.layer): m.mask for m in masks}
+        self.masks = masks
 
     @classmethod
     def build(cls, rate, layers, steps, rng, d_h, dtype=np.float32):
-        boundaries = max(layers - 1, 0)
-        return cls(nn.make_dropout_masks(rate, boundaries, steps, rng, d_h, dtype=dtype))
+        """Masks drawn step by step, boundary by boundary, d_h values each."""
+        if not 0.0 <= rate < 1.0:
+            raise ValueError("dropout rate must be in [0, 1)")
+        shape = (steps, max(layers - 1, 0), d_h)
+        if rate == 0.0:
+            return cls(np.ones(shape, dtype=dtype))
+        keep = 1.0 - rate
+        return cls((rng.random(shape) < keep).astype(dtype) / dtype(keep))
 
-    def get(self, step, layer):
-        try:
-            return self._by_key[(step, layer)]
-        except KeyError:
-            raise LookupError(f"no dropout mask for step {step}, layer {layer}") from None
+    def get(self, step):
+        """The [layers - 1, d_h] masks of a time step."""
+        if not 0 <= step < len(self.masks):
+            raise LookupError(f"no dropout masks for step {step}")
+        return self.masks[step]
 
 
 def _softmax(x):
@@ -165,6 +174,16 @@ def _attend(enc, src, top):
         scores += enc.attn_bias[src]
     attn = _softmax(scores)
     return attn, np.einsum("bs,bsh->bh", attn, ann)
+
+
+def _layer_input(cache, l, x):
+    """The input of layer l at the step of a stack cache: ``x`` for layer
+    0, above it the output of layer l - 1 under its dropout mask. The
+    backward rebuilds every input this way, so a step caches none."""
+    if l == 0:
+        return x
+    h, drop = cache["h"][l - 1], cache["drop"]
+    return h if drop is None else h * drop[l - 1]
 
 
 def param_shapes(cfg):
@@ -218,6 +237,50 @@ class Seq2SeqModel:
             other.params[name] = ParamSlot(name, slot.value.astype(dtype))
         return other
 
+    # -- the stacked LSTM of either side -----------------------------------
+
+    def _stack_forward(self, side, x, h, c, masks, step):
+        """One time step of the ``side`` ("enc" or "dec") LSTM stack from
+        layer 0's input ``x`` and the per-layer states ``h`` and ``c``.
+        Returns the new h and c lists and the step's cache: the cell caches,
+        the step's dropout masks and the layer outputs (the list ``h``)."""
+        drop = None if masks is None else masks.get(step).astype(self.dtype, copy=False)
+        new_h, new_c, cells = [], [], []
+        cache = {"h": new_h, "cells": cells, "drop": drop}
+        for l in range(self.config.layers):
+            wx, wh, b = self._cell_params(side, l)
+            hl, cl, cell = nn.lstm_cell_forward(_layer_input(cache, l, x), h[l], c[l],
+                                                wx.value, wh.value, b.value)
+            new_h.append(hl)
+            new_c.append(cl)
+            cells.append(cell)
+        return new_h, new_c, cache
+
+    def _stack_backward(self, side, cache, x, dh, dc):
+        """Backprop one step of the ``side`` stack whose layer-0 input was
+        ``x``, given the gradients ``dh`` and ``dc`` w.r.t. each layer's
+        output h and c (the top layer's dh includes what reached it from
+        above). Adds into the parameter grads; returns the gradient w.r.t.
+        ``x`` and the dh and dc lists w.r.t. the input states."""
+        layers = self.config.layers
+        dh_prev, dc_prev = [None] * layers, [None] * layers
+        drop = cache["drop"]
+        dx = None
+        for l in range(layers - 1, -1, -1):
+            cur_dh = dh[l]
+            if dx is not None:
+                cur_dh = cur_dh + (dx if drop is None else dx * drop[l])
+            wx, wh, b = self._cell_params(side, l)
+            dx, dh_prev[l], dc_prev[l] = nn.lstm_cell_backward(
+                cache["cells"][l], cur_dh, dc[l], _layer_input(cache, l, x),
+                wx.value, wh.value, wx.grad, wh.grad, b.grad)
+        return dx, dh_prev, dc_prev
+
+    def _cell_params(self, side, l):
+        """The wx, wh and b slots of layer l of the ``side`` stack."""
+        p = self.params
+        return p[f"{side}{l}.wx"], p[f"{side}{l}.wh"], p[f"{side}{l}.b"]
+
     # -- encoder ------------------------------------------------------------
 
     def encode(self, src, lengths=None, masks=None):
@@ -234,7 +297,7 @@ class Seq2SeqModel:
             lengths = np.full(B, S, dtype=np.int64)
         lengths = np.asarray(lengths)
         cfg = self.config
-        emb = self.params["src_embed"].value[src]           # [B, S, E]
+        emb = self.params["src_embed"].value[src]           # [B, S, E]; no step keeps it
         h = [np.zeros((B, cfg.d_h), dtype=self.dtype) for _ in range(cfg.layers)]
         c = [np.zeros((B, cfg.d_h), dtype=self.dtype) for _ in range(cfg.layers)]
         final_h = [np.zeros_like(h[0]) for _ in range(cfg.layers)]
@@ -243,29 +306,17 @@ class Seq2SeqModel:
         step_caches = []
         last_steps = set((lengths - 1).tolist())
         for t in range(S):
-            x = emb[:, t]
-            layer_caches = []
-            for l in range(cfg.layers):
-                p = self.params
-                h[l], c[l], cache = nn.lstm_cell_forward(
-                    x, h[l], c[l], p[f"enc{l}.wx"].value, p[f"enc{l}.wh"].value,
-                    p[f"enc{l}.b"].value)
-                cache["x"] = x
-                layer_caches.append(cache)
-                if l < cfg.layers - 1:
-                    m = masks.get(t, l).astype(self.dtype) if masks is not None else None
-                    x = h[l] * m if m is not None else h[l]
-                    layer_caches[-1]["drop_mask"] = m
+            h, c, step = self._stack_forward("enc", emb[:, t], h, c, masks, t)
             annotations[:, t] = h[-1]
-            # the top layer's next step reads its h_prev from the
-            # annotations, so no step cache holds a copy of them
+            # h is the step's list of layer outputs: the step and the next
+            # one's h_prev keep a view of the annotations, not a copy
             h[-1] = annotations[:, t]
             if t in last_steps:
                 at_end = lengths - 1 == t
                 for l in range(cfg.layers):
                     final_h[l][at_end] = h[l][at_end]
                     final_c[l][at_end] = c[l][at_end]
-            step_caches.append(layer_caches)
+            step_caches.append(step)
         attn_bias = None
         if (lengths < S).any():
             attn_bias = np.where(np.arange(S)[None, :] < lengths[:, None],
@@ -289,7 +340,7 @@ class Seq2SeqModel:
         B, S = src.shape
         dh = [np.zeros((B, cfg.d_h), dtype=d_annotations.dtype) for _ in range(cfg.layers)]
         dc = [np.zeros_like(dh[0]) for _ in range(cfg.layers)]
-        p = self.params
+        emb = self.params["src_embed"]
         last_steps = set((lengths - 1).tolist())
         for t in range(S - 1, -1, -1):
             if t in last_steps:
@@ -298,19 +349,9 @@ class Seq2SeqModel:
                     dh[l][at_end] += d_init.h[l][at_end]
                     dc[l][at_end] += d_init.c[l][at_end]
             dh[-1] += d_annotations[:, t]
-            dx_down = None
-            for l in range(cfg.layers - 1, -1, -1):
-                layer = cache["steps"][t][l]
-                cur_dh = dh[l]
-                if dx_down is not None:
-                    m = layer.get("drop_mask")
-                    cur_dh = cur_dh + (dx_down * m if m is not None else dx_down)
-                dx, dh[l], dc[l] = nn.lstm_cell_backward(
-                    layer, cur_dh, dc[l], layer["x"],
-                    p[f"enc{l}.wx"].value, p[f"enc{l}.wh"].value,
-                    p[f"enc{l}.wx"].grad, p[f"enc{l}.wh"].grad, p[f"enc{l}.b"].grad)
-                dx_down = dx
-            np.add.at(p["src_embed"].grad, src[:, t], dx_down)
+            dx, dh, dc = self._stack_backward("enc", cache["steps"][t], emb.value[src[:, t]],
+                                              dh, dc)
+            np.add.at(emb.grad, src[:, t], dx)
 
     # -- decoder ------------------------------------------------------------
 
@@ -330,37 +371,22 @@ class Seq2SeqModel:
         words = np.atleast_1d(np.asarray(words))
         if words.min() < 0 or words.max() >= self.config.tgt_vocab:
             raise InputError("target token id out of vocabulary range")
-        cfg = self.config
         p = self.params
-        new_h, new_c, layer_caches = [], [], []
-        cache = {"words": words, "feed": state.input_feed, "h": new_h, "layers": layer_caches}
-        for l in range(cfg.layers):
-            hl, cl, layer = nn.lstm_cell_forward(
-                self._layer_input(cache, l), state.h[l], state.c[l],
-                p[f"dec{l}.wx"].value, p[f"dec{l}.wh"].value, p[f"dec{l}.b"].value)
-            masked = masks is not None and l < cfg.layers - 1
-            layer["drop_mask"] = masks.get(step, l).astype(self.dtype) if masked else None
-            new_h.append(hl)
-            new_c.append(cl)
-            layer_caches.append(layer)
+        new_h, new_c, cache = self._stack_forward(
+            "dec", self._dec_input(words, state.input_feed), state.h, state.c, masks, step)
         top = new_h[-1]                                     # [B, H]
         attn, context = _attend(enc, state.src, top)
         attn_in = np.concatenate([context, top], axis=1)
         attn_hidden = np.tanh(nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value))
         out_state = DecoderState(new_h, new_c, attn_hidden, state.src)
-        cache.update(attn=attn, attn_hidden=attn_hidden, enc=enc, src=state.src)
+        cache.update(words=words, feed=state.input_feed, attn=attn, attn_hidden=attn_hidden,
+                     enc=enc, src=state.src)
         return StepOutput(out_state, attn, attn_hidden), cache
 
-    def _layer_input(self, cache, l):
-        """The input of decoder layer l at the step of ``cache``: the
-        embedded word and the input feed for layer 0, above it the output
-        of layer l - 1 under its dropout mask. The step's backward rebuilds
-        the inputs from the cache bit for bit, so the cache keeps none."""
-        if l == 0:
-            emb = self.params["tgt_embed"].value[cache["words"]]     # [B, E]
-            return np.concatenate([emb, cache["feed"]], axis=1)
-        h, m = cache["h"][l - 1], cache["layers"][l - 1]["drop_mask"]
-        return h * m if m is not None else h
+    def _dec_input(self, words, feed):
+        """Decoder layer 0's input: the embedded words joined to the input
+        feed. The step's backward rebuilds it from its cache."""
+        return np.concatenate([self.params["tgt_embed"].value[words], feed], axis=1)
 
     def score_f(self, out):
         """Unnormalized next-token scores [B, V]."""
@@ -418,29 +444,12 @@ class Seq2SeqModel:
             d_ann_rows = attn[:, :, None] * d_context[:, None, :]
             d_ann_rows += d_scores[:, :, None] * top[:, None, :]
             nn.scatter_add(d_annotations, src, d_ann_rows)
-        # recurrent layers, top down
-        dh_prev = [None] * cfg.layers
-        dc_prev = [None] * cfg.layers
-        dx_down = None
-        for l in range(cfg.layers - 1, -1, -1):
-            cur_dh = d_state.h[l].copy()
-            if l == cfg.layers - 1:
-                cur_dh += d_top
-            if dx_down is not None:
-                m = cache["layers"][l]["drop_mask"]
-                cur_dh += dx_down * m if m is not None else dx_down
-            dx, dhp, dcp = nn.lstm_cell_backward(
-                cache["layers"][l], cur_dh, d_state.c[l], self._layer_input(cache, l),
-                p[f"dec{l}.wx"].value, p[f"dec{l}.wh"].value,
-                p[f"dec{l}.wx"].grad, p[f"dec{l}.wh"].grad, p[f"dec{l}.b"].grad)
-            dh_prev[l] = dhp
-            dc_prev[l] = dcp
-            dx_down = dx
+        dh = d_state.h[:-1] + [d_state.h[-1] + d_top]
+        dx, dh_prev, dc_prev = self._stack_backward(
+            "dec", cache, self._dec_input(cache["words"], cache["feed"]), dh, d_state.c)
         E = cfg.d_emb
-        d_emb = dx_down[:, :E]
-        d_feed_prev = dx_down[:, E:]
-        np.add.at(p["tgt_embed"].grad, cache["words"], d_emb)
-        return StateGrad(dh_prev, dc_prev, d_feed_prev)
+        np.add.at(p["tgt_embed"].grad, cache["words"], dx[:, :E])
+        return StateGrad(dh_prev, dc_prev, dx[:, E:])
 
     def state_grad_zeros(self, batch):
         return StateGrad.zeros(self.config.layers, batch, self.config.d_h, self.dtype)

@@ -2,7 +2,8 @@
 
 Everything here works on plain numpy arrays. The batch dimension is always
 first. Parameters default to float32; float64 is supported throughout so
-gradient checks can run at full precision.
+gradient checks can run at full precision. Dropout is not here: its masks
+live with the stacked LSTM that applies them (``model.MaskSet``).
 """
 
 from __future__ import annotations
@@ -227,37 +228,6 @@ def adagrad_step(slot, lr):
     slot.adagrad_accum += g * g
     slot.value -= (lr * g / (np.sqrt(slot.adagrad_accum) + ADAGRAD_EPS)).astype(slot.value.dtype)
     slot.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# Dropout.
-
-
-@dataclass
-class DropoutMask:
-    time_step: int
-    layer: int
-    mask: np.ndarray
-
-
-def make_dropout_masks(rate, layers, steps, rng, size, dtype=np.float32):
-    """Inverted-dropout masks, one per (layer boundary, time-step).
-
-    The same per-step mask gets reused by every partial hypothesis alive at
-    that step, and again in the backward pass.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    masks = []
-    keep = 1.0 - rate
-    for t in range(steps):
-        for l in range(layers):
-            if rate == 0.0:
-                m = np.ones(size, dtype=dtype)
-            else:
-                m = (rng.random(size) < keep).astype(dtype) / dtype(keep)
-            masks.append(DropoutMask(time_step=t, layer=l, mask=m))
-    return masks
 
 
 # ---------------------------------------------------------------------------

@@ -381,20 +381,6 @@ def _xent_step(model, out, gold, live, backward):
 
 
 @dataclass
-class CurriculumSchedule:
-    target: int
-    start: int = 2
-    epochs_per_increment: int = 2
-
-
-def curriculum_beam(epoch, sched):
-    """Training beam size for a 1-indexed epoch."""
-    if epoch < 1:
-        raise ValueError("epochs are 1-indexed")
-    return min(sched.start + (epoch - 1) // sched.epochs_per_increment, sched.target)
-
-
-@dataclass
 class TrainConfig:
     k_tr: int = 6
     lr_main: float = 0.02
@@ -407,9 +393,15 @@ class TrainConfig:
     curriculum_start: int = 2
     curriculum_epochs_per_increment: int = 2
 
-    def schedule(self):
-        return CurriculumSchedule(target=self.k_tr, start=self.curriculum_start,
-                                  epochs_per_increment=self.curriculum_epochs_per_increment)
+
+def curriculum_beam(epoch, config):
+    """Training beam size for a 1-indexed epoch: ``curriculum_start``,
+    widened by one every ``curriculum_epochs_per_increment`` epochs up to
+    ``k_tr``."""
+    if epoch < 1:
+        raise ValueError("epochs are 1-indexed")
+    return min(config.curriculum_start + (epoch - 1) // config.curriculum_epochs_per_increment,
+               config.k_tr)
 
 
 def optimizer_step(model, config):
@@ -496,7 +488,7 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
     Returns EpochStats.
     """
     delta_fn = delta_fn or DELTA_FNS[config.delta]
-    beam = curriculum_beam(epoch, config.schedule())
+    beam = curriculum_beam(epoch, config)
     stats = EpochStats(beam=beam)
     t0 = time.perf_counter()
     order = rng.permutation(len(examples))

@@ -10,7 +10,9 @@ per-hypothesis beam step is the reference for the array beam step: one
 sentence, one Hypothesis object and one constraint state per hypothesis,
 whose successors it reads from a dense mask of the state's pairs.
 The three-sigmoid LSTM cell, with its gates as four arrays, is the
-reference for the fused one-array cell in ``bso.nn``.
+reference for the fused one-array cell in ``bso.nn``. Dropout masks drawn
+one (step, layer boundary) at a time are the reference for
+``MaskSet.build``'s one draw.
 """
 
 from dataclasses import dataclass
@@ -61,6 +63,20 @@ def reference_lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
     dx = dpre @ w_x.T
     dh_prev = dpre @ w_h.T
     return dx, dh_prev, dc_prev
+
+
+def reference_dropout_masks(rate, boundaries, steps, rng, size, dtype=np.float32):
+    """Inverted-dropout masks, one per (time step, layer boundary), drawn in
+    that order with one ``rng.random`` call each; {(step, boundary): mask}."""
+    masks = {}
+    keep = 1.0 - rate
+    for t in range(steps):
+        for l in range(boundaries):
+            if rate == 0.0:
+                masks[t, l] = np.ones(size, dtype=dtype)
+            else:
+                masks[t, l] = (rng.random(size) < keep).astype(dtype) / dtype(keep)
+    return masks
 
 
 def successor_mask(state, n=1):

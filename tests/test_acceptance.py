@@ -18,7 +18,7 @@ from bso.beam import (ArcStandardConstraint, NoConstraint,
 from bso.metrics import corpus_bleu, uas_las
 from bso.model import ModelConfig, Seq2SeqModel
 from bso.tasks import BOS_ID, EOS_ID, PAD_ID, ParseExample, Vocab
-from bso.training import (CurriculumSchedule, TrainConfig, bso_backward,
+from bso.training import (TrainConfig, bso_backward,
                           bso_forward, curriculum_beam, delta_01,
                           eval_perplexity, train_bso_epoch, train_xent_epoch)
 from gradcheck import max_relative_error, numerical_grad
@@ -497,8 +497,7 @@ class TestCriterion9Curriculum:
     @pytest.mark.parametrize("k_tr", [3, 6, 11])
     def test_logged_beam_sizes(self, k_tr):
         expected = self.EXPECTED[k_tr]
-        sched = CurriculumSchedule(target=k_tr)
-        assert [curriculum_beam(e, sched) for e in
+        assert [curriculum_beam(e, TrainConfig(k_tr=k_tr)) for e in
                 range(1, len(expected) + 1)] == expected
         # and the logged per-epoch beam from the training driver agrees
         model = toy_model(0, tgt_vocab=5)

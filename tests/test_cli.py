@@ -6,6 +6,7 @@ from bso.beam import (ArcStandardConstraint, NoConstraint,
                       PermutationConstraint, beam_decode)
 from bso.cli import ConfigError, RunConfig, constraint_factory, max_decode_len
 from bso.model import ModelConfig, Seq2SeqModel
+from bso.training import TrainConfig, curriculum_beam
 from bso.tasks import ParseExample, Vocab
 from writers import write_conll
 
@@ -46,15 +47,39 @@ class TestRunConfig:
         {"k_tr": 1},
         {"margin_score": "sometimes"},
         {"delta": "hinge"},
+        {"batch_size": 0},
+        {"clip_norm": 0.0},
+        {"layers": 2, "dropout": 1.5},
+        {"dropout": -0.1},
+        {"d_h": 0},
+        {"d_emb": 0},
+        {"layers": 0},
+        {"k_te": 0},
+        {"curriculum_epochs_per_increment": 0},
+        {"curriculum_start": 1},
+        {"patience": 0},
+        {"xent_epochs": 0},
+        {"bso_epochs": 0},
+        {"lr_main": 0.0},
+        {"lr_out": -0.1},
+        {"lr_main": float("nan")},
+        {"clip_norm": float("inf")},
+        {"seed": -1},
     ])
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs).validate()
 
-    def test_train_config_mapping(self):
+    def test_value_of_the_wrong_type_names_line_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d_h = 12\nk_tr = six\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: k_tr"):
+            RunConfig.from_file(path)
+
+    def test_is_a_train_config(self):
         cfg = RunConfig(k_tr=4, lr_main=0.3, delta="sentence_bleu")
-        t = cfg.train_config()
-        assert (t.k_tr, t.lr_main, t.delta) == (4, 0.3, "sentence_bleu")
+        assert isinstance(cfg, TrainConfig)
+        assert [curriculum_beam(e, cfg) for e in range(1, 6)] == [2, 2, 3, 3, 4]
 
 
 class TestConstraintFactory:
@@ -256,6 +281,16 @@ class TestCommands:
         assert rc == 1
         assert "incompatible" in capsys.readouterr().err
 
+    def test_value_that_does_not_parse_is_clean_error(self, tmp_path, capsys):
+        write_word_order_data(tmp_path)
+        cfg_path = base_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text() + "batch_size = four\n")
+        rc = cli.main(["pretrain", "--config", str(cfg_path),
+                       "--model-out", str(tmp_path / "m.bso")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err
+
     def test_parse_task_eval(self, tmp_path, capsys):
         gold = [
             ParseExample(["the", "dog", "barks"], [2, 3, 0],
@@ -283,7 +318,7 @@ class TestCleanFailures:
 
     def decode(self, tmp_path, src_vocab=None, nan_scores=False, truncate=False,
                extra=None, text="the dog runs fast\n", words=("the", "dog", "runs", "fast"),
-               **overrides):
+               beam=None, **overrides):
         write_word_order_data(tmp_path)
         cfg_path = base_config(tmp_path, **overrides)
         vocab = Vocab(words)
@@ -299,12 +334,18 @@ class TestCleanFailures:
         (tmp_path / "in.txt").write_text(text)
         return cli.main(["decode", "--config", str(cfg_path), "--model-in", str(path),
                          "--input", str(tmp_path / "in.txt"),
-                         "--output", str(tmp_path / "out.txt")])
+                         "--output", str(tmp_path / "out.txt")]
+                        + ([] if beam is None else ["--beam", str(beam)]))
 
     def test_decodes_when_nothing_is_wrong(self, tmp_path, capsys):
         assert self.decode(tmp_path) == 0
         assert sorted((tmp_path / "out.txt").read_text().split()) == ["dog", "fast", "runs",
                                                                        "the"]
+
+    def test_beam_zero(self, tmp_path, capsys):
+        assert self.decode(tmp_path, beam=0) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k_te" in err
 
     def test_truncated_checkpoint(self, tmp_path, capsys):
         assert self.decode(tmp_path, truncate=True) == 1

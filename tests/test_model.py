@@ -336,6 +336,35 @@ class TestXentMemory:
         assert per_step < B * (6 * layers * H + 2 * H + S) * 4 + 4096
 
 
+class TestEncoderMemory:
+    @pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.3)])
+    def test_a_step_keeps_no_layer_input(self, layers, dropout):
+        """Per extra source step and row, an EncodedSource keeps per layer
+        the gates (4H), the cell state and the output (H each): 6LH floats.
+        The top layer's outputs are the annotations. The layer inputs, the
+        embedded words among them, are rebuilt by encode_backward; E
+        outweighs 6LH here, so keeping them would break the bound."""
+        B, E, H = 32, 64, 8
+        rng = np.random.default_rng(0)
+        m = toy_model(src_vocab=7, d_emb=E, d_h=H, layers=layers, dtype=np.float32)
+        kept = {}
+        for S in (10, 40):
+            src = rng.integers(3, 7, size=(B, S))
+            masks = (MaskSet.build(dropout, layers, S, np.random.default_rng(1), H)
+                     if dropout else None)
+            tracemalloc.start()
+            try:
+                enc = m.encode(src, masks=masks)
+                kept[S] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del enc
+        per_step = (kept[40] - kept[10]) / 30
+        # 4 KiB per step for the Python objects of a step: dicts, lists and
+        # array headers
+        assert per_step < B * 6 * layers * H * 4 + 4096
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         m = toy_model(dtype=np.float32)

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bso import nn
+from bso.model import MaskSet
 from gradcheck import max_relative_error, numerical_grad
-from oracles import reference_lstm_cell_backward, reference_lstm_cell_forward
+from oracles import (reference_dropout_masks, reference_lstm_cell_backward,
+                     reference_lstm_cell_forward)
 
 
 def rand(rng, *shape):
@@ -407,29 +409,48 @@ class TestAdagrad:
 
 
 class TestDropoutMasks:
+    """MaskSet.build's ``layers`` counts layers: there are layers - 1
+    boundaries that take a mask."""
+
     def test_rate_zero_all_ones(self):
-        masks = nn.make_dropout_masks(0.0, 2, 3, np.random.default_rng(0), 5)
-        assert len(masks) == 6
-        for m in masks:
-            assert np.all(m.mask == 1.0)
+        masks = MaskSet.build(0.0, 3, 3, np.random.default_rng(0), 5).masks
+        assert masks.shape == (3, 2, 5)
+        assert np.all(masks == 1.0)
 
     def test_deterministic_given_seed(self):
-        a = nn.make_dropout_masks(0.3, 2, 4, np.random.default_rng(42), 6)
-        b = nn.make_dropout_masks(0.3, 2, 4, np.random.default_rng(42), 6)
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.mask, mb.mask)
+        a = MaskSet.build(0.3, 3, 4, np.random.default_rng(42), 6).masks
+        b = MaskSet.build(0.3, 3, 4, np.random.default_rng(42), 6).masks
+        assert np.array_equal(a, b)
 
     def test_two_valued_and_scaled(self):
-        masks = nn.make_dropout_masks(0.25, 1, 1, np.random.default_rng(1), 1000)
-        values = set(np.unique(masks[0].mask))
+        masks = MaskSet.build(0.25, 2, 1, np.random.default_rng(1), 1000).masks
+        values = set(np.unique(masks))
         assert values <= {0.0, np.float32(1.0 / 0.75)}
 
     def test_keep_fraction(self):
         rate = 0.2
-        masks = nn.make_dropout_masks(rate, 1, 100, np.random.default_rng(7), 1000)
-        entries = np.concatenate([m.mask.ravel() for m in masks])
-        keep = float((entries > 0).mean())
+        masks = MaskSet.build(rate, 2, 100, np.random.default_rng(7), 1000).masks
+        keep = float((masks > 0).mean())
         assert abs(keep - (1 - rate)) < 0.01
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_one_draw_gives_the_per_step_masks(self, dtype, rate):
+        """One draw of the whole array gives, bit for bit, the masks drawn
+        one (step, boundary) at a time, and leaves the generator where the
+        per-step draws leave it."""
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        masks = MaskSet.build(rate, 3, 5, rng, 7, dtype=dtype)
+        want = reference_dropout_masks(rate, 2, 5, ref_rng, 7, dtype=dtype)
+        for (t, l), m in want.items():
+            got = masks.get(t)[l]
+            assert got.dtype == m.dtype
+            assert got.tobytes() == m.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_rate_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            MaskSet.build(1.0, 2, 4, np.random.default_rng(0), 3)
 
 
 class TestCheckpointFragment:
