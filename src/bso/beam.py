@@ -419,11 +419,11 @@ def beam_step(beam, f, k, rows=None):
 # Lockstep search
 
 
-def search_step(model, state, words, sent, enc, step, beam, k, f_rows=None, masks=None):
+def search_step(model, state, words, sent, enc, beam, k, f_rows=None):
     """One lockstep step: ``decode_step`` and ``score_f`` over the rows of
     ``state``, then :func:`beam_step` on ``beam`` (``f_rows`` as its rows).
     A non-finite f names ``sent[row]``. Returns (state, f, succ, parents)."""
-    out = model.decode_step(state, words, enc, step=step, masks=masks)[0]
+    out = model.decode_step(state, words, enc)[0]
     f = model.score_f(out)
     try:
         succ, parents = beam_step(beam, f, k, f_rows)
@@ -459,7 +459,7 @@ def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
     state = model.init_state(enc)
     for step in range(max(last_steps)):
         words = beam.tokens[:, -1] if step else np.full(len(beam), bos_id)
-        state, _, succ, parents = search_step(model, state, words, beam.sent, enc, step, beam, k)
+        state, _, succ, parents = search_step(model, state, words, beam.sent, enc, beam, k)
         if not len(succ):
             break
         done = succ.tokens[:, -1] == eos_id

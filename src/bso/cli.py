@@ -82,7 +82,7 @@ class RunConfig(training.TrainConfig):
 
     @classmethod
     def from_file(cls, path):
-        values = {}
+        values, first_line = {}, {}
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         with open(path, encoding="utf-8") as fh:
@@ -95,6 +95,10 @@ class RunConfig(training.TrainConfig):
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in fields:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                                      f"{first_line[key]}")
+                first_line[key] = lineno
                 try:
                     values[key] = casts[fields[key]](val)
                 except ValueError:
@@ -279,8 +283,8 @@ def cmd_pretrain(cfg, model_out):
     patience_left = cfg.patience
     print("epoch\tbeam\txent_loss\tviolation_rate\tdev_ppl")
     for epoch in range(1, cfg.xent_epochs + 1):
-        stats = training.train_xent_epoch(model, pairs, cfg, rng, BOS_ID, PAD_ID)
-        ppl = training.eval_perplexity(model, dev_pairs, cfg, BOS_ID, PAD_ID)
+        stats = training.train_xent_epoch(model, pairs, cfg, rng, BOS_ID)
+        ppl = training.eval_perplexity(model, dev_pairs, cfg, BOS_ID)
         print(f"{epoch}\t-\t{stats.loss:.4f}\t-\t{ppl:.4f}")
         model.save(model_out + ".last", extra=extra)
         if ppl < best:
@@ -357,11 +361,11 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     return best
 
 
-def cmd_decode(cfg, model_in, input_path, output_path, k=None, with_scores=False):
+def cmd_decode(cfg, model_in, input_path, output_path, with_scores=False):
     cfg.validate()
     model, _, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
     srcs = read_sentences(input_path)
-    outs = decode_corpus(model, cfg, srcs, src_vocab, tgt_vocab, k or cfg.k_te)
+    outs = decode_corpus(model, cfg, srcs, src_vocab, tgt_vocab, cfg.k_te)
     with open(output_path, "w", encoding="utf-8") as fh:
         for toks, score in outs:
             line = " ".join(toks)
@@ -449,7 +453,7 @@ def main(argv=None):
                           allow_cold_start=args.allow_cold_start)
         elif args.command == "decode":
             cmd_decode(_build_config(args), args.model_in, args.input,
-                       args.output, k=args.beam, with_scores=args.scores)
+                       args.output, with_scores=args.scores)
         elif args.command == "eval":
             cmd_eval(args.task, args.hyp, args.ref)
     except (ConfigError, DataError, OSError, CheckpointError, InputError,

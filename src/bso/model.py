@@ -12,13 +12,14 @@ cheaply. The encoder and the decoder are the same stacked LSTM, with
 dropout between layers, run one time step at a time by ``_stack_forward``
 and ``_stack_backward``. A step of either side keeps, per layer, the LSTM
 cell's cache (``h_prev``, ``c_prev``, the gates and the new cell state
-``c``) and the layer's output, plus the step's dropout masks. The backward
-rebuilds bit for bit each layer's input: the embedded source word for
-encoder layer 0, the embedded word joined to the input feed for decoder
-layer 0, and above them the masked output of the layer beneath. It also
-rebuilds tanh(c). The encoder's top-layer outputs are views of the
-annotations. A decoder step adds the attention weights, the attention
-hidden state, the consumed words and the input feed; its backward
+``c``) and the layer's output, plus the step's dropout masks, which the
+``EncodedSource`` carries for both sides (a decoder step's are those of
+``state.step``). The backward rebuilds bit for bit each layer's input: the
+embedded source word for encoder layer 0, the embedded word joined to the
+input feed for decoder layer 0, and above them the masked output of the
+layer beneath. It also rebuilds tanh(c). The encoder's top-layer outputs are
+views of the annotations. A decoder step adds the attention weights, the
+attention hidden state, the consumed words and the input feed; its backward
 recomputes the attention context from the annotations it gathers anyway.
 The output layer keeps nothing: ``score_f_backward`` turns a step's [B, V]
 score gradient into a [B, H] one at once, which is what
@@ -69,13 +70,14 @@ class DecoderState:
     """Per-hypothesis recurrent state: (h, c) per layer plus input feed.
 
     ``src`` holds, for each row, the index of its source in the encoded
-    batch.
+    batch; ``step`` is the number of decoder steps the state has taken.
     """
 
     h: list
     c: list
     input_feed: np.ndarray
     src: np.ndarray
+    step: int
 
     @property
     def batch(self):
@@ -87,7 +89,7 @@ class DecoderState:
         if idx.size and (idx.min() < 0 or idx.max() >= self.batch):
             raise IndexError("state row index out of range")
         return DecoderState([h[idx] for h in self.h], [c[idx] for c in self.c],
-                            self.input_feed[idx], self.src[idx])
+                            self.input_feed[idx], self.src[idx], self.step)
 
 
 @dataclass
@@ -122,6 +124,7 @@ class EncodedSource:
     init_state: DecoderState
     attn_bias: np.ndarray | None     # [B, S], 0 for real tokens, ATTN_NEG for pad
     cache: object = None
+    masks: MaskSet | None = None     # dropout masks of the encoder and decoder steps
 
 
 @dataclass
@@ -133,29 +136,31 @@ class StepOutput:
 
 class MaskSet:
     """Inverted-dropout masks between stacked LSTM layers: one
-    [steps, layers - 1, d_h] array. The masks of a time step are shared by
-    every row alive at that step, on the encoder and the decoder side, and
+    [src_steps + tgt_steps, layers - 1, d_h] array, the encoder's steps
+    first. Every step of either side has masks of its own, independent of
+    the other side's; they are shared by every row alive at that step and
     reused verbatim in the backward pass."""
 
-    def __init__(self, masks):
+    def __init__(self, masks, src_steps):
         self.masks = masks
+        self.sides = {"enc": masks[:src_steps], "dec": masks[src_steps:]}
 
     @classmethod
-    def build(cls, rate, layers, steps, rng, d_h, dtype=np.float32):
-        """Masks drawn step by step, boundary by boundary, d_h values each."""
+    def build(cls, rate, layers, src_steps, tgt_steps, rng, d_h, dtype=np.float32):
+        """Masks drawn step by step (encoder, then decoder), boundary by boundary."""
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
-        shape = (steps, max(layers - 1, 0), d_h)
+        shape = (src_steps + tgt_steps, max(layers - 1, 0), d_h)
         if rate == 0.0:
-            return cls(np.ones(shape, dtype=dtype))
+            return cls(np.ones(shape, dtype=dtype), src_steps)
         keep = 1.0 - rate
-        return cls((rng.random(shape) < keep).astype(dtype) / dtype(keep))
+        return cls((rng.random(shape) < keep).astype(dtype) / dtype(keep), src_steps)
 
-    def get(self, step):
-        """The [layers - 1, d_h] masks of a time step."""
-        if not 0 <= step < len(self.masks):
-            raise LookupError(f"no dropout masks for step {step}")
-        return self.masks[step]
+    def get(self, side, step):
+        """The [layers - 1, d_h] masks of a time step of the ``side`` stack."""
+        if not 0 <= step < len(self.sides[side]):
+            raise LookupError(f"no {side} dropout masks for step {step}")
+        return self.sides[side][step]
 
 
 def _softmax(x):
@@ -244,7 +249,7 @@ class Seq2SeqModel:
         layer 0's input ``x`` and the per-layer states ``h`` and ``c``.
         Returns the new h and c lists and the step's cache: the cell caches,
         the step's dropout masks and the layer outputs (the list ``h``)."""
-        drop = None if masks is None else masks.get(step).astype(self.dtype, copy=False)
+        drop = None if masks is None else masks.get(side, step).astype(self.dtype, copy=False)
         new_h, new_c, cells = [], [], []
         cache = {"h": new_h, "cells": cells, "drop": drop}
         for l in range(self.config.layers):
@@ -324,9 +329,9 @@ class Seq2SeqModel:
         init_state = DecoderState([a.copy() for a in final_h],
                                   [a.copy() for a in final_c],
                                   np.zeros((B, cfg.d_h), dtype=self.dtype),
-                                  np.arange(B))
+                                  np.arange(B), 0)
         cache = {"src": src, "lengths": lengths, "steps": step_caches}
-        return EncodedSource(annotations, init_state, attn_bias, cache)
+        return EncodedSource(annotations, init_state, attn_bias, cache, masks)
 
     def encode_backward(self, enc, d_annotations, d_init):
         """Backprop through encode; accumulates into parameter grads.
@@ -358,27 +363,27 @@ class Seq2SeqModel:
     def init_state(self, enc):
         s = enc.init_state
         return DecoderState([h.copy() for h in s.h], [c.copy() for c in s.c],
-                            s.input_feed.copy(), s.src.copy())
+                            s.input_feed.copy(), s.src.copy(), 0)
 
-    def decode_step(self, state, words, enc, step=0, masks=None):
+    def decode_step(self, state, words, enc):
         """Advance one decoder step for a batch of hypotheses.
 
         ``words`` are the tokens being consumed (the previous outputs); the
         returned StepOutput scores candidates for the next position via
-        score_f. Row i attends to source ``state.src[i]`` of enc.
-        Returns (StepOutput, cache).
+        score_f. Row i attends to source ``state.src[i]`` of enc; the step
+        is decoder step ``state.step``. Returns (StepOutput, cache).
         """
         words = np.atleast_1d(np.asarray(words))
         if words.min() < 0 or words.max() >= self.config.tgt_vocab:
             raise InputError("target token id out of vocabulary range")
         p = self.params
-        new_h, new_c, cache = self._stack_forward(
-            "dec", self._dec_input(words, state.input_feed), state.h, state.c, masks, step)
+        x = self._dec_input(words, state.input_feed)
+        new_h, new_c, cache = self._stack_forward("dec", x, state.h, state.c, enc.masks, state.step)
         top = new_h[-1]                                     # [B, H]
         attn, context = _attend(enc, state.src, top)
         attn_in = np.concatenate([context, top], axis=1)
         attn_hidden = np.tanh(nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value))
-        out_state = DecoderState(new_h, new_c, attn_hidden, state.src)
+        out_state = DecoderState(new_h, new_c, attn_hidden, state.src, state.step + 1)
         cache.update(words=words, feed=state.input_feed, attn=attn, attn_hidden=attn_hidden,
                      enc=enc, src=state.src)
         return StepOutput(out_state, attn, attn_hidden), cache

@@ -102,7 +102,6 @@ class ForwardResult:
     gold_tokens: list             # per sentence: y_{1:T}
     enc: object
     bos_id: int
-    masks: object = None
 
 
 def margin_loss(records):
@@ -118,8 +117,7 @@ def margin_loss(records):
 # Forward pass: find violations
 
 
-def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
-                masks=None, margin_score="cumulative"):
+def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_score="cumulative"):
     """Run beam search alongside the gold paths of a batch and collect
     margin violations.
 
@@ -162,8 +160,7 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
             gold[live[new], :t - 1], live[new], gold_states[t - 1].select(new))])
         parent_at = np.concatenate([np.arange(len(live), len(words)), new])
         state, f, succ, succ_parent = search_step(
-            model, state, words, np.concatenate([live, kept.sent]), enc, t - 1, parents, k_tr,
-            parent_at, masks)
+            model, state, words, np.concatenate([live, kept.sent]), enc, parents, k_tr, parent_at)
         fy = f[np.arange(len(live)), gold[live, t - 1]].astype(np.float64)
         gold_f[live, t - 1] = fy
 
@@ -209,7 +206,7 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id,
     records.sort(key=lambda rec: (rec.sentence, rec.t))
     return ForwardResult(records=records,
                          gold_f=[gold_f[b, :n].tolist() for b, n in enumerate(lengths)],
-                         gold_tokens=golds, enc=enc, bos_id=bos_id, masks=masks)
+                         gold_tokens=golds, enc=enc, bos_id=bos_id)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +274,7 @@ def bso_backward(model, fwd):
             c = _active_coef(rec, t)
             if c:
                 coefs += [(new_gold[b], gold[t - 1], -c), (viol_row, viol[t - rec.r - 1], c)]
-        out, cache = model.decode_step(state.select(rows), np.array(words), enc,
-                                       step=t - 1, masks=fwd.masks)
+        out, cache = model.decode_step(state.select(rows), np.array(words), enc)
         steps.append((cache, rows, state.batch, coefs))
         state = out.state
         gold_rows, viol_rows = new_gold, new_viol
@@ -340,7 +336,7 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
     steps = []
     for t in range(T):
         in_w = tgt[:, t - 1] if t > 0 else np.full(B, bos_id, dtype=tgt.dtype)
-        out, cache = model.decode_step(state, in_w, enc, step=t, masks=masks)
+        out, cache = model.decode_step(state, in_w, enc)
         step_loss, d_hidden = _xent_step(model, out, tgt[:, t], t < tgt_lengths, backward)
         loss += step_loss
         if backward:
@@ -413,7 +409,7 @@ def optimizer_step(model, config):
         nn.adagrad_step(slot, lr)
 
 
-def make_batches(pairs, batch_size, rng, pad_id=0):
+def make_batches(pairs, batch_size, rng):
     """Group (src, tgt) id-sequence pairs into padded batches.
 
     Pairs are bucketed by length so most batches need no padding; batch
@@ -423,8 +419,8 @@ def make_batches(pairs, batch_size, rng, pad_id=0):
     batches = []
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        src, s_len = pad_ids([pairs[i][0] for i in idx], pad_id)
-        tgt, t_len = pad_ids([pairs[i][1] for i in idx], pad_id)
+        src, s_len = pad_ids([pairs[i][0] for i in idx])
+        tgt, t_len = pad_ids([pairs[i][1] for i in idx])
         batches.append((src, s_len, tgt, t_len))
     rng.shuffle(batches)
     return batches
@@ -448,19 +444,19 @@ class EpochStats:
         return self.violations / self.margin_steps if self.margin_steps else 0.0
 
 
-def _masks_for(model, steps, rng, config):
+def _masks_for(model, src_steps, tgt_steps, rng, config):
     if config.dropout <= 0.0 or model.config.layers < 2:
         return None
-    return MaskSet.build(config.dropout, model.config.layers, steps, rng,
+    return MaskSet.build(config.dropout, model.config.layers, src_steps, tgt_steps, rng,
                          model.config.d_h, dtype=model.dtype)
 
 
-def train_xent_epoch(model, pairs, config, rng, bos_id, pad_id=0):
+def train_xent_epoch(model, pairs, config, rng, bos_id):
     """One epoch of cross-entropy training; returns EpochStats."""
     stats = EpochStats()
     t0 = time.perf_counter()
-    for src, s_len, tgt, t_len in make_batches(pairs, config.batch_size, rng, pad_id):
-        masks = _masks_for(model, max(src.shape[1], tgt.shape[1]), rng, config)
+    for src, s_len, tgt, t_len in make_batches(pairs, config.batch_size, rng):
+        masks = _masks_for(model, src.shape[1], tgt.shape[1], rng, config)
         model.zero_grads()
         loss, tokens = xent_loss(model, src, tgt, bos_id, s_len, t_len, masks=masks)
         optimizer_step(model, config)
@@ -470,24 +466,24 @@ def train_xent_epoch(model, pairs, config, rng, bos_id, pad_id=0):
     return stats
 
 
-def eval_perplexity(model, pairs, config, bos_id, pad_id=0):
+def eval_perplexity(model, pairs, config, bos_id):
     rng = np.random.default_rng(0)
     total, tokens = 0.0, 0
-    for src, s_len, tgt, t_len in make_batches(pairs, config.batch_size, rng, pad_id):
+    for src, s_len, tgt, t_len in make_batches(pairs, config.batch_size, rng):
         loss, n = xent_loss(model, src, tgt, bos_id, s_len, t_len, backward=False)
         total += loss
         tokens += n
     return float(np.exp(total / max(tokens, 1)))
 
 
-def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
+def train_bso_epoch(model, examples, config, epoch, rng, bos_id):
     """One BSO epoch with curriculum beam and delayed per-batch updates.
 
     examples: list of (src_ids, gold_ids, initial constraint state). Each
     minibatch is encoded, searched and backpropagated in lockstep.
     Returns EpochStats.
     """
-    delta_fn = delta_fn or DELTA_FNS[config.delta]
+    delta_fn = DELTA_FNS[config.delta]
     beam = curriculum_beam(epoch, config)
     stats = EpochStats(beam=beam)
     t0 = time.perf_counter()
@@ -497,13 +493,11 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id, delta_fn=None):
         src, lengths = pad_ids([src for src, _, _ in batch])
         golds = [gold for _, gold, _ in batch]
         gold_len = sum(len(g) for g in golds)
-        masks = _masks_for(model, max(src.shape[1], max(len(g) for g in golds)),
-                           rng, config)
+        masks = _masks_for(model, src.shape[1], max(len(g) for g in golds), rng, config)
         model.zero_grads()
         enc = model.encode(src, lengths, masks=masks)
         fwd = bso_forward(model, enc, golds, beam, [c for _, _, c in batch],
-                          delta_fn, bos_id, masks=masks,
-                          margin_score=config.margin_score)
+                          delta_fn, bos_id, margin_score=config.margin_score)
         stats.loss += margin_loss(fwd.records)
         bso_backward(model, fwd)
         optimizer_step(model, config)

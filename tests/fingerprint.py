@@ -1,0 +1,182 @@
+"""Byte-identity fingerprint of the training and decoding arithmetic.
+
+Prints one sha256 per artefact for a seed: the start models, cross-entropy
+losses, gradients and parameters, BSO violation records, gold scores,
+gradients and parameters, and beam-search tokens and scores. Two versions
+of the code that do the same arithmetic print the same lines, so a change
+meant to keep every number can be checked against its parent by running
+this script on both and comparing the output:
+
+    PYTHONPATH=src python tests/fingerprint.py --seed 7
+
+The inputs are a seeded word-ordering corpus (40 word types with a hidden
+order, 4-8 word sentences, shuffled sources) and small models, so a run
+takes seconds. No test pins a hash: each one changes whenever the
+arithmetic it covers changes on purpose.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from bso.beam import NoConstraint, PermutationConstraint, beam_search
+from bso.model import MaskSet, ModelConfig, Seq2SeqModel
+from bso.tasks import BOS_ID, EOS_ID, PAD_ID, pad_ids
+from bso.training import (TrainConfig, bso_backward, bso_forward, delta_01,
+                          delta_sentence_bleu, make_batches, optimizer_step,
+                          train_xent_epoch, xent_loss)
+
+VOCAB = 40
+D_EMB, D_H = 16, 24
+CONFIG = TrainConfig(batch_size=16, lr_main=0.1, lr_out=0.2)
+
+
+def digest(*parts):
+    """sha256 of arrays (dtype, shape and bytes) and of anything else by
+    its repr; floats by their hex form, so every bit counts."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        elif isinstance(part, float):
+            h.update(part.hex().encode())
+        else:
+            h.update(repr(part).encode())
+    return h
+
+
+def params_digest(model, field="value"):
+    return digest(*(getattr(s, field) for s in model.slots())).hexdigest()
+
+
+def corpus(rng, n):
+    """(source ids, target ids + EOS) pairs: the words of a target in their
+    hidden order, its source shuffled."""
+    words = np.arange(4, VOCAB)
+    rank = rng.permutation(len(words))
+    pairs = []
+    for _ in range(n):
+        sent = rng.choice(words, size=int(rng.integers(4, 9)), replace=False)
+        sent = sent[np.argsort(rank[sent - 4])]
+        pairs.append((rng.permutation(sent), np.append(sent, EOS_ID)))
+    return pairs
+
+
+def start_model(layers, pairs, seed):
+    model = Seq2SeqModel(ModelConfig(VOCAB, VOCAB, D_EMB, D_H, layers),
+                         rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(2):
+        train_xent_epoch(model, pairs, CONFIG, rng, BOS_ID)
+    return model
+
+
+def copy_of(model):
+    """An identical copy: parameters and Adagrad accumulators (``astype``
+    starts the accumulators afresh)."""
+    copy = model.astype(model.dtype)
+    for name, slot in model.params.items():
+        copy.params[name].adagrad_accum[...] = slot.adagrad_accum
+    return copy
+
+
+def xent_artefacts(start, pairs, dropout, seed):
+    """Losses and gradients of six minibatches, with an update after each."""
+    model = copy_of(start)
+    rng = np.random.default_rng(seed + 2)
+    losses, grads = digest(), digest()
+    for src, s_len, tgt, t_len in make_batches(pairs, 16, rng)[:6]:
+        masks = None
+        if dropout:
+            masks = MaskSet.build(dropout, model.config.layers, src.shape[1], tgt.shape[1],
+                                  rng, D_H, dtype=model.dtype)
+        model.zero_grads()
+        loss, tokens = xent_loss(model, src, tgt, BOS_ID, s_len, t_len, masks=masks)
+        losses.update(digest(float(loss), tokens).digest())
+        grads.update(digest(*(s.grad for s in model.slots())).digest())
+        optimizer_step(model, CONFIG)
+    return {"loss": losses.hexdigest(), "grad": grads.hexdigest(),
+            "params": params_digest(model)}
+
+
+def bso_artefacts(start, pairs, constrained, seed, k=6):
+    """Records, gold scores and gradients of four minibatches of eight,
+    with an update after each: permutation constraint with 0/1 cost, or no
+    constraint with sentence-BLEU cost."""
+    model = copy_of(start)
+    delta = delta_01 if constrained else delta_sentence_bleu
+    records, gold_f, grads = digest(), digest(), digest()
+    for lo in range(0, 32, 8):
+        batch = pairs[lo:lo + 8]
+        src, lengths = pad_ids([s for s, _ in batch])
+        constraints = [PermutationConstraint(VOCAB, s, EOS_ID) if constrained
+                       else NoConstraint(VOCAB, blocked=(PAD_ID, BOS_ID)) for s, _ in batch]
+        enc = model.encode(src, lengths)
+        fwd = bso_forward(model, enc, [t for _, t in batch], k, constraints, delta, BOS_ID)
+        for rec in fwd.records:
+            records.update(digest(rec.t, rec.r, rec.violating_tokens, rec.gold_tokens,
+                                  rec.gold_score_seg, rec.viol_score_seg, rec.gold_last_f,
+                                  rec.viol_last_f, rec.delta, rec.sentence).digest())
+        gold_f.update(digest(*(float(f) for fs in fwd.gold_f for f in fs)).digest())
+        model.zero_grads()
+        bso_backward(model, fwd)
+        grads.update(digest(*(s.grad for s in model.slots())).digest())
+        optimizer_step(model, CONFIG)
+    return {"records": records.hexdigest(), "gold_f": gold_f.hexdigest(),
+            "grad": grads.hexdigest(), "params": params_digest(model)}
+
+
+def decode_artefact(model, pairs, k, constrained):
+    """Tokens and scores of beam_search over the pairs' sources, in chunks
+    of 20."""
+    h = digest()
+    for lo in range(0, len(pairs), 20):
+        srcs = [s for s, _ in pairs[lo:lo + 20]]
+        enc = model.encode(*pad_ids(srcs))
+        if constrained:
+            constraints = [PermutationConstraint(VOCAB, s, EOS_ID) for s in srcs]
+            max_lens = [len(s) + 1 for s in srcs]
+        else:
+            constraints = [NoConstraint(VOCAB, blocked=(PAD_ID, BOS_ID)) for _ in srcs]
+            max_lens = [2 * len(s) + 5 for s in srcs]
+        for tokens, score in beam_search(model, enc, k, constraints, max_lens, BOS_ID, EOS_ID):
+            h.update(digest(tokens, float(score)).digest())
+    return h.hexdigest()
+
+
+def fingerprint(seed):
+    """(artefact name, sha256) pairs, in a fixed order."""
+    rng = np.random.default_rng(seed)
+    train, dev = corpus(rng, 160), corpus(rng, 60)
+    out = []
+    starts = {layers: start_model(layers, train, seed) for layers in (1, 2)}
+    for layers, model in starts.items():
+        out.append((f"start.layers{layers}.params", params_digest(model)))
+        out.append((f"start.layers{layers}.accum", params_digest(model, "adagrad_accum")))
+    for layers, model in starts.items():
+        for dropout in (0.0, 0.3):
+            for name, h in xent_artefacts(model, train, dropout, seed).items():
+                out.append((f"xent.layers{layers}.dropout{dropout}.{name}", h))
+    for constrained, regime in ((True, "perm-zero_one"), (False, "free-sentence_bleu")):
+        for name, h in bso_artefacts(starts[1], train, constrained, seed).items():
+            out.append((f"bso.{regime}.k6.{name}", h))
+    for constrained, regime in ((True, "perm"), (False, "free")):
+        for k in (1, 5, 10):
+            out.append((f"decode.{regime}.k{k}", decode_artefact(starts[1], dev, k, constrained)))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    for name, h in fingerprint(args.seed):
+        print(f"{name}\t{h}")
+
+
+if __name__ == "__main__":
+    main()

@@ -67,7 +67,8 @@ def reference_lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
 
 def reference_dropout_masks(rate, boundaries, steps, rng, size, dtype=np.float32):
     """Inverted-dropout masks, one per (time step, layer boundary), drawn in
-    that order with one ``rng.random`` call each; {(step, boundary): mask}."""
+    that order with one ``rng.random`` call each; {(step, boundary): mask}.
+    For a MaskSet, the steps are the encoder's and then the decoder's."""
     masks = {}
     keep = 1.0 - rate
     for t in range(steps):
@@ -137,14 +138,14 @@ def reference_beam_step(hyps, f, k):
     return succ, rows
 
 
-def rescore_prefix(model, enc, tokens, bos_id, masks=None):
+def rescore_prefix(model, enc, tokens, bos_id):
     """Teacher-force a token prefix from the initial state; return the
     f-score of each emitted token, plus the per-step caches."""
     state = model.init_state(enc)
     fs, caches = [], []
     for t, w in enumerate(tokens):
         in_w = bos_id if t == 0 else tokens[t - 1]
-        out, cache = model.decode_step(state, [in_w], enc, step=t, masks=masks)
+        out, cache = model.decode_step(state, [in_w], enc)
         fs.append(float(model.score_f(out)[0, w]))
         caches.append(cache)
         state = out.state
@@ -152,7 +153,7 @@ def rescore_prefix(model, enc, tokens, bos_id, masks=None):
 
 
 def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
-                       masks=None, margin_score="cumulative"):
+                       margin_score="cumulative"):
     """Reference forward pass: beam kept as explicit token prefixes, every
     candidate rescored from scratch each step.
 
@@ -167,7 +168,7 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
     for w in gold:
         c = c.advance(w)
         gold_constraints.append(c)
-    gold_fs, _ = rescore_prefix(model, enc, gold, bos_id, masks)
+    gold_fs, _ = rescore_prefix(model, enc, gold, bos_id)
 
     records = []
     r = 0
@@ -182,7 +183,7 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
                 if not mask[w]:
                     continue
                 seq = toks + (w,)
-                fs, _ = rescore_prefix(model, enc, seq, bos_id, masks)
+                fs, _ = rescore_prefix(model, enc, seq, bos_id)
                 seg = 0.0
                 for f in fs[r:]:
                     seg = seg + f
@@ -226,11 +227,11 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
     return records
 
 
-def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann, masks=None):
+def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
     """Rerun a prefix with teacher forcing, then backprop coefs[t] onto the
     f-score of tokens[t] at every step, through the decoder into d_ann and
     the returned initial-state gradient."""
-    _, caches = rescore_prefix(model, enc, tokens, bos_id, masks)
+    _, caches = rescore_prefix(model, enc, tokens, bos_id)
     d_state = model.state_grad_zeros(1)
     v = model.config.tgt_vocab
     for t in range(len(tokens) - 1, -1, -1):
@@ -265,8 +266,7 @@ def naive_bso_backward(model, src, fwd, bos_id, masks=None):
                 continue
             enc = model.encode(src, masks=masks)
             d_ann = np.zeros_like(enc.annotations)
-            d_state = _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann,
-                                   masks=masks)
+            d_state = _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann)
             model.encode_backward(enc, d_ann, d_state)
 
 
@@ -290,7 +290,7 @@ def bso_frozen_loss(model, src, gold, records, bos_id, masks=None):
     states = [state]
     for t in range(1, len(gold) + 1):
         in_w = bos_id if t == 1 else gold[t - 2]
-        out, _ = model.decode_step(state, [in_w], enc, step=t - 1, masks=masks)
+        out, _ = model.decode_step(state, [in_w], enc)
         f = model.score_f(out)[0].astype(np.float64)
         gold_f.append(float(f[gold[t - 1]]))
         state = out.state
@@ -308,7 +308,7 @@ def bso_frozen_loss(model, src, gold, records, bos_id, masks=None):
         for i, w in enumerate(rec.violating_tokens):
             step = rec.r + i
             in_w = bos_id if step == 0 else prev_words[step - 1]
-            out, _ = model.decode_step(vstate, [in_w], enc, step=step, masks=masks)
+            out, _ = model.decode_step(vstate, [in_w], enc)
             fv = float(model.score_f(out)[0, w])
             v_seg += fv
             v_last = fv

@@ -503,7 +503,7 @@ def brute_force_best(model, enc, max_len, bos, eos, vocab, blocked):
             total = 0.0
             for t, w in enumerate(seq):
                 in_w = bos if t == 0 else seq[t - 1]
-                out, _ = model.decode_step(state, [in_w], enc, step=t)
+                out, _ = model.decode_step(state, [in_w], enc)
                 total = total + float(model.score_f(out)[0, w])
                 state = out.state
             if best is None or total > best[0]:
@@ -522,7 +522,7 @@ class TestBeamDecode:
         manual = []
         w = BOS_ID
         for t in range(5):
-            out, _ = model.decode_step(state, [w], enc, step=t)
+            out, _ = model.decode_step(state, [w], enc)
             f = model.score_f(out)[0]
             f[[PAD_ID, BOS_ID]] = -np.inf
             w = int(np.argmax(f))

@@ -76,6 +76,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"run\.cfg:2: k_tr"):
             RunConfig.from_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d_h = 8\nk_tr = 4\n\nd_h = 16\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'd_h' repeats line 1"):
+            RunConfig.from_file(path)
+
     def test_is_a_train_config(self):
         cfg = RunConfig(k_tr=4, lr_main=0.3, delta="sentence_bleu")
         assert isinstance(cfg, TrainConfig)
@@ -162,55 +168,63 @@ def base_config(d, **overrides):
     return path
 
 
+def run_pipeline(tmp_path, capsys, **overrides):
+    """pretrain, train-bso and two decodes of dev.txt, each with exit code
+    0; the two decodes must be the same."""
+    write_word_order_data(tmp_path)
+    cfg_path = base_config(tmp_path, **overrides)
+    model = tmp_path / "model.bso"
+
+    rc = cli.main(["pretrain", "--config", str(cfg_path),
+                   "--model-out", str(model)])
+    assert rc == 0
+    assert model.exists()
+    assert (tmp_path / "model.bso.config").exists()
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("epoch\t")
+
+    bso_model = tmp_path / "bso.bso"
+    rc = cli.main(["train-bso", "--config", str(cfg_path),
+                   "--model-in", str(model), "--model-out", str(bso_model)])
+    assert rc == 0
+    assert bso_model.exists()
+
+    out = tmp_path / "hyp.txt"
+    rc = cli.main(["decode", "--config", str(cfg_path),
+                   "--model-in", str(bso_model),
+                   "--input", str(tmp_path / "dev.txt"),
+                   "--output", str(out), "--scores"])
+    assert rc == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for line, src in zip(lines, (tmp_path / "dev.txt").read_text().splitlines()):
+        toks, score = line.rsplit("\t", 1)
+        float(score)
+        # permutation-constrained decodes are permutations of the source
+        assert sorted(toks.split()) == sorted(src.split())
+
+    # decode is deterministic
+    out2 = tmp_path / "hyp2.txt"
+    rc = cli.main(["decode", "--config", str(cfg_path),
+                   "--model-in", str(bso_model),
+                   "--input", str(tmp_path / "dev.txt"),
+                   "--output", str(out2), "--scores"])
+    assert rc == 0
+    assert out2.read_text() == out.read_text()
+
+
 class TestCommands:
     def test_pipeline(self, tmp_path, capsys):
-        write_word_order_data(tmp_path)
-        cfg_path = base_config(tmp_path)
-        model = tmp_path / "model.bso"
-
-        rc = cli.main(["pretrain", "--config", str(cfg_path),
-                       "--model-out", str(model)])
-        assert rc == 0
-        assert model.exists()
-        assert (tmp_path / "model.bso.config").exists()
-        header = capsys.readouterr().out.splitlines()[0]
-        assert header.startswith("epoch\t")
-
-        bso_model = tmp_path / "bso.bso"
-        rc = cli.main(["train-bso", "--config", str(cfg_path),
-                       "--model-in", str(model), "--model-out", str(bso_model)])
-        assert rc == 0
-        assert bso_model.exists()
-
-        out = tmp_path / "hyp.txt"
-        rc = cli.main(["decode", "--config", str(cfg_path),
-                       "--model-in", str(bso_model),
-                       "--input", str(tmp_path / "dev.txt"),
-                       "--output", str(out), "--scores"])
-        assert rc == 0
-        capsys.readouterr()
-        lines = out.read_text().splitlines()
-        assert len(lines) == 4
-        for line, src in zip(lines, (tmp_path / "dev.txt").read_text().splitlines()):
-            toks, score = line.rsplit("\t", 1)
-            float(score)
-            # permutation-constrained decodes are permutations of the source
-            assert sorted(toks.split()) == sorted(src.split())
-
-        # decode is deterministic
-        out2 = tmp_path / "hyp2.txt"
-        rc = cli.main(["decode", "--config", str(cfg_path),
-                       "--model-in", str(bso_model),
-                       "--input", str(tmp_path / "dev.txt"),
-                       "--output", str(out2), "--scores"])
-        assert rc == 0
-        assert out2.read_text() == out.read_text()
-
+        run_pipeline(tmp_path, capsys)
         rc = cli.main(["eval", "--task", "word_order",
                        "--hyp", str(tmp_path / "dev.txt"),
                        "--ref", str(tmp_path / "dev.txt")])
         assert rc == 0
         assert "BLEU\t100.0000" in capsys.readouterr().out
+
+    def test_pipeline_with_two_layers_and_dropout(self, tmp_path, capsys):
+        run_pipeline(tmp_path, capsys, layers=2, dropout=0.3)
 
     def test_train_bso_refuses_cold_start(self, tmp_path, capsys):
         write_word_order_data(tmp_path)

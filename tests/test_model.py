@@ -106,11 +106,12 @@ class TestDecodeStep:
 
     def test_missing_dropout_mask_is_usage_error(self):
         m = toy_model(layers=2)
-        enc_masks = MaskSet.build(0.5, 2, 2, np.random.default_rng(0), 5,
-                                  dtype=np.float64)
-        enc = m.encode(np.array([[1, 2]]), masks=enc_masks)
+        masks = MaskSet.build(0.5, 2, 2, 3, np.random.default_rng(0), 5, dtype=np.float64)
+        enc = m.encode(np.array([[1, 2]]), masks=masks)
+        state = m.init_state(enc)
+        state.step = 3
         with pytest.raises(LookupError):
-            m.decode_step(m.init_state(enc), [BOS], enc, step=3, masks=enc_masks)
+            m.decode_step(state, [BOS], enc)
 
 
 class TestScores:
@@ -247,7 +248,7 @@ class TestEndToEndGradients:
         tgt = np.array([[5, 1, 7, 3]])
         masks = None
         if dropout > 0:
-            masks = MaskSet.build(dropout, layers, 6, np.random.default_rng(9), 4,
+            masks = MaskSet.build(dropout, layers, 3, 4, np.random.default_rng(9), 4,
                                   dtype=np.float64)
 
         def loss_and_backward():
@@ -322,7 +323,7 @@ class TestXentMemory:
         peaks = {}
         for T in (10, 40):
             tgt = rng.integers(3, V, size=(B, T))
-            masks = (MaskSet.build(dropout, layers, T, np.random.default_rng(1), H)
+            masks = (MaskSet.build(dropout, layers, S, T, np.random.default_rng(1), H)
                      if dropout else None)
             tracemalloc.start()
             try:
@@ -350,7 +351,7 @@ class TestEncoderMemory:
         kept = {}
         for S in (10, 40):
             src = rng.integers(3, 7, size=(B, S))
-            masks = (MaskSet.build(dropout, layers, S, np.random.default_rng(1), H)
+            masks = (MaskSet.build(dropout, layers, S, 0, np.random.default_rng(1), H)
                      if dropout else None)
             tracemalloc.start()
             try:

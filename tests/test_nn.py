@@ -413,23 +413,23 @@ class TestDropoutMasks:
     boundaries that take a mask."""
 
     def test_rate_zero_all_ones(self):
-        masks = MaskSet.build(0.0, 3, 3, np.random.default_rng(0), 5).masks
+        masks = MaskSet.build(0.0, 3, 1, 2, np.random.default_rng(0), 5).masks
         assert masks.shape == (3, 2, 5)
         assert np.all(masks == 1.0)
 
     def test_deterministic_given_seed(self):
-        a = MaskSet.build(0.3, 3, 4, np.random.default_rng(42), 6).masks
-        b = MaskSet.build(0.3, 3, 4, np.random.default_rng(42), 6).masks
+        a = MaskSet.build(0.3, 3, 2, 2, np.random.default_rng(42), 6).masks
+        b = MaskSet.build(0.3, 3, 2, 2, np.random.default_rng(42), 6).masks
         assert np.array_equal(a, b)
 
     def test_two_valued_and_scaled(self):
-        masks = MaskSet.build(0.25, 2, 1, np.random.default_rng(1), 1000).masks
+        masks = MaskSet.build(0.25, 2, 1, 0, np.random.default_rng(1), 1000).masks
         values = set(np.unique(masks))
         assert values <= {0.0, np.float32(1.0 / 0.75)}
 
     def test_keep_fraction(self):
         rate = 0.2
-        masks = MaskSet.build(rate, 2, 100, np.random.default_rng(7), 1000).masks
+        masks = MaskSet.build(rate, 2, 50, 50, np.random.default_rng(7), 1000).masks
         keep = float((masks > 0).mean())
         assert abs(keep - (1 - rate)) < 0.01
 
@@ -437,20 +437,21 @@ class TestDropoutMasks:
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_one_draw_gives_the_per_step_masks(self, dtype, rate):
         """One draw of the whole array gives, bit for bit, the masks drawn
-        one (step, boundary) at a time, and leaves the generator where the
-        per-step draws leave it."""
+        one (step, boundary) at a time, the two encoder steps and then the
+        three decoder steps, and leaves the generator where the per-step
+        draws leave it."""
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        masks = MaskSet.build(rate, 3, 5, rng, 7, dtype=dtype)
+        masks = MaskSet.build(rate, 3, 2, 3, rng, 7, dtype=dtype)
         want = reference_dropout_masks(rate, 2, 5, ref_rng, 7, dtype=dtype)
         for (t, l), m in want.items():
-            got = masks.get(t)[l]
+            got = (masks.get("enc", t) if t < 2 else masks.get("dec", t - 2))[l]
             assert got.dtype == m.dtype
             assert got.tobytes() == m.tobytes()
         assert rng.random() == ref_rng.random()
 
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            MaskSet.build(1.0, 2, 4, np.random.default_rng(0), 3)
+            MaskSet.build(1.0, 2, 2, 2, np.random.default_rng(0), 3)
 
 
 class TestCheckpointFragment:

@@ -104,7 +104,7 @@ class ScriptedModel:
     def init_state(self, enc):
         return ScriptedState([()])
 
-    def decode_step(self, state, words, enc, step=0, masks=None):
+    def decode_step(self, state, words, enc):
         prefixes = [state.prefixes[i] + (int(w),) for i, w in enumerate(words)]
         rows = np.full((len(prefixes), self.config.tgt_vocab), self.default)
         for i, p in enumerate(prefixes):
@@ -427,9 +427,8 @@ def two_layer_case(seed):
     feed below, the masked output of layer 0 above."""
     _, src, gold, k, constraint = random_case(seed)
     model = toy_model(seed, dtype=np.float64, layers=2)
-    steps = max(len(src), len(gold))
-    masks = MaskSet.build(0.5, 2, steps, np.random.default_rng(seed), model.config.d_h,
-                          dtype=np.float64)
+    masks = MaskSet.build(0.5, 2, len(src), len(gold), np.random.default_rng(seed),
+                          model.config.d_h, dtype=np.float64)
     assert (masks.masks == 0).any()
     return model, np.asarray(src)[None, :], gold, k, constraint, masks
 
@@ -495,7 +494,7 @@ class TestBackward:
     def test_two_layers_with_dropout_merged_equals_naive_bptt(self, seed):
         model, src_b, gold, k, constraint, masks = two_layer_case(seed)
         enc = model.encode(src_b, masks=masks)
-        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS, masks=masks)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
         assert any(r.delta > 0 for r in fwd.records)
         model.zero_grads()
         bso_backward(model, fwd)
@@ -509,7 +508,7 @@ class TestBackward:
     def test_two_layers_with_dropout_gradient_matches_finite_differences(self):
         model, src_b, gold, k, constraint, masks = two_layer_case(6)
         enc = model.encode(src_b, masks=masks)
-        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS, masks=masks)
+        fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
         assert sum(r.delta > 0 for r in fwd.records) >= 1
         model.zero_grads()
         bso_backward(model, fwd)
@@ -594,6 +593,49 @@ class TestEpochDrivers:
             out.append((np.array(words), tuple(perm) + (EOS,),
                         PermutationConstraint(5, words, EOS)))
         return out
+
+    @pytest.mark.parametrize("regime", ["xent", "bso"])
+    def test_encoder_and_decoder_steps_draw_independent_masks(self, regime):
+        """With dropout between two layers, encoder step t and decoder step
+        t apply masks of their own, each decoder step applies other masks
+        than the step before, and BSO's backward replays every search step
+        under the masks the search applied."""
+        model = toy_model(0, layers=2, d_h=16)
+        encoded, drops = [], []
+        encode, decode_step = model.encode, model.decode_step
+
+        def tracing_encode(*args, **kwargs):
+            encoded.append(encode(*args, **kwargs))
+            return encoded[-1]
+
+        def tracing_decode_step(*args, **kwargs):
+            out, cache = decode_step(*args, **kwargs)
+            drops.append(cache["drop"])
+            return out, cache
+
+        model.encode, model.decode_step = tracing_encode, tracing_decode_step
+        rng = np.random.default_rng(1)
+        config = TrainConfig(batch_size=8, dropout=0.5)
+        if regime == "xent":
+            pairs = self.small_pairs(rng)
+            train_xent_epoch(model, pairs, config, rng, BOS)
+            steps = max(len(tgt) for _, tgt in pairs)
+        else:
+            examples = self.bso_examples(rng)
+            train_bso_epoch(model, examples, config, 1, rng, BOS)
+            steps = max(len(gold) for _, gold, _ in examples)
+            # the search takes one decoder step per time step, then the
+            # backward recomputes the steps before the last violation
+            replay = drops[steps:]
+            assert replay
+            for t, drop in enumerate(replay):
+                assert np.array_equal(drop, drops[t])
+        assert len(encoded) == 1
+        enc_drops = [step["drop"] for step in encoded[0].cache["steps"]]
+        for t in range(min(len(enc_drops), steps)):
+            assert not np.array_equal(enc_drops[t], drops[t])
+        for t in range(1, steps):
+            assert not np.array_equal(drops[t], drops[t - 1])
 
     def test_bso_epoch_stats(self):
         model = toy_model(2, dtype=np.float32)
