@@ -92,6 +92,9 @@ class NonFiniteScoreError(FloatingPointError):
 # f it returns them all. advance(words) takes one word per row (a scalar
 # for a one-row state) from those pairs and checks nothing: search only
 # picks pairs, and validate_gold checks gold words against them.
+# select(rows) takes integer row indices; 2-D rows are gathered with
+# ``take(rows, axis=0)``, the copy fancy indexing makes at half its fixed
+# cost on a few rows.
 
 
 def _replace(state, **fields):
@@ -109,16 +112,6 @@ def _pad_cols(arrays, fill):
         out[lo:lo + len(a), :a.shape[1]] = a
         lo += len(a)
     return out
-
-
-def _nonzero(mask):
-    """np.nonzero of a 2-D mask, through the faster flat index."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
-def _pairs(*pairs):
-    """Concatenate (rows, words) pair arrays, in order."""
-    return tuple(np.concatenate(a) for a in zip(*pairs))
 
 
 def join_constraints(states):
@@ -167,7 +160,8 @@ class NoConstraint:
         tie = seg + np.nextafter(kth, -np.inf) >= seg + kth
         if tie.any():
             keep[tie] = self.allowed
-        return _nonzero(keep)
+        # a sparse [rows, V] mask: the flat index beats the 2-D nonzero
+        return np.divmod(np.flatnonzero(keep), keep.shape[1])
 
     def advance(self, words):
         return self
@@ -201,17 +195,21 @@ class PermutationConstraint:
 
     def allowed_mask(self, f=None, f_rows=None, seg=None, k=None):
         """Each row's unused source words, or EOS once it has none."""
-        unused = self.counts > 0
-        rows, cols = _nonzero(unused)
-        done = np.flatnonzero(~unused.any(axis=1))
-        return _pairs((rows, self.types[rows, cols]), (done, np.full(len(done), self.eos_id)))
+        # a count is never below zero, so a word is unused where it is
+        # nonzero; with a few columns the 2-D nonzero beats the flat index
+        rows, cols = self.counts.nonzero()
+        done = (~self.counts.any(axis=1)).nonzero()[0]
+        return (np.concatenate([rows, done]),
+                np.concatenate([self.types[rows, cols], np.full(len(done), self.eos_id)]))
 
     def advance(self, words):
         # EOS is no type: an EOS row keeps its counts
-        return _replace(self, counts=self.counts - (self.types == np.reshape(words, (-1, 1))))
+        column = np.asarray(words).reshape(-1, 1)
+        return _replace(self, counts=self.counts - (self.types == column))
 
     def select(self, rows):
-        return _replace(self, types=self.types[rows], counts=self.counts[rows])
+        return _replace(self, types=self.types.take(rows, axis=0),
+                        counts=self.counts.take(rows, axis=0))
 
     @classmethod
     def join(cls, states):
@@ -249,13 +247,13 @@ class ArcStandardConstraint:
     def allowed_mask(self, f=None, f_rows=None, seg=None, k=None):
         """Each row's next source word, every reduce action once its stack
         holds two items, and EOS once its parse is complete."""
-        shift = np.flatnonzero(self.next_idx < self.n_source)
-        reduce = np.flatnonzero(self.depth >= 2)
-        done = np.flatnonzero((self.next_idx == self.n_source) & (self.depth == 1))
-        return _pairs((shift, self.source[shift, self.next_idx[shift]]),
-                      (np.repeat(reduce, len(self.reduce_ids)),
-                       np.tile(self.reduce_ids, len(reduce))),
-                      (done, np.full(len(done), self.eos_id)))
+        shift = (self.next_idx < self.n_source).nonzero()[0]
+        reduce = (self.depth >= 2).nonzero()[0]
+        done = ((self.next_idx == self.n_source) & (self.depth == 1)).nonzero()[0]
+        return (np.concatenate([shift, np.repeat(reduce, len(self.reduce_ids)), done]),
+                np.concatenate([self.source[shift, self.next_idx[shift]],
+                                np.tile(self.reduce_ids, len(reduce)),
+                                np.full(len(done), self.eos_id)]))
 
     def advance(self, words):
         words = np.reshape(words, -1)
@@ -268,7 +266,7 @@ class ArcStandardConstraint:
                         depth=self.depth + shift - reduce)
 
     def select(self, rows):
-        return _replace(self, source=self.source[rows], n_source=self.n_source[rows],
+        return _replace(self, source=self.source.take(rows, axis=0), n_source=self.n_source[rows],
                         next_idx=self.next_idx[rows], depth=self.depth[rows])
 
     @classmethod
@@ -339,7 +337,7 @@ class Beam:
         return len(self.sent)
 
     def select(self, rows):
-        return Beam(self.tokens[rows], self.seg_score[rows],
+        return Beam(self.tokens.take(rows, axis=0), self.seg_score[rows],
                     self.last_f[rows], self.sent[rows], self.constraint.select(rows))
 
     @staticmethod
@@ -370,7 +368,7 @@ def top_k(scores, words, parents, k, segments=None):
         return np.zeros(0, dtype=np.int64)
     if segments is None:
         if k == 1:
-            best = np.flatnonzero(scores == scores.max())
+            best = (scores == scores.max()).nonzero()[0]
             if len(best) > 1:
                 best = best[np.lexsort((parents[best], words[best]))[:1]]
             return best
@@ -409,7 +407,7 @@ def beam_step(beam, f, k, rows=None):
     # one successor of a one-row beam: its constraint rows need no gather
     constraint = beam.constraint if len(parents) == len(beam) == 1 \
         else beam.constraint.select(parents)
-    succ = Beam(np.concatenate([beam.tokens[parents], words[:, None]], axis=1),
+    succ = Beam(np.concatenate([beam.tokens.take(parents, axis=0), words[:, None]], axis=1),
                 cum[pick], fw, sent[parents],
                 constraint.advance(words))
     return succ, parents

@@ -78,6 +78,9 @@ class RunConfig(training.TrainConfig):
                 raise ConfigError(f"{key} must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.dropout > 0 and self.layers == 1:
+            # dropout applies between stacked layers: one layer has none
+            raise ConfigError(f"dropout = {self.dropout} needs layers >= 2, got layers = 1")
         return self
 
     @classmethod

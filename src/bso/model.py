@@ -84,12 +84,17 @@ class DecoderState:
         return self.input_feed.shape[0]
 
     def select(self, indices):
-        """Gather rows; fancy indexing copies, so the result is isolated."""
+        """Gather rows; ``take`` copies, so the result is isolated.
+
+        Row gathers here and in the model use ``take(rows, axis=0)``: the
+        copy fancy indexing makes, at half its fixed cost on a few rows.
+        """
         idx = np.asarray(indices)
         if idx.size and (idx.min() < 0 or idx.max() >= self.batch):
             raise IndexError("state row index out of range")
-        return DecoderState([h[idx] for h in self.h], [c[idx] for c in self.c],
-                            self.input_feed[idx], self.src[idx], self.step)
+        return DecoderState([h.take(idx, axis=0) for h in self.h],
+                            [c.take(idx, axis=0) for c in self.c],
+                            self.input_feed.take(idx, axis=0), self.src[idx], self.step)
 
 
 @dataclass
@@ -164,19 +169,21 @@ class MaskSet:
 
 
 def _softmax(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: exp(x - max) / sum."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _attend(enc, src, top):
     """Attention weights [B, S] and context [B, H] of each row over the
     annotations of its own source ``src[row]``. The gathered annotations,
     the largest array of a wide decoder step, live only in here."""
-    ann = enc.annotations[src]                          # [B, S, H]
+    ann = enc.annotations.take(src, axis=0)             # [B, S, H]
     scores = np.einsum("bsh,bh->bs", ann, top)
     if enc.attn_bias is not None:
-        scores += enc.attn_bias[src]
+        scores += enc.attn_bias.take(src, axis=0)
     attn = _softmax(scores)
     return attn, np.einsum("bs,bsh->bh", attn, ann)
 
@@ -217,6 +224,9 @@ class Seq2SeqModel:
         self.config = config
         self.dtype = dtype
         self.params = {}
+        # per side, the wx, wh and b parameter names of each layer
+        self._cell_names = {side: [(f"{side}{l}.wx", f"{side}{l}.wh", f"{side}{l}.b")
+                                  for l in range(config.layers)] for side in ("enc", "dec")}
         rng = rng if rng is not None else np.random.default_rng(0)
         if init:
             for name, shape in param_shapes(config).items():
@@ -236,10 +246,13 @@ class Seq2SeqModel:
         return "output" if name.startswith("out.") else "main"
 
     def astype(self, dtype):
-        """Copy of the model with parameters cast to dtype (for grad checks)."""
+        """Copy of the model with its parameters and Adagrad accumulators
+        cast to dtype: in the same dtype, a copy that trains on as its
+        original would."""
         other = Seq2SeqModel(self.config, dtype=dtype, init=False)
         for name, slot in self.params.items():
-            other.params[name] = ParamSlot(name, slot.value.astype(dtype))
+            other.params[name] = ParamSlot(name, slot.value.astype(dtype),
+                                           adagrad_accum=slot.adagrad_accum.astype(dtype))
         return other
 
     # -- the stacked LSTM of either side -----------------------------------
@@ -284,7 +297,8 @@ class Seq2SeqModel:
     def _cell_params(self, side, l):
         """The wx, wh and b slots of layer l of the ``side`` stack."""
         p = self.params
-        return p[f"{side}{l}.wx"], p[f"{side}{l}.wh"], p[f"{side}{l}.b"]
+        wx, wh, b = self._cell_names[side][l]
+        return p[wx], p[wh], p[b]
 
     # -- encoder ------------------------------------------------------------
 
@@ -302,11 +316,12 @@ class Seq2SeqModel:
             lengths = np.full(B, S, dtype=np.int64)
         lengths = np.asarray(lengths)
         cfg = self.config
-        emb = self.params["src_embed"].value[src]           # [B, S, E]; no step keeps it
-        h = [np.zeros((B, cfg.d_h), dtype=self.dtype) for _ in range(cfg.layers)]
-        c = [np.zeros((B, cfg.d_h), dtype=self.dtype) for _ in range(cfg.layers)]
-        final_h = [np.zeros_like(h[0]) for _ in range(cfg.layers)]
-        final_c = [np.zeros_like(c[0]) for _ in range(cfg.layers)]
+        emb = self.params["src_embed"].value.take(src, axis=0)  # [B, S, E]; no step keeps it
+        # every step makes new states: the zero start state is only read
+        zero = np.zeros((B, cfg.d_h), dtype=self.dtype)
+        h, c = [zero] * cfg.layers, [zero] * cfg.layers
+        final_h = [np.zeros_like(zero) for _ in range(cfg.layers)]
+        final_c = [np.zeros_like(zero) for _ in range(cfg.layers)]
         annotations = np.zeros((B, S, cfg.d_h), dtype=self.dtype)
         step_caches = []
         last_steps = set((lengths - 1).tolist())
@@ -317,19 +332,16 @@ class Seq2SeqModel:
             # one's h_prev keep a view of the annotations, not a copy
             h[-1] = annotations[:, t]
             if t in last_steps:
-                at_end = lengths - 1 == t
+                at_end = (lengths - 1 == t)[:, None]
                 for l in range(cfg.layers):
-                    final_h[l][at_end] = h[l][at_end]
-                    final_c[l][at_end] = c[l][at_end]
+                    np.copyto(final_h[l], h[l], where=at_end)
+                    np.copyto(final_c[l], c[l], where=at_end)
             step_caches.append(step)
         attn_bias = None
-        if (lengths < S).any():
+        if min(last_steps) < S - 1:                        # some row is shorter than S
             attn_bias = np.where(np.arange(S)[None, :] < lengths[:, None],
                                  0.0, ATTN_NEG).astype(self.dtype)
-        init_state = DecoderState([a.copy() for a in final_h],
-                                  [a.copy() for a in final_c],
-                                  np.zeros((B, cfg.d_h), dtype=self.dtype),
-                                  np.arange(B), 0)
+        init_state = DecoderState(final_h, final_c, np.zeros_like(zero), np.arange(B), 0)
         cache = {"src": src, "lengths": lengths, "steps": step_caches}
         return EncodedSource(annotations, init_state, attn_bias, cache, masks)
 
@@ -354,7 +366,8 @@ class Seq2SeqModel:
                     dh[l][at_end] += d_init.h[l][at_end]
                     dc[l][at_end] += d_init.c[l][at_end]
             dh[-1] += d_annotations[:, t]
-            dx, dh, dc = self._stack_backward("enc", cache["steps"][t], emb.value[src[:, t]],
+            dx, dh, dc = self._stack_backward("enc", cache["steps"][t],
+                                              emb.value.take(src[:, t], axis=0),
                                               dh, dc)
             np.add.at(emb.grad, src[:, t], dx)
 
@@ -382,7 +395,8 @@ class Seq2SeqModel:
         top = new_h[-1]                                     # [B, H]
         attn, context = _attend(enc, state.src, top)
         attn_in = np.concatenate([context, top], axis=1)
-        attn_hidden = np.tanh(nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value))
+        attn_hidden = nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value)
+        np.tanh(attn_hidden, out=attn_hidden)
         out_state = DecoderState(new_h, new_c, attn_hidden, state.src, state.step + 1)
         cache.update(words=words, feed=state.input_feed, attn=attn, attn_hidden=attn_hidden,
                      enc=enc, src=state.src)
@@ -391,7 +405,7 @@ class Seq2SeqModel:
     def _dec_input(self, words, feed):
         """Decoder layer 0's input: the embedded words joined to the input
         feed. The step's backward rebuilds it from its cache."""
-        return np.concatenate([self.params["tgt_embed"].value[words], feed], axis=1)
+        return np.concatenate([self.params["tgt_embed"].value.take(words, axis=0), feed], axis=1)
 
     def score_f(self, out):
         """Unnormalized next-token scores [B, V]."""
@@ -433,7 +447,7 @@ class Seq2SeqModel:
         d_pre = d_ah * (1.0 - ah * ah)
         attn = cache["attn"]
         top = cache["h"][-1]
-        ann = cache["enc"].annotations[src]
+        ann = cache["enc"].annotations.take(src, axis=0)
         context = np.einsum("bs,bsh->bh", attn, ann)        # as _attend computed it
         d_attn_in = nn.affine_backward(np.concatenate([context, top], axis=1),
                                        p["attn.w"].value, d_pre,

@@ -63,9 +63,15 @@ def sigmoid(x):
     """Logistic function, 1 / (1 + exp(-x)) for x >= 0 and
     exp(x) / (1 + exp(x)) below: exp never sees a positive argument, so
     it cannot overflow. The numerator is max(e, x >= 0): e <= 1, so it is 1
-    where x >= 0 and e elsewhere (NaN stays NaN), without a masked select."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    where x >= 0 and e elsewhere (NaN stays NaN), without a masked select.
+    Every step after the first writes into an array of its own making."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +95,17 @@ def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     if w_x.shape != (x.shape[1], 4 * H) or w_h.shape != (H, 4 * H) or b.shape != (4 * H,):
         raise DimensionError(
             f"lstm shapes: x{x.shape} h{h_prev.shape} wx{w_x.shape} wh{w_h.shape} b{b.shape}")
-    pre = x @ w_x + h_prev @ w_h + b
+    # the sums in place, in the order of x @ w_x + h_prev @ w_h + b
+    pre = x @ w_x
+    pre += h_prev @ w_h
+    pre += b
     gates = sigmoid(pre)
-    np.tanh(pre[:, 2 * H:3 * H], out=gates[:, 2 * H:3 * H])
-    i, f, g, o = gates.reshape(-1, 4, H).transpose(1, 0, 2)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+    i, f, g, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
+    np.tanh(pre[:, 2 * H:3 * H], out=g)
+    c = f * c_prev
+    c += i * g
+    h = np.tanh(c)
+    h *= o
     cache = {"h_prev": h_prev, "c_prev": c_prev, "gates": gates, "c": c}
     return h, c, cache
 
@@ -140,7 +151,9 @@ def affine_forward(x, w, b):
     """out = x @ w + b, x: [B, d_in], w: [d_in, d_out]."""
     if w.shape[0] != x.shape[1] or b.shape != (w.shape[1],):
         raise DimensionError(f"affine shapes: x{x.shape} w{w.shape} b{b.shape}")
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
 def affine_backward(x, w, d_out, gw, gb):

@@ -2,10 +2,11 @@
 
 Prints one sha256 per artefact for a seed: the start models, cross-entropy
 losses, gradients and parameters, BSO violation records, gold scores,
-gradients and parameters, and beam-search tokens and scores. Two versions
-of the code that do the same arithmetic print the same lines, so a change
-meant to keep every number can be checked against its parent by running
-this script on both and comparing the output:
+gradients and parameters, and beam-search tokens and scores, of batches of
+20 sentences and of one sentence at a time. Two versions of the code that
+do the same arithmetic print the same lines, so a change meant to keep
+every number can be checked against its parent by running this script on
+both and comparing the output:
 
     PYTHONPATH=src python tests/fingerprint.py --seed 7
 
@@ -76,12 +77,8 @@ def start_model(layers, pairs, seed):
 
 
 def copy_of(model):
-    """An identical copy: parameters and Adagrad accumulators (``astype``
-    starts the accumulators afresh)."""
-    copy = model.astype(model.dtype)
-    for name, slot in model.params.items():
-        copy.params[name].adagrad_accum[...] = slot.adagrad_accum
-    return copy
+    """An identical copy: parameters and Adagrad accumulators."""
+    return model.astype(model.dtype)
 
 
 def xent_artefacts(start, pairs, dropout, seed):
@@ -130,12 +127,13 @@ def bso_artefacts(start, pairs, constrained, seed, k=6):
             "grad": grads.hexdigest(), "params": params_digest(model)}
 
 
-def decode_artefact(model, pairs, k, constrained):
+def decode_artefact(model, pairs, k, constrained, chunk=20):
     """Tokens and scores of beam_search over the pairs' sources, in chunks
-    of 20."""
+    of ``chunk``. Chunks of one take the one-row paths of a beam step (a
+    one-row beam at K=1 and at every first step, single-segment ranking)."""
     h = digest()
-    for lo in range(0, len(pairs), 20):
-        srcs = [s for s, _ in pairs[lo:lo + 20]]
+    for lo in range(0, len(pairs), chunk):
+        srcs = [s for s, _ in pairs[lo:lo + chunk]]
         enc = model.encode(*pad_ids(srcs))
         if constrained:
             constraints = [PermutationConstraint(VOCAB, s, EOS_ID) for s in srcs]
@@ -167,6 +165,10 @@ def fingerprint(seed):
     for constrained, regime in ((True, "perm"), (False, "free")):
         for k in (1, 5, 10):
             out.append((f"decode.{regime}.k{k}", decode_artefact(starts[1], dev, k, constrained)))
+    for constrained, regime in ((True, "perm"), (False, "free")):
+        for k in (1, 5, 10):
+            out.append((f"decode.{regime}.k{k}.batch1",
+                        decode_artefact(starts[1], dev, k, constrained, chunk=1)))
     return out
 
 

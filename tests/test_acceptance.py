@@ -350,8 +350,17 @@ def desk_pretrain(vocab, train_pairs, dev_pairs):
     return model
 
 
+def fresh_copy(model):
+    """A copy of ``model`` with its Adagrad accumulators at zero: the desk
+    experiment starts BSO training under a fresh optimizer state."""
+    copy = model.astype(model.dtype)
+    for slot in copy.slots():
+        slot.adagrad_accum[...] = 0
+    return copy
+
+
 def desk_bso(base, vocab, train_pairs, k_tr, constrained, epochs=10):
-    model = base.astype(base.dtype)
+    model = fresh_copy(base)
     v = len(vocab)
     examples = []
     for src, tgt in train_pairs:
@@ -431,7 +440,7 @@ class TestCriterion10CostScaling:
         v = len(vocab)
         rates = {}
         for k_tr in (2, 6):
-            model = desk["base"].astype(desk["base"].dtype)
+            model = fresh_copy(desk["base"])
             examples = [(s, tuple(int(w) for w in t),
                          PermutationConstraint(v, [int(i) for i in s], EOS))
                         for s, t in subset]

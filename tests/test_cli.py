@@ -51,6 +51,7 @@ class TestRunConfig:
         {"clip_norm": 0.0},
         {"layers": 2, "dropout": 1.5},
         {"dropout": -0.1},
+        {"layers": 1, "dropout": 0.3},
         {"d_h": 0},
         {"d_emb": 0},
         {"layers": 0},

@@ -366,6 +366,64 @@ class TestEncoderMemory:
         assert per_step < B * 6 * layers * H * 4 + 4096
 
 
+class TestAttentionWeights:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_softmax_formula(self, dtype):
+        # attention weights are exp(s - max) / sum over each row's scores s,
+        # with padded positions under the ATTN_NEG bias: pinned byte for byte
+        m = toy_model(src_vocab=9, d_emb=8, d_h=16, dtype=dtype)
+        for slot in m.slots():
+            slot.value *= 20        # scores of a few units, not of a few hundredths
+        enc = m.encode(np.array([[1, 2, 3, 4, 5], [6, 7, 0, 0, 0], [8, 1, 4, 2, 0]]),
+                       lengths=[5, 2, 4])
+        assert enc.attn_bias is not None
+        rows = np.array([2, 0, 1, 1, 2])
+        out, _ = m.decode_step(m.init_state(enc).select(rows), [BOS, 4, 5, 6, 7], enc)
+        ann = enc.annotations[rows]
+        s = np.einsum("bsh,bh->bs", ann, out.state.h[-1]) + enc.attn_bias[rows]
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert np.ptp(s[enc.attn_bias[rows] == 0]) > 1.0
+        assert out.attn_weights.dtype == dtype
+        assert out.attn_weights.tobytes() == want.tobytes()
+        assert not out.attn_weights[enc.attn_bias[rows] != 0].any()
+        context = np.einsum("bs,bsh->bh", want, ann)
+        hidden = np.tanh(np.concatenate([context, out.state.h[-1]], axis=1)
+                         @ m.params["attn.w"].value + m.params["attn.b"].value)
+        assert out.attn_hidden.tobytes() == hidden.tobytes()
+
+
+class TestAstype:
+    def test_a_copy_trains_on_as_its_original(self):
+        # the copy keeps the Adagrad accumulators: trained further, it
+        # takes the steps its original takes
+        m = toy_model(dtype=np.float32)
+        rng = np.random.default_rng(3)
+        pairs = [(rng.integers(1, 7, size=int(rng.integers(2, 6))),
+                  np.append(rng.integers(4, 9, size=int(rng.integers(1, 5))), 3))
+                 for _ in range(12)]
+        cfg = training.TrainConfig(batch_size=4, lr_main=0.1, lr_out=0.2)
+        for _ in range(2):
+            training.train_xent_epoch(m, pairs, cfg, rng, BOS)
+        copy = m.astype(m.dtype)
+        assert all(s.adagrad_accum.any() for s in m.slots())
+        for model in (m, copy):
+            rng = np.random.default_rng(4)
+            for _ in range(2):
+                training.train_xent_epoch(model, pairs, cfg, rng, BOS)
+        for name, slot in m.params.items():
+            assert copy.params[name].value.tobytes() == slot.value.tobytes()
+            assert copy.params[name].adagrad_accum.tobytes() == slot.adagrad_accum.tobytes()
+
+    def test_the_copy_shares_no_array(self):
+        m = toy_model()
+        copy = m.astype(m.dtype)
+        for name, slot in copy.params.items():
+            for field in ("value", "grad", "adagrad_accum"):
+                assert not np.shares_memory(getattr(slot, field),
+                                            getattr(m.params[name], field))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         m = toy_model(dtype=np.float32)
