@@ -63,7 +63,7 @@ class RunConfig(training.TrainConfig):
             raise ConfigError(f"unknown constraint {self.constraint!r}")
         if self.constraint != "none" and self.constraint not in TASK_CONSTRAINTS[self.task]:
             raise ConfigError(f"constraint {self.constraint!r} incompatible with task {self.task!r}")
-        if self.margin_score not in ("cumulative", "laststep"):
+        if self.margin_score not in training.MARGIN_SCORES:
             raise ConfigError(f"unknown margin_score {self.margin_score!r}")
         if self.delta not in training.DELTA_FNS:
             raise ConfigError(f"unknown delta {self.delta!r}")
@@ -139,7 +139,7 @@ def load_pairs(cfg, split):
         sents = read_sentences(f"{d}/{split}.txt")
         rng = np.random.default_rng(cfg.shuffle_seed + (0 if split == "train" else 1))
         examples = [tasks.make_word_ordering_example(s, rng) for s in sents]
-        return examples, [s for s in sents], [s for s in sents]
+        return examples, sents, sents
     if cfg.task == "parse":
         parses = tasks.read_conll(f"{d}/{split}.conll")
         examples = []
@@ -173,6 +173,18 @@ def build_vocabs(cfg, src_sents, tgt_sents):
         return src_vocab, tgt_vocab
     return (Vocab.build(src_sents, min_count=cfg.min_count),
             Vocab.build(tgt_sents, min_count=cfg.min_count))
+
+
+def fresh_model(cfg, src_sents, tgt_sents, rng):
+    """A model of ``cfg``'s sizes over vocabularies built from the
+    sentences, its weights drawn from ``rng``: (model, checkpoint header
+    ``extra``, source vocabulary, target vocabulary), as
+    :func:`load_with_vocabs` returns them."""
+    src_vocab, tgt_vocab = build_vocabs(cfg, src_sents, tgt_sents)
+    mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
+                       d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
+    extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos, "task": cfg.task}
+    return Seq2SeqModel(mcfg, rng=rng), extra, src_vocab, tgt_vocab
 
 
 def encode_pairs(examples, src_vocab, tgt_vocab):
@@ -273,15 +285,11 @@ def cmd_pretrain(cfg, model_out):
     cfg.validate()
     train_examples, src_sents, tgt_sents = load_pairs(cfg, "train")
     dev_examples, _, _ = load_pairs(cfg, "dev")
-    src_vocab, tgt_vocab = build_vocabs(cfg, src_sents, tgt_sents)
+    # the initial weights come from the rng that then shuffles the batches
+    rng = np.random.default_rng(cfg.seed)
+    model, extra, src_vocab, tgt_vocab = fresh_model(cfg, src_sents, tgt_sents, rng)
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     dev_pairs = encode_pairs(dev_examples, src_vocab, tgt_vocab)
-    mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
-                       d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
-    rng = np.random.default_rng(cfg.seed)
-    model = Seq2SeqModel(mcfg, rng=rng)
-    extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
-             "task": cfg.task}
     best = float("inf")
     patience_left = cfg.patience
     print("epoch\tbeam\txent_loss\tviolation_rate\tdev_ppl")
@@ -330,12 +338,8 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
         print("# warning: cold start; BSO training from random initialization "
               "is expected to fail to learn", file=sys.stderr)
         # fresh random model, no cross-entropy phase
-        src_vocab, tgt_vocab = build_vocabs(cfg, src_sents, tgt_sents)
-        mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
-                           d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
-        model = Seq2SeqModel(mcfg, rng=np.random.default_rng(cfg.seed))
-        extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos,
-                 "task": cfg.task}
+        model, extra, src_vocab, tgt_vocab = fresh_model(
+            cfg, src_sents, tgt_sents, np.random.default_rng(cfg.seed))
     else:
         model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
     dev_examples, _, _ = load_pairs(cfg, "dev")

@@ -8,6 +8,14 @@ highest-ranked hypothesis that differs from the gold sequence. All
 violations of one minibatch are accumulated and parameters updated once per
 batch (delayed update).
 
+A violation record keeps the pair of scores its margin test compared: the
+f-scores of the gold and the violating segment summed since the reset
+(``margin_score="cumulative"``), or those of the violation step alone
+(``"laststep"``). Its loss is Δ·(1 − gold_score + viol_score), floored at
+zero. Δ is 0 whenever the comparator is the gold segment, whatever the cost
+function. ``ForwardResult.margin_score`` tells the backward which steps'
+f-scores a record's scores are made of.
+
 A minibatch runs in lockstep, one time step at a time for all of its
 sentences:
 
@@ -53,22 +61,24 @@ from .tasks import pad_ids
 
 
 # ---------------------------------------------------------------------------
-# Mistake-specific costs
+# Mistake-specific costs. A cost function sees only true mistakes: bso_forward
+# charges nothing for a comparator that is the gold segment, whatever the function.
 
 
 def delta_01(viol_tokens, gold_tokens):
-    """0/1 cost: 1 for any true mistake, 0 if the comparator is the gold."""
-    return 0.0 if tuple(viol_tokens) == tuple(gold_tokens) else 1.0
+    """0/1 cost: 1 for any mistake."""
+    return 1.0
 
 
 def delta_sentence_bleu(viol_tokens, gold_tokens):
     """1 - smoothed sentence BLEU of the violating segment vs the gold one."""
-    if tuple(viol_tokens) == tuple(gold_tokens):
-        return 0.0
     return 1.0 - sentence_bleu_smoothed(list(viol_tokens), list(gold_tokens))
 
 
 DELTA_FNS = {"zero_one": delta_01, "sentence_bleu": delta_sentence_bleu}
+# The scores a margin compares: f summed over the segments since the last
+# reset, or f of the violation step alone
+MARGIN_SCORES = ("cumulative", "laststep")
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +90,10 @@ class ViolationRecord:
     t: int                        # violation step (1-based)
     r: int                        # previous reset point
     violating_tokens: tuple       # \hat{y}_{r+1:t}
-    gold_tokens: tuple            # y_{r+1:t}
-    gold_score_seg: float         # cumulative f of the gold segment
-    viol_score_seg: float         # cumulative f of the violating segment
-    gold_last_f: float
-    viol_last_f: float
+    gold_score: float             # margin score of the gold segment y_{r+1:t}
+    viol_score: float             # margin score of the violating segment
     delta: float
-    margin_score: str = "cumulative"
     sentence: int = 0             # index of the sentence in its batch
-
-    def margin_terms(self):
-        if self.margin_score == "laststep":
-            return self.gold_last_f, self.viol_last_f
-        return self.gold_score_seg, self.viol_score_seg
 
 
 @dataclass
@@ -102,14 +103,14 @@ class ForwardResult:
     gold_tokens: list             # per sentence: y_{1:T}
     enc: object
     bos_id: int
+    margin_score: str             # one of MARGIN_SCORES: what the records' scores are
 
 
 def margin_loss(records):
-    """Sum of delta * (1 - gold + viol), each record floored at zero."""
+    """Sum of delta * (1 - gold_score + viol_score), each record floored at zero."""
     total = 0.0
     for rec in records:
-        g, v = rec.margin_terms()
-        total += max(0.0, rec.delta * (1.0 - g + v))
+        total += max(0.0, rec.delta * (1.0 - rec.gold_score + rec.viol_score))
     return total
 
 
@@ -125,9 +126,13 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
     sequence y_{1:T} per sentence (EOS included for open-ended tasks).
     constraints: one initial constraint state per sentence, shared by its
     gold and its hypotheses, all of one class (ValueError otherwise); each
-    gold sequence is validated against it up front. Returns one
-    ForwardResult for :func:`bso_backward`; it holds no decoder caches.
+    gold sequence is validated against it up front. margin_score, one of
+    MARGIN_SCORES, picks the pair of scores the margin compares; each
+    record keeps the pair it was judged by. Returns one ForwardResult for
+    :func:`bso_backward`; it holds no decoder caches.
     """
+    if margin_score not in MARGIN_SCORES:
+        raise ValueError(f"unknown margin_score {margin_score!r}; expected one of {MARGIN_SCORES}")
     golds = [tuple(int(w) for w in g) for g in golds]
     if len(golds) != len(constraints):
         raise ValueError("need one constraint per gold sequence")
@@ -177,25 +182,20 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
             comp = np.where(final, best, comp)
         has_comp = (comp >= first) & (comp < first + count)
         gold_seg_t = gold_seg[live] + fy
+        gold_m, succ_m = (fy, succ.last_f) if margin_score == "laststep" else \
+            (gold_seg_t, succ.seg_score)
         # constraints exhausting the beam before the end count as a violation
         violated = ~final
         if len(succ):
-            c = np.minimum(comp, len(succ) - 1)
-            if margin_score == "laststep":
-                beaten = fy < succ.last_f[c] + 1.0
-            else:
-                beaten = gold_seg_t < succ.seg_score[c] + 1.0
+            beaten = gold_m < succ_m[np.minimum(comp, len(succ) - 1)] + 1.0
             violated = np.where(has_comp, beaten, violated)
         for i in np.flatnonzero(violated & has_comp):
             b, c, r = int(live[i]), int(comp[i]), int(reset[live[i]])
-            viol_tokens = tuple(succ.tokens[c, r:].tolist())
-            records.append(ViolationRecord(
-                t=t, r=r, violating_tokens=viol_tokens, gold_tokens=golds[b][r:t],
-                gold_score_seg=float(gold_seg_t[i]),
-                viol_score_seg=float(succ.seg_score[c]),
-                gold_last_f=float(fy[i]), viol_last_f=float(succ.last_f[c]),
-                delta=float(delta_fn(viol_tokens, golds[b][r:t])),
-                margin_score=margin_score, sentence=b))
+            viol_tokens, gold_tokens = tuple(succ.tokens[c, r:].tolist()), golds[b][r:t]
+            # a comparator that is the gold segment is no mistake
+            delta = 0.0 if viol_tokens == gold_tokens else float(delta_fn(viol_tokens, gold_tokens))
+            records.append(ViolationRecord(t, r, viol_tokens, float(gold_m[i]),
+                                           float(succ_m[c]), delta, sentence=b))
         reset[live[violated]] = t
         gold_seg[live] = np.where(violated, 0.0, gold_seg_t)
         seeded[live] = violated
@@ -206,20 +206,11 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
     records.sort(key=lambda rec: (rec.sentence, rec.t))
     return ForwardResult(records=records,
                          gold_f=[gold_f[b, :n].tolist() for b, n in enumerate(lengths)],
-                         gold_tokens=golds, enc=enc, bos_id=bos_id)
+                         gold_tokens=golds, enc=enc, bos_id=bos_id, margin_score=margin_score)
 
 
 # ---------------------------------------------------------------------------
 # Backward pass: teacher-forced recompute, merged single sweep
-
-
-def _active_coef(rec, t):
-    """Loss-gradient coefficient for f-scores at step t of record rec."""
-    if rec.delta == 0.0:
-        return 0.0
-    if rec.margin_score == "laststep" and t != rec.t:
-        return 0.0
-    return rec.delta
 
 
 def bso_backward(model, fwd):
@@ -232,18 +223,20 @@ def bso_backward(model, fwd):
     them together; a violating stream folds into its gold stream where
     both share a row. Search decisions (beam membership) are treated as
     constants; gradients flow only through the f-scores of the gold and
-    recorded violating prefixes.
+    recorded violating prefixes: every step of a segment under the
+    cumulative margin, its last step under the last-step margin.
     """
-    recs = [rec for rec in fwd.records if rec.delta != 0.0]
-    if not recs:
-        return
-    covering = {}                 # (sentence, t) -> record with r < t <= rec.t
+    covering = {}                 # (sentence, t) -> record with r < t <= rec.t and delta != 0
     last = {}                     # sentence -> last step that needs its gold row
-    for rec in recs:
-        for t in range(rec.r + 1, rec.t + 1):
-            covering[rec.sentence, t] = rec
-        last[rec.sentence] = max(last.get(rec.sentence, 0), rec.t)
+    for rec in fwd.records:
+        if rec.delta != 0.0:
+            for t in range(rec.r + 1, rec.t + 1):
+                covering[rec.sentence, t] = rec
+            last[rec.sentence] = max(last.get(rec.sentence, 0), rec.t)
+    if not last:
+        return
     order = sorted(last)
+    every_step = fwd.margin_score == "cumulative"
     enc = fwd.enc
 
     state = model.init_state(enc)
@@ -263,17 +256,16 @@ def bso_backward(model, fwd):
             rec = covering.get((b, t))
             if rec is None:
                 continue
-            viol = rec.violating_tokens
-            if t == rec.r + 1:
+            viol, i = rec.violating_tokens, t - rec.r - 1
+            if i == 0:
                 # the violating segment's first step is the gold step
-                viol_row = new_gold[b]
+                new_viol[b] = new_gold[b]
             else:
-                viol_row = new_viol[b] = len(rows)
-                rows.append(viol_rows[b] if t > rec.r + 2 else gold_rows[b])
-                words.append(viol[t - rec.r - 2])
-            c = _active_coef(rec, t)
-            if c:
-                coefs += [(new_gold[b], gold[t - 1], -c), (viol_row, viol[t - rec.r - 1], c)]
+                new_viol[b] = len(rows)
+                rows.append(viol_rows[b])
+                words.append(viol[i - 1])
+            if every_step or t == rec.t:
+                coefs += [(new_gold[b], gold[t - 1], -rec.delta), (new_viol[b], viol[i], rec.delta)]
         out, cache = model.decode_step(state.select(rows), np.array(words), enc)
         steps.append((cache, rows, state.batch, coefs))
         state = out.state

@@ -100,10 +100,16 @@ def xent_artefacts(start, pairs, dropout, seed):
             "params": params_digest(model)}
 
 
-def bso_artefacts(start, pairs, constrained, seed, k=6):
+def record_digest(rec):
+    """A violation record's fields, margin scores included."""
+    return digest(rec.t, rec.r, rec.violating_tokens, rec.gold_score, rec.viol_score,
+                  rec.delta, rec.sentence)
+
+
+def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative"):
     """Records, gold scores and gradients of four minibatches of eight,
     with an update after each: permutation constraint with 0/1 cost, or no
-    constraint with sentence-BLEU cost."""
+    constraint with sentence-BLEU cost, under ``margin_score``."""
     model = copy_of(start)
     delta = delta_01 if constrained else delta_sentence_bleu
     records, gold_f, grads = digest(), digest(), digest()
@@ -113,11 +119,10 @@ def bso_artefacts(start, pairs, constrained, seed, k=6):
         constraints = [PermutationConstraint(VOCAB, s, EOS_ID) if constrained
                        else NoConstraint(VOCAB, blocked=(PAD_ID, BOS_ID)) for s, _ in batch]
         enc = model.encode(src, lengths)
-        fwd = bso_forward(model, enc, [t for _, t in batch], k, constraints, delta, BOS_ID)
+        fwd = bso_forward(model, enc, [t for _, t in batch], k, constraints, delta, BOS_ID,
+                          margin_score=margin_score)
         for rec in fwd.records:
-            records.update(digest(rec.t, rec.r, rec.violating_tokens, rec.gold_tokens,
-                                  rec.gold_score_seg, rec.viol_score_seg, rec.gold_last_f,
-                                  rec.viol_last_f, rec.delta, rec.sentence).digest())
+            records.update(record_digest(rec).digest())
         gold_f.update(digest(*(float(f) for fs in fwd.gold_f for f in fs)).digest())
         model.zero_grads()
         bso_backward(model, fwd)
@@ -162,6 +167,8 @@ def fingerprint(seed):
     for constrained, regime in ((True, "perm-zero_one"), (False, "free-sentence_bleu")):
         for name, h in bso_artefacts(starts[1], train, constrained, seed).items():
             out.append((f"bso.{regime}.k6.{name}", h))
+    for name, h in bso_artefacts(starts[1], train, True, seed, margin_score="laststep").items():
+        out.append((f"bso.perm-zero_one.k6.laststep.{name}", h))
     for constrained, regime in ((True, "perm"), (False, "free")):
         for k in (1, 5, 10):
             out.append((f"decode.{regime}.k{k}", decode_artefact(starts[1], dev, k, constrained)))

@@ -157,8 +157,10 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
     """Reference forward pass: beam kept as explicit token prefixes, every
     candidate rescored from scratch each step.
 
-    Returns a list of dict records with keys t, r, viol_tokens, gold_tokens,
-    gold_seg, viol_seg, delta.
+    Returns a list of dict records with keys t, r, viol_tokens, gold_score,
+    viol_score (the pair the margin compared: segment sums, or the
+    violation step's f under ``"laststep"``) and delta, which is 0 for a
+    comparator that is the gold segment.
     """
     gold = tuple(int(w) for w in gold)
     T = len(gold)
@@ -217,10 +219,14 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
         if violated:
             if comp is not None:
                 vt = beam[comp][0][r:]
+                if margin_score == "laststep":
+                    scores = gold_fs[t - 1], picks[comp][5]
+                else:
+                    scores = gold_seg, picks[comp][0]
                 records.append({
                     "t": t, "r": r, "viol_tokens": vt,
-                    "gold_tokens": gold[r:t], "gold_seg": gold_seg,
-                    "viol_seg": picks[comp][0], "delta": float(delta_fn(vt, gold[r:t])),
+                    "gold_score": scores[0], "viol_score": scores[1],
+                    "delta": 0.0 if vt == gold[r:t] else float(delta_fn(vt, gold[r:t])),
                 })
             r = t
             beam = None
@@ -249,14 +255,15 @@ def naive_bso_backward(model, src, fwd, bos_id, masks=None):
 
     ``src`` is the source of the sentence the records belong to (fwd a
     batch of one). Accumulates into the model's parameter grads, exactly
-    like bso_backward.
+    like bso_backward; ``fwd.margin_score`` says which steps' f-scores a
+    record's margin sums.
     """
     for rec in fwd.records:
         gold = fwd.gold_tokens[rec.sentence]
         for tokens, sign in ((gold[:rec.t], -1.0),
                              (gold[:rec.r] + tuple(rec.violating_tokens), +1.0)):
             coefs = [0.0] * len(tokens)
-            if rec.margin_score == "laststep":
+            if fwd.margin_score == "laststep":
                 active = [rec.t - 1]
             else:
                 active = range(rec.r, rec.t)
@@ -274,14 +281,16 @@ def grad_snapshot(model):
     return {s.name: s.grad.copy() for s in model.slots()}
 
 
-def bso_frozen_loss(model, src, gold, records, bos_id, masks=None):
+def bso_frozen_loss(model, src, gold, records, bos_id, margin_score, masks=None):
     """Recompute the margin loss with search decisions and deltas frozen.
 
     Reruns the gold path and each recorded violating segment (teacher
     forcing their stored tokens) under the model's current parameters and
-    returns sum_i delta_i * (1 - gold_seg_i + viol_seg_i) without
-    re-flooring. bso_backward computes the exact gradient of this
-    quantity, which makes it the right target for finite differencing.
+    returns sum_i delta_i * (1 - gold_i + viol_i) without re-flooring,
+    where gold_i and viol_i are the segments' summed f-scores, or their
+    last step's under ``margin_score="laststep"``. bso_backward computes
+    the exact gradient of this quantity, which makes it the right target
+    for finite differencing.
     """
     enc = model.encode(src, masks=masks)
     gold = tuple(gold)
@@ -313,7 +322,7 @@ def bso_frozen_loss(model, src, gold, records, bos_id, masks=None):
             v_seg += fv
             v_last = fv
             vstate = out.state
-        if rec.margin_score == "laststep":
+        if margin_score == "laststep":
             total += rec.delta * (1.0 - g_last + v_last)
         else:
             total += rec.delta * (1.0 - g_seg + v_seg)

@@ -77,7 +77,7 @@ class TestCriterion1GradientIntegrity:
         analytic = grad_snapshot(model)
 
         def frozen():
-            return bso_frozen_loss(model, src, gold, fwd.records, BOS)
+            return bso_frozen_loss(model, src, gold, fwd.records, BOS, fwd.margin_score)
 
         worst = 0.0
         for slot in model.slots():
@@ -101,10 +101,10 @@ class TestCriterion2ForwardOracle:
             fwd = bso_forward(model, enc, [gold], k, [constraint], delta_01, BOS)
             want = oracle_bso_forward(model, enc, gold, k, constraint,
                                       delta_01, BOS)
-            got = [(r.t, r.r, r.violating_tokens, r.gold_score_seg,
-                    r.viol_score_seg) for r in fwd.records]
-            ref = [(r["t"], r["r"], r["viol_tokens"], r["gold_seg"],
-                    r["viol_seg"]) for r in want]
+            got = [(r.t, r.r, r.violating_tokens, r.gold_score,
+                    r.viol_score) for r in fwd.records]
+            ref = [(r["t"], r["r"], r["viol_tokens"], r["gold_score"],
+                    r["viol_score"]) for r in want]
             if got != ref:
                 mismatches.append(seed)
         assert mismatches == [], f"forward mismatch on seeds {mismatches}"
@@ -193,7 +193,7 @@ class TestCriterion4FinalStepComparator:
         if final:
             rec, = final
             assert rec.r == r
-            assert rec.viol_score_seg == best_seg
+            assert rec.viol_score == best_seg
             assert gold[:r] + rec.violating_tokens == best_tokens
             assert rec.violating_tokens != gold[r:]
         else:

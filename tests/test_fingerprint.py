@@ -1,0 +1,12 @@
+"""The fingerprint script is deterministic: two runs of one seed print the
+same lines (a run is bit for bit a function of config, seed and data)."""
+
+import fingerprint
+
+
+def test_same_seed_same_fingerprint():
+    first = fingerprint.fingerprint(7)
+    assert fingerprint.fingerprint(7) == first
+    names = [name for name, _ in first]
+    assert len(set(names)) == len(names)
+    assert "bso.perm-zero_one.k6.laststep.records" in names
