@@ -38,16 +38,19 @@ class ConstraintError(ValueError):
     sequence takes a word its constraint does not allow.
 
     ``row`` is the index of the gold sequence whose word it rejects, if any;
-    ``sentence``, if set, the input sentence the error belongs to. The
-    message is built when shown, so a caller may set ``sentence``.
+    ``sentence``, if set, the input sentence the error belongs to, which
+    the message then names instead of the row. The message is built when
+    shown, so a caller may set ``sentence``.
     """
 
-    def __init__(self, message, row=0):
+    def __init__(self, message, row=None):
         super().__init__(message)
         self.message, self.row, self.sentence = message, row, None
 
     def __str__(self):
         where = "" if self.sentence is None else f"sentence {self.sentence}: "
+        if self.row is not None:
+            where += "gold sequence " if self.sentence is not None else f"gold sequence {self.row} "
         return where + self.message
 
 
@@ -299,9 +302,8 @@ def validate_gold(constraint, golds):
             bad[pair_rows[hit]] = False
             i = int(np.flatnonzero(bad)[0])
             allowed = np.sort(pair_words[pair_rows == i]).tolist()
-            raise ConstraintError(f"gold sequence {rows[i]} invalid at step {j + 1}: word "
-                                  f"{words[i]} not among the allowed words {allowed}",
-                                  row=int(rows[i]))
+            raise ConstraintError(f"invalid at step {j + 1}: word {words[i]} not among "
+                                  f"the allowed words {allowed}", row=int(rows[i]))
         state = state.advance(words)
         live = np.flatnonzero(lengths[rows] > j + 1)
         rows = rows[live]

@@ -20,7 +20,7 @@ from . import beam as beam_mod
 from . import tasks, training
 from .metrics import corpus_bleu, uas_las
 from .model import CheckpointError, InputError, ModelConfig, Seq2SeqModel
-from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, UNK, UNK_ID, DataError, Vocab, pad_ids
+from .tasks import BOS_ID, EOS, EOS_ID, PAD_ID, DataError, Vocab, pad_ids
 
 TASKS = ("word_order", "parse", "translate")
 CONSTRAINTS = ("none", "permutation", "arc_standard")
@@ -219,14 +219,15 @@ def max_decode_len(cfg, src_len):
 
 def output_words(cfg, tokens, src, tgt_vocab):
     """The words of a decoded id sequence, without PAD/BOS/EOS. A
-    permutation puts the source's out-of-vocabulary words, in source order,
-    where it emitted <unk>; other tasks keep <unk>."""
-    words = tgt_vocab.decode([t for t in tokens if t not in (PAD_ID, BOS_ID, EOS_ID)],
-                             strip_reserved=False)
+    permutation writes back the source's own words: each id becomes the
+    next unused source word with that id, in source order."""
+    ids = [t for t in tokens if t not in (PAD_ID, BOS_ID, EOS_ID)]
     if cfg.constraint != "permutation":
-        return words
-    unknown = iter([w for w, i in zip(src, tgt_vocab.encode(src)) if i == UNK_ID])
-    return [next(unknown) if w == UNK else w for w in words]
+        return tgt_vocab.decode(ids, strip_reserved=False)
+    unused = {}
+    for w, i in zip(src, tgt_vocab.encode(src)):
+        unused.setdefault(i, []).append(w)
+    return [unused[i].pop(0) for i in ids]
 
 
 def decode_corpus(model, cfg, src_sentences, src_vocab, tgt_vocab, k):

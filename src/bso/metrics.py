@@ -8,19 +8,20 @@ from collections import Counter
 # Tokens made entirely of these characters are excluded from attachment
 # scoring.
 PUNCTUATION = set(",.:;!?\"'`()[]{}-–—…«»``''")
+MAX_N = 4   # BLEU-4
 
 
 def _ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(hypotheses, references, max_n=4):
+def corpus_bleu(hypotheses, references):
     """Corpus-level BLEU in [0, 100]: modified n-gram precision with a
     brevity penalty, no smoothing."""
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis/reference counts differ")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -28,7 +29,7 @@ def corpus_bleu(hypotheses, references, max_n=4):
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             hgrams = _ngrams(hyp, n)
             rgrams = _ngrams(ref, n)
             totals[n - 1] += sum(hgrams.values())
@@ -36,26 +37,26 @@ def corpus_bleu(hypotheses, references, max_n=4):
     if hyp_len == 0:
         return 0.0
     log_p = 0.0
-    for n in range(max_n):
+    for n in range(MAX_N):
         if totals[n] == 0 or matches[n] == 0:
             return 0.0
         log_p += math.log(matches[n] / totals[n])
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * bp * math.exp(log_p / max_n)
+    return 100.0 * bp * math.exp(log_p / MAX_N)
 
 
-def sentence_bleu_smoothed(hyp, ref, max_n=4):
+def sentence_bleu_smoothed(hyp, ref):
     """Smoothed sentence-level BLEU in [0, 1].
 
     Add-1 smoothing on the n-gram precision numerators and denominators for
-    n >= 2; unigram precision is unsmoothed. Segments shorter than max_n
+    n >= 2; unigram precision is unsmoothed. Segments shorter than MAX_N
     use a truncated maximum n-gram order.
     """
     hyp = list(hyp)
     ref = list(ref)
     if not hyp or not ref:
         return 1.0 if hyp == ref else 0.0
-    n_max = max(1, min(max_n, len(hyp), len(ref)))
+    n_max = max(1, min(MAX_N, len(hyp), len(ref)))
     log_p = 0.0
     for n in range(1, n_max + 1):
         hgrams = _ngrams(hyp, n)

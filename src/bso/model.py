@@ -426,11 +426,11 @@ class Seq2SeqModel:
         return nn.affine_backward(attn_hidden, p["out.w"].value, d_f,
                                   p["out.w"].grad, p["out.b"].grad)
 
-    def decode_step_backward(self, cache, d_state, d_hidden=None, d_annotations=None):
+    def decode_step_backward(self, cache, d_state, d_hidden, d_annotations):
         """Backprop one decoder step, up to the attention hidden state.
 
         d_state is the StateGrad w.r.t. the step's output state; d_hidden,
-        if given, is the gradient [B, H] w.r.t. the step's attention hidden
+        if not None, is the gradient [B, H] w.r.t. the step's attention hidden
         state from its scores, as score_f_backward returns it. It adds to
         the gradient the same state receives as the next step's input feed.
         Parameter grads accumulate in place; annotation grads accumulate
@@ -459,10 +459,9 @@ class Seq2SeqModel:
         d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
         d_top += np.einsum("bs,bsh->bh", d_scores, ann)
         del ann   # freed before the annotation-gradient rows, which are as large
-        if d_annotations is not None:
-            d_ann_rows = attn[:, :, None] * d_context[:, None, :]
-            d_ann_rows += d_scores[:, :, None] * top[:, None, :]
-            nn.scatter_add(d_annotations, src, d_ann_rows)
+        d_ann_rows = attn[:, :, None] * d_context[:, None, :]
+        d_ann_rows += d_scores[:, :, None] * top[:, None, :]
+        nn.scatter_add(d_annotations, src, d_ann_rows)
         dh = d_state.h[:-1] + [d_state.h[-1] + d_top]
         dx, dh_prev, dc_prev = self._stack_backward(
             "dec", cache, self._dec_input(cache["words"], cache["feed"]), dh, d_state.c)
@@ -500,7 +499,7 @@ class Seq2SeqModel:
             raise
 
     @classmethod
-    def load(cls, path, dtype=np.float32, with_extra=False):
+    def load(cls, path, with_extra=False):
         """Read a checkpoint; raises CheckpointError unless its header, its
         parameter set and every shape agree with its ModelConfig."""
         with open(path, "rb") as fh:
@@ -531,10 +530,10 @@ class Seq2SeqModel:
             if arr.shape != want[name]:
                 raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
                                       f"the configuration needs {want[name]}")
-        model = cls(cfg, dtype=dtype, init=False)
+        model = cls(cfg, init=False)
         for name in shapes:
-            model.params[name] = ParamSlot(name, tensors[name].astype(dtype),
-                                           adagrad_accum=tensors[name + ".accum"].astype(dtype))
+            model.params[name] = ParamSlot(name, tensors[name],
+                                           adagrad_accum=tensors[name + ".accum"])
         if with_extra:
             return model, extra
         return model

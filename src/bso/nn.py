@@ -51,8 +51,8 @@ class ParamSlot:
             raise DimensionError(f"slot {self.name}: value/grad/accum shapes differ")
 
     @classmethod
-    def create(cls, name, shape, rng, dtype=np.float32, scale=INIT_SCALE):
-        value = rng.uniform(-scale, scale, size=shape).astype(dtype)
+    def create(cls, name, shape, rng, dtype=np.float32):
+        value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
         return cls(name, value)
 
     def zero_grad(self):
@@ -218,7 +218,7 @@ def global_grad_norm(slots):
     return float(np.sqrt(total))
 
 
-def clip_global_norm(slots, max_norm=5.0):
+def clip_global_norm(slots, max_norm):
     """Scale all grads so the global L2 norm does not exceed max_norm.
 
     Returns the norm before clipping. A non-finite norm leaves the grads as
@@ -296,7 +296,7 @@ def read_fragment(fh):
         shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, name))
         data = np.frombuffer(read_exact(fh, 4 * math.prod(shape), name), dtype="<f4")
         try:
-            tensors[name] = data.reshape(shape).copy()
+            tensors[name] = data.reshape(shape).astype(np.float32)
         except ValueError:
             raise CheckpointError(f"tensor {name!r} has an impossible shape {shape}") from None
     return tensors

@@ -229,11 +229,11 @@ def read_conll(path):
     return examples
 
 
-def pad_ids(seqs, pad_id=PAD_ID):
-    """Right-pad id sequences into one [n, longest] int64 array; returns it
-    and the [n] int64 lengths."""
+def pad_ids(seqs):
+    """Right-pad id sequences with PAD_ID into one [n, longest] int64
+    array; returns it and the [n] int64 lengths."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    out = np.full((len(seqs), lengths.max(initial=0)), pad_id, dtype=np.int64)
+    out = np.full((len(seqs), lengths.max(initial=0)), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, :len(s)] = s
     return out, lengths

@@ -40,10 +40,11 @@ there. The sweep reproduces exactly what independent per-violation BPTT
 would compute, in O(T) instead of O(T^2).
 
 Cross-entropy pretraining (:func:`xent_loss`) is teacher-forced over a
-padded batch. Each step backpropagates its log-softmax loss through the
-output layer as soon as it has scored, and keeps for the reverse sweep only
-its decoder cache and the [B, H] gradient w.r.t. its attention hidden
-state: nothing of vocabulary size is held across steps.
+padded batch. Like ``bso_forward``, it takes the batch its caller encoded.
+Each step backpropagates its log-softmax loss through the output layer as
+soon as it has scored, and keeps for the reverse sweep only its decoder
+cache and the [B, H] gradient w.r.t. its attention hidden state: nothing
+of vocabulary size is held across steps.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .beam import Beam, join_constraints, search_step, validate_gold
+from .beam import Beam, ConstraintError, join_constraints, search_step, validate_gold
 from .metrics import sentence_bleu_smoothed
 from .model import MaskSet
 from .tasks import pad_ids
@@ -99,7 +100,6 @@ class ViolationRecord:
 @dataclass
 class ForwardResult:
     records: list                 # ViolationRecords of every sentence, by (sentence, t)
-    gold_f: list                  # per sentence: f(y_t, h_{t-1}) per step
     gold_tokens: list             # per sentence: y_{1:T}
     enc: object
     bos_id: int
@@ -141,7 +141,6 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
     # gold_states[j]: constraint state after y_{1:j} of each sentence longer than j
     gold_states = validate_gold(join_constraints(constraints), golds)
     gold, lengths = pad_ids(golds)
-    gold_f = np.zeros(gold.shape)
     reset = np.zeros(len(golds), dtype=np.int64)       # r: the last reset step
     gold_seg = np.zeros(len(golds))
     seeded = np.ones(len(golds), dtype=bool)           # reset at the previous step
@@ -167,7 +166,6 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
         state, f, succ, succ_parent = search_step(
             model, state, words, np.concatenate([live, kept.sent]), enc, parents, k_tr, parent_at)
         fy = f[np.arange(len(live)), gold[live, t - 1]].astype(np.float64)
-        gold_f[live, t - 1] = fy
 
         # comparator: the K-th successor, or at the final step the best one
         # that is not the gold sequence
@@ -204,9 +202,8 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
         gold_rows = np.flatnonzero(~final)
         del f
     records.sort(key=lambda rec: (rec.sentence, rec.t))
-    return ForwardResult(records=records,
-                         gold_f=[gold_f[b, :n].tolist() for b, n in enumerate(lengths)],
-                         gold_tokens=golds, enc=enc, bos_id=bos_id, margin_score=margin_score)
+    return ForwardResult(records=records, gold_tokens=golds, enc=enc, bos_id=bos_id,
+                         margin_score=margin_score)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +280,7 @@ def bso_backward(model, fwd):
             for row, w, c in coefs:
                 d_f[row, w] += c
             d_hidden = model.score_f_backward(cache["attn_hidden"], d_f)
-        d_in = model.decode_step_backward(cache, d_state, d_hidden, d_annotations=d_ann)
+        d_in = model.decode_step_backward(cache, d_state, d_hidden, d_ann)
         d_state = d_in.scatter(rows, n_in)
     model.encode_backward(enc, d_ann, d_state)
 
@@ -292,12 +289,11 @@ def bso_backward(model, fwd):
 # Cross-entropy (pretraining / baseline)
 
 
-def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
-              masks=None, backward=True):
-    """Teacher-forced negative log-likelihood over a padded batch.
-
-    Returns (summed loss, token count). Padding positions contribute
-    exactly zero to both the loss and the gradients.
+def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
+    """Teacher-forced negative log-likelihood of a padded [B, T] target
+    batch, summed over its tokens; ``enc`` holds the batch's encoded
+    sources, sentence b at row b. Padding positions, at or past a row's
+    ``tgt_lengths``, contribute exactly zero to the loss and the gradients.
 
     With ``backward``, each step backpropagates its loss through the output
     layer as soon as it has scored (``score_f_backward``). Its float64
@@ -311,20 +307,9 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
     reverse sweep frees each step's cache once ``decode_step_backward`` has
     used it.
     """
-    src = np.asarray(src)
-    tgt = np.asarray(tgt)
-    if src.ndim == 1:
-        src = src[None, :]
-    if tgt.ndim == 1:
-        tgt = tgt[None, :]
     B, T = tgt.shape
-    if tgt_lengths is None:
-        tgt_lengths = np.full(B, T, dtype=np.int64)
-    tgt_lengths = np.asarray(tgt_lengths)
-    enc = model.encode(src, src_lengths, masks)
     state = model.init_state(enc)
     loss = 0.0
-    tokens = int(tgt_lengths.sum())
     steps = []
     for t in range(T):
         in_w = tgt[:, t - 1] if t > 0 else np.full(B, bos_id, dtype=tgt.dtype)
@@ -340,10 +325,9 @@ def xent_loss(model, src, tgt, bos_id, src_lengths=None, tgt_lengths=None,
         while steps:
             # popped, so each step's cache is freed once it has been used
             cache, d_hidden = steps.pop()
-            d_state = model.decode_step_backward(cache, d_state, d_hidden,
-                                                 d_annotations=d_ann)
+            d_state = model.decode_step_backward(cache, d_state, d_hidden, d_ann)
         model.encode_backward(enc, d_ann, d_state)
-    return loss, tokens
+    return loss
 
 
 def _xent_step(model, out, gold, live, backward):
@@ -428,10 +412,6 @@ class EpochStats:
     beam: int = 0
 
     @property
-    def tokens_per_sec(self):
-        return self.tokens / self.seconds if self.seconds > 0 else 0.0
-
-    @property
     def violation_rate(self):
         return self.violations / self.margin_steps if self.margin_steps else 0.0
 
@@ -450,10 +430,10 @@ def train_xent_epoch(model, pairs, config, rng, bos_id):
     for src, s_len, tgt, t_len in make_batches(pairs, config.batch_size, rng):
         masks = _masks_for(model, src.shape[1], tgt.shape[1], rng, config)
         model.zero_grads()
-        loss, tokens = xent_loss(model, src, tgt, bos_id, s_len, t_len, masks=masks)
+        enc = model.encode(src, s_len, masks)
+        stats.loss += xent_loss(model, enc, tgt, t_len, bos_id)
         optimizer_step(model, config)
-        stats.loss += loss
-        stats.tokens += tokens + int(s_len.sum())
+        stats.tokens += int(t_len.sum()) + int(s_len.sum())
     stats.seconds = time.perf_counter() - t0
     return stats
 
@@ -462,9 +442,8 @@ def eval_perplexity(model, pairs, config, bos_id):
     rng = np.random.default_rng(0)
     total, tokens = 0.0, 0
     for src, s_len, tgt, t_len in make_batches(pairs, config.batch_size, rng):
-        loss, n = xent_loss(model, src, tgt, bos_id, s_len, t_len, backward=False)
-        total += loss
-        tokens += n
+        total += xent_loss(model, model.encode(src, s_len), tgt, t_len, bos_id, backward=False)
+        tokens += int(t_len.sum())
     return float(np.exp(total / max(tokens, 1)))
 
 
@@ -472,8 +451,9 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id):
     """One BSO epoch with curriculum beam and delayed per-batch updates.
 
     examples: list of (src_ids, gold_ids, initial constraint state). Each
-    minibatch is encoded, searched and backpropagated in lockstep.
-    Returns EpochStats.
+    minibatch is encoded, searched and backpropagated in lockstep. A gold
+    sequence its constraint rejects raises ConstraintError, its
+    ``sentence`` the example's index. Returns EpochStats.
     """
     delta_fn = DELTA_FNS[config.delta]
     beam = curriculum_beam(epoch, config)
@@ -488,8 +468,12 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id):
         masks = _masks_for(model, src.shape[1], max(len(g) for g in golds), rng, config)
         model.zero_grads()
         enc = model.encode(src, lengths, masks=masks)
-        fwd = bso_forward(model, enc, golds, beam, [c for _, _, c in batch],
-                          delta_fn, bos_id, margin_score=config.margin_score)
+        try:
+            fwd = bso_forward(model, enc, golds, beam, [c for _, _, c in batch],
+                              delta_fn, bos_id, margin_score=config.margin_score)
+        except ConstraintError as exc:
+            exc.sentence = int(order[start + exc.row])
+            raise
         stats.loss += margin_loss(fwd.records)
         bso_backward(model, fwd)
         optimizer_step(model, config)

@@ -1,9 +1,9 @@
 """Byte-identity fingerprint of the training and decoding arithmetic.
 
 Prints one sha256 per artefact for a seed: the start models, cross-entropy
-losses, gradients and parameters, BSO violation records, gold scores,
-gradients and parameters, and beam-search tokens and scores, of batches of
-20 sentences and of one sentence at a time. Two versions of the code that
+losses, gradients and parameters, BSO violation records, gradients and
+parameters, and beam-search tokens and scores, of batches of 20 sentences
+and of one sentence at a time. Two versions of the code that
 do the same arithmetic print the same lines, so a change meant to keep
 every number can be checked against its parent by running this script on
 both and comparing the output:
@@ -92,8 +92,8 @@ def xent_artefacts(start, pairs, dropout, seed):
             masks = MaskSet.build(dropout, model.config.layers, src.shape[1], tgt.shape[1],
                                   rng, D_H, dtype=model.dtype)
         model.zero_grads()
-        loss, tokens = xent_loss(model, src, tgt, BOS_ID, s_len, t_len, masks=masks)
-        losses.update(digest(float(loss), tokens).digest())
+        loss = xent_loss(model, model.encode(src, s_len, masks), tgt, t_len, BOS_ID)
+        losses.update(digest(float(loss), int(t_len.sum())).digest())
         grads.update(digest(*(s.grad for s in model.slots())).digest())
         optimizer_step(model, CONFIG)
     return {"loss": losses.hexdigest(), "grad": grads.hexdigest(),
@@ -107,12 +107,12 @@ def record_digest(rec):
 
 
 def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative"):
-    """Records, gold scores and gradients of four minibatches of eight,
-    with an update after each: permutation constraint with 0/1 cost, or no
-    constraint with sentence-BLEU cost, under ``margin_score``."""
+    """Records and gradients of four minibatches of eight, with an update
+    after each: permutation constraint with 0/1 cost, or no constraint with
+    sentence-BLEU cost, under ``margin_score``."""
     model = copy_of(start)
     delta = delta_01 if constrained else delta_sentence_bleu
-    records, gold_f, grads = digest(), digest(), digest()
+    records, grads = digest(), digest()
     for lo in range(0, 32, 8):
         batch = pairs[lo:lo + 8]
         src, lengths = pad_ids([s for s, _ in batch])
@@ -123,13 +123,12 @@ def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative
                           margin_score=margin_score)
         for rec in fwd.records:
             records.update(record_digest(rec).digest())
-        gold_f.update(digest(*(float(f) for fs in fwd.gold_f for f in fs)).digest())
         model.zero_grads()
         bso_backward(model, fwd)
         grads.update(digest(*(s.grad for s in model.slots())).digest())
         optimizer_step(model, CONFIG)
-    return {"records": records.hexdigest(), "gold_f": gold_f.hexdigest(),
-            "grad": grads.hexdigest(), "params": params_digest(model)}
+    return {"records": records.hexdigest(), "grad": grads.hexdigest(),
+            "params": params_digest(model)}
 
 
 def decode_artefact(model, pairs, k, constrained, chunk=20):

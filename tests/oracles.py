@@ -140,16 +140,18 @@ def reference_beam_step(hyps, f, k):
 
 def rescore_prefix(model, enc, tokens, bos_id):
     """Teacher-force a token prefix from the initial state; return the
-    f-score of each emitted token, plus the per-step caches."""
+    f-score of each emitted token, the per-step caches and the states
+    after each prefix (entry j after the first j tokens)."""
     state = model.init_state(enc)
-    fs, caches = [], []
+    fs, caches, states = [], [], [state]
     for t, w in enumerate(tokens):
         in_w = bos_id if t == 0 else tokens[t - 1]
         out, cache = model.decode_step(state, [in_w], enc)
         fs.append(float(model.score_f(out)[0, w]))
         caches.append(cache)
         state = out.state
-    return fs, caches
+        states.append(state)
+    return fs, caches, states
 
 
 def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
@@ -170,7 +172,7 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
     for w in gold:
         c = c.advance(w)
         gold_constraints.append(c)
-    gold_fs, _ = rescore_prefix(model, enc, gold, bos_id)
+    gold_fs = rescore_prefix(model, enc, gold, bos_id)[0]
 
     records = []
     r = 0
@@ -185,7 +187,7 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
                 if not mask[w]:
                     continue
                 seq = toks + (w,)
-                fs, _ = rescore_prefix(model, enc, seq, bos_id)
+                fs = rescore_prefix(model, enc, seq, bos_id)[0]
                 seg = 0.0
                 for f in fs[r:]:
                     seg = seg + f
@@ -237,7 +239,7 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
     """Rerun a prefix with teacher forcing, then backprop coefs[t] onto the
     f-score of tokens[t] at every step, through the decoder into d_ann and
     the returned initial-state gradient."""
-    _, caches = rescore_prefix(model, enc, tokens, bos_id)
+    caches = rescore_prefix(model, enc, tokens, bos_id)[1]
     d_state = model.state_grad_zeros(1)
     v = model.config.tgt_vocab
     for t in range(len(tokens) - 1, -1, -1):
@@ -294,16 +296,7 @@ def bso_frozen_loss(model, src, gold, records, bos_id, margin_score, masks=None)
     """
     enc = model.encode(src, masks=masks)
     gold = tuple(gold)
-    state = model.init_state(enc)
-    gold_f = []
-    states = [state]
-    for t in range(1, len(gold) + 1):
-        in_w = bos_id if t == 1 else gold[t - 2]
-        out, _ = model.decode_step(state, [in_w], enc)
-        f = model.score_f(out)[0].astype(np.float64)
-        gold_f.append(float(f[gold[t - 1]]))
-        state = out.state
-        states.append(state)
+    gold_f, _, states = rescore_prefix(model, enc, gold, bos_id)
     total = 0.0
     for rec in records:
         if rec.delta == 0.0:

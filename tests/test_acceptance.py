@@ -148,7 +148,7 @@ def enumerate_continuations(model, enc, gold_prefix, constraint, length, bos):
 
     def dfs(tokens, cstate, remaining):
         if remaining == 0:
-            fs, _ = rescore_prefix(model, enc, tokens, bos)
+            fs = rescore_prefix(model, enc, tokens, bos)[0]
             seg = 0.0
             for f in fs[len(gold_prefix):]:
                 seg = seg + f
@@ -186,7 +186,7 @@ class TestCriterion4FinalStepComparator:
         assert non_gold
         best_tokens, best_seg = max(non_gold, key=lambda c: c[1])
         gold_seg = 0.0
-        for f in fwd.gold_f[0][r:]:
+        for f in rescore_prefix(model, enc, gold, BOS)[0][r:]:
             gold_seg = gold_seg + f
 
         final = [rec for rec in fwd.records if rec.t == t_len]
@@ -450,7 +450,7 @@ class TestCriterion10CostScaling:
             stats = train_bso_epoch(model, examples, cfg, 1,
                                     np.random.default_rng(0), BOS)
             assert stats.beam == k_tr
-            rates[k_tr] = stats.tokens_per_sec
+            rates[k_tr] = stats.tokens / stats.seconds
         slowdown = rates[2] / rates[6]
         # widening the beam 3x may cost at most 3x, with 1.5x slack for
         # fixed overheads and timer noise

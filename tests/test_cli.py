@@ -461,6 +461,30 @@ class TestCleanFailures:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: sentence 1: EOS")
 
+    def test_a_permutation_writes_back_the_source_words(self, tmp_path):
+        # 1984 and 2001 are both the vocabulary word 0000: each comes out as
+        # the source wrote it, so every output is a permutation of its source
+        text = "the cat sat in 1984\n1984 sat in 2001\n"
+        assert self.decode(tmp_path, text=text, words=("the", "cat", "sat", "in", "0000")) == 0
+        lines = (tmp_path / "out.txt").read_text().splitlines()
+        assert [sorted(line.split()) for line in lines] == \
+            [sorted(src.split()) for src in text.splitlines()]
+
+    def test_a_rejected_training_target_is_named_by_its_line(self, tmp_path, capsys):
+        # a literal <s> is BOS, which an unconstrained search never emits;
+        # the error names the target's line index, not its minibatch row
+        srcs = [f"a{i % 3} b{i % 2} c" for i in range(12)]
+        tgts = [f"x{i % 3} y{i % 2} z" for i in range(12)]
+        tgts[9] = "x0 y1 <s> z"
+        for split, n in (("train", 12), ("dev", 4)):
+            (tmp_path / f"{split}.src").write_text("".join(s + "\n" for s in srcs[:n]))
+            (tmp_path / f"{split}.tgt").write_text("".join(t + "\n" for t in tgts[:n]))
+        cfg_path = base_config(tmp_path, task="translate", constraint="none")
+        assert cli.main(["train-bso", "--config", str(cfg_path), "--allow-cold-start",
+                         "--model-out", str(tmp_path / "m.bso")]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: sentence 9: gold sequence invalid at step 3: word 2 ")
+
     def test_action_in_an_arc_standard_source(self, tmp_path, capsys):
         assert self.decode(tmp_path, text="the @L_x dog\n", words=("the", "dog", "@L_x"),
                            task="parse", constraint="arc_standard") == 1

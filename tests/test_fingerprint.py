@@ -1,5 +1,8 @@
 """The fingerprint script is deterministic: two runs of one seed print the
-same lines (a run is bit for bit a function of config, seed and data)."""
+same lines (a run is bit for bit a function of config, seed and data), and
+every line hashes something."""
+
+import hashlib
 
 import fingerprint
 
@@ -10,3 +13,6 @@ def test_same_seed_same_fingerprint():
     names = [name for name, _ in first]
     assert len(set(names)) == len(names)
     assert "bso.perm-zero_one.k6.laststep.records" in names
+    # a digest nothing was fed into would pass any comparison unnoticed
+    empty = hashlib.sha256().hexdigest()
+    assert [name for name, h in first if h == empty] == []

@@ -180,14 +180,17 @@ class TestScoreBackward:
         d_state.input_feed[...] = np.random.default_rng(3).normal(size=(3, 5))
         d_hidden = np.random.default_rng(4).normal(size=(3, 5))
         m.zero_grads()
-        a = m.decode_step_backward(cache, d_state, d_hidden)
+        d_ann_a = np.zeros_like(cache["enc"].annotations)
+        a = m.decode_step_backward(cache, d_state, d_hidden, d_ann_a)
         ga = {n: s.grad.copy() for n, s in m.params.items()}
         merged = m.state_grad_zeros(3)
         merged.input_feed[...] = d_state.input_feed + d_hidden
         m.zero_grads()
-        b = m.decode_step_backward(cache, merged)
+        d_ann_b = np.zeros_like(d_ann_a)
+        b = m.decode_step_backward(cache, merged, None, d_ann_b)
         assert np.array_equal(a.input_feed, b.input_feed)
         assert np.array_equal(a.h[0], b.h[0]) and np.array_equal(a.c[0], b.c[0])
+        assert np.array_equal(d_ann_a, d_ann_b)
         for n, s in m.params.items():
             assert np.array_equal(ga[n], s.grad)
 
@@ -251,18 +254,20 @@ class TestEndToEndGradients:
             masks = MaskSet.build(dropout, layers, 3, 4, np.random.default_rng(9), 4,
                                   dtype=np.float64)
 
+        lengths = np.array([tgt.shape[1]])
+
+        # each loss encodes, so finite differences move the encoder's
+        # parameters too
         def loss_and_backward():
             m.zero_grads()
-            loss, _ = training.xent_loss(m, src, tgt, BOS, masks=masks)
-            return loss
+            return training.xent_loss(m, m.encode(src, masks=masks), tgt, lengths, BOS)
 
         loss_and_backward()
         analytic = {s.name: s.grad.copy() for s in m.slots()}
 
         def loss_only():
-            loss, _ = training.xent_loss(m, src, tgt, BOS, masks=masks,
-                                         backward=False)
-            return loss
+            return training.xent_loss(m, m.encode(src, masks=masks), tgt, lengths, BOS,
+                                      backward=False)
 
         worst = 0.0
         for s in m.slots():
@@ -276,21 +281,19 @@ class TestEndToEndGradients:
         tgt_full = np.array([[5, 1, 7]])
         tgt_padded = np.array([[5, 1, 7, 0, 0]])
         m.zero_grads()
-        l1, n1 = training.xent_loss(m, src, tgt_full, BOS)
+        l1 = training.xent_loss(m, m.encode(src), tgt_full, np.array([3]), BOS)
         g1 = {s.name: s.grad.copy() for s in m.slots()}
         m.zero_grads()
-        l2, n2 = training.xent_loss(m, src, tgt_padded, BOS,
-                                    tgt_lengths=np.array([3]))
+        l2 = training.xent_loss(m, m.encode(src), tgt_padded, np.array([3]), BOS)
         assert l1 == pytest.approx(l2, rel=1e-12)
-        assert n1 == n2 == 3
         for s in m.slots():
             assert np.allclose(g1[s.name], s.grad, atol=1e-12)
 
 
 class TestXentMemory:
     def test_nothing_of_vocabulary_size_is_kept_across_steps(self):
-        """The traced peak of one xent_loss grows with the number of target
-        steps by far less than one [B, V] float32 array per step."""
+        """The traced peak of one encode and xent_loss grows with the number
+        of target steps by far less than one [B, V] float32 array per step."""
         B, V = 8, 3000
         rng = np.random.default_rng(0)
         m = toy_model(src_vocab=7, tgt_vocab=V, d_emb=4, d_h=8, dtype=np.float32)
@@ -301,7 +304,7 @@ class TestXentMemory:
         for T, tgt in tgts.items():
             tracemalloc.start()
             try:
-                training.xent_loss(m, src, tgt, BOS)
+                training.xent_loss(m, m.encode(src), tgt, np.full(B, T), BOS)
                 peaks[T] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -327,7 +330,7 @@ class TestXentMemory:
                      if dropout else None)
             tracemalloc.start()
             try:
-                training.xent_loss(m, src, tgt, BOS, masks=masks)
+                training.xent_loss(m, m.encode(src, masks=masks), tgt, np.full(B, T), BOS)
                 peaks[T] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

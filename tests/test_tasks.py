@@ -282,8 +282,9 @@ class TestFileFormats:
 
 class TestPadIds:
     def test_right_pads_with_the_pad_id(self):
-        padded, lengths = pad_ids([[5, 6, 7], [], [8]], pad_id=9)
-        assert padded.tolist() == [[5, 6, 7], [9, 9, 9], [8, 9, 9]]
+        padded, lengths = pad_ids([[5, 6, 7], [], [8]])
+        P = PAD_ID
+        assert padded.tolist() == [[5, 6, 7], [P, P, P], [8, P, P]]
         assert lengths.tolist() == [3, 0, 1]
         assert padded.dtype == lengths.dtype == np.int64
 

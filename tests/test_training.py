@@ -10,8 +10,7 @@ from bso.model import MaskSet, ModelConfig, Seq2SeqModel
 from bso.training import (TrainConfig, ViolationRecord,
                           bso_backward, bso_forward, curriculum_beam, delta_01,
                           delta_sentence_bleu, make_batches, margin_loss,
-                          optimizer_step, train_bso_epoch, train_xent_epoch,
-                          xent_loss)
+                          optimizer_step, train_bso_epoch, train_xent_epoch)
 from gradcheck import max_relative_error, numerical_grad
 from oracles import (bso_frozen_loss, grad_snapshot, naive_bso_backward,
                      oracle_bso_forward)
@@ -140,7 +139,6 @@ def run_scripted(table, k=2):
 class TestScriptedForward:
     def test_two_violations_with_reset(self):
         fwd = run_scripted(scripted_table())
-        assert fwd.gold_f == [[5.0, 4.0, 3.0, 1.0]]
         assert len(fwd.records) == 2
         r1, r2 = fwd.records
         # t=2: gold segment (A,B)=9 loses to (B,D)=10 on the margin
@@ -375,7 +373,6 @@ class TestLockstepBatch:
             for rec, ref in zip(mine, one.records):
                 assert rec.gold_score == pytest.approx(ref.gold_score, rel=1e-12, abs=1e-12)
                 assert rec.viol_score == pytest.approx(ref.viol_score, rel=1e-12, abs=1e-12)
-            assert fwd.gold_f[b] == pytest.approx(one.gold_f[0], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("margin_score", ["cumulative", "laststep"])
@@ -634,6 +631,7 @@ class TestEpochDrivers:
             stats = train_xent_epoch(model, pairs, config, rng, BOS)
             losses.append(stats.loss)
         assert losses[-1] < 0.3 * losses[0]
+        assert stats.tokens == sum(len(s) + len(t) for s, t in pairs)
 
     def bso_examples(self, rng, n=6):
         out = []
@@ -644,6 +642,21 @@ class TestEpochDrivers:
             out.append((np.array(words), tuple(perm) + (EOS,),
                         PermutationConstraint(5, words, EOS)))
         return out
+
+    def test_a_rejected_gold_names_its_example(self):
+        """A gold sequence its constraint rejects is named by its index in
+        ``examples``, not by its row in the shuffled minibatch."""
+        examples = self.bso_examples(np.random.default_rng(5), n=10)
+        src, gold, constraint = examples[7]
+        # BOS is no source word: the permutation rejects it at step 2
+        examples[7] = (src, gold[:1] + (BOS,) + gold[1:], constraint)
+        config = TrainConfig(batch_size=4)
+        order = np.random.default_rng(3).permutation(len(examples))
+        row = int(np.flatnonzero(order == 7)[0]) % config.batch_size
+        with pytest.raises(beam_mod.ConstraintError) as err:
+            train_bso_epoch(toy_model(2), examples, config, 1, np.random.default_rng(3), BOS)
+        assert (err.value.row, err.value.sentence) == (row, 7)
+        assert str(err.value).startswith("sentence 7: gold sequence invalid at step 2: word 2 ")
 
     @pytest.mark.parametrize("regime", ["xent", "bso"])
     def test_encoder_and_decoder_steps_draw_independent_masks(self, regime):
