@@ -33,51 +33,33 @@ import numpy as np
 from .tasks import pad_ids
 
 
-class ConstraintError(ValueError):
-    """A constraint was built from a source it cannot constrain, or a gold
-    sequence takes a word its constraint does not allow.
+class SentenceError(Exception):
+    """An error that belongs to one sentence: ``sentence`` is its index
+    among the sentences of the layer that raised it, or None from a
+    constraint constructor, which sees one sentence alone. Each layer that
+    batches sentences maps ``sentence`` to its caller's numbering in one
+    ``except SentenceError`` clause; the message is built when shown."""
 
-    ``row`` is the index of the gold sequence whose word it rejects, if any;
-    ``sentence``, if set, the input sentence the error belongs to, which
-    the message then names instead of the row. The message is built when
-    shown, so a caller may set ``sentence``.
-    """
-
-    def __init__(self, message, row=None):
+    def __init__(self, message, sentence=None):
         super().__init__(message)
-        self.message, self.row, self.sentence = message, row, None
+        self.message, self.sentence = message, sentence
 
     def __str__(self):
         where = "" if self.sentence is None else f"sentence {self.sentence}: "
-        if self.row is not None:
-            where += "gold sequence " if self.sentence is not None else f"gold sequence {self.row} "
         return where + self.message
 
 
-class DecodeError(RuntimeError):
-    """Search got stuck: sentence ``sentence`` of a batch had no valid
-    expansion left before it ended. The message is built when shown, so a
-    caller may renumber ``sentence``."""
-
-    def __init__(self, sentence):
-        self.sentence = sentence
-
-    def __str__(self):
-        return f"no valid expansion left for sentence {self.sentence} before it ended"
+class ConstraintError(SentenceError, ValueError):
+    """A constraint was built from a source it cannot constrain, or a gold
+    sequence takes a word its constraint does not allow."""
 
 
-class NonFiniteScoreError(FloatingPointError):
-    """A search step was given NaN or infinite f-scores. ``sentence`` is
-    the index of the offending sentence in its batch, or None from
-    :func:`beam_step`, which sees f-scores alone. The message is built when
-    shown, so a caller may renumber ``sentence``."""
+class DecodeError(SentenceError, RuntimeError):
+    """Search got stuck: a sentence had no valid expansion left before it ended."""
 
-    def __init__(self, step, sentence=None):
-        self.step, self.sentence = step, sentence
 
-    def __str__(self):
-        where = "" if self.sentence is None else f" of sentence {self.sentence}"
-        return f"non-finite f-scores at output step {self.step}{where}"
+class NonFiniteScoreError(SentenceError, FloatingPointError):
+    """A search step was given NaN or infinite f-scores."""
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +267,8 @@ def validate_gold(constraint, golds):
     Returns the gold prefix states: entry j is the state, after its first
     j words, of every row whose sequence is longer than j, in row order.
     Every word must be one of its row's ``allowed_mask`` pairs; else
-    ConstraintError names the sequence, the step, the word and the words
-    its row allows.
+    ConstraintError names the row as its sentence, the step, the word and
+    the words its row allows.
     """
     padded, lengths = pad_ids(golds)
     rows = np.flatnonzero(lengths > 0)
@@ -302,8 +284,8 @@ def validate_gold(constraint, golds):
             bad[pair_rows[hit]] = False
             i = int(np.flatnonzero(bad)[0])
             allowed = np.sort(pair_words[pair_rows == i]).tolist()
-            raise ConstraintError(f"invalid at step {j + 1}: word {words[i]} not among "
-                                  f"the allowed words {allowed}", row=int(rows[i]))
+            raise ConstraintError(f"gold sequence invalid at step {j + 1}: word {words[i]} "
+                                  f"not among the allowed words {allowed}", int(rows[i]))
         state = state.advance(words)
         live = np.flatnonzero(lengths[rows] > j + 1)
         rows = rows[live]
@@ -394,10 +376,12 @@ def beam_step(beam, f, k, rows=None):
     its parent's constraint state advanced by its word. The beam's rows
     need not be grouped by sentence; the successors are, sentences
     ascending. Returns (successors, parent row of each); a sentence with no
-    valid expansion has no successors.
+    valid expansion has no successors. NonFiniteScoreError names the first
+    row of f that is not finite as its sentence.
     """
     if not np.isfinite(f).all():
-        raise NonFiniteScoreError(beam.tokens.shape[1] + 1)
+        raise NonFiniteScoreError(f"non-finite f-scores at output step {beam.tokens.shape[1] + 1}",
+                                  int(np.flatnonzero(~np.isfinite(f).all(axis=1))[0]))
     parents, words = beam.constraint.allowed_mask(f=f, f_rows=rows, seg=beam.seg_score, k=k)
     fw = f[parents if rows is None else rows[parents], words].astype(np.float64)
     # seg_score + f: the float64 sum the successor's seg_score keeps
@@ -422,13 +406,14 @@ def beam_step(beam, f, k, rows=None):
 def search_step(model, state, words, sent, enc, beam, k, f_rows=None):
     """One lockstep step: ``decode_step`` and ``score_f`` over the rows of
     ``state``, then :func:`beam_step` on ``beam`` (``f_rows`` as its rows).
-    A non-finite f names ``sent[row]``. Returns (state, f, succ, parents)."""
+    ``sent[row]`` is the sentence of each state row, which a SentenceError
+    names. Returns (state, f, succ, parents)."""
     out = model.decode_step(state, words, enc)[0]
     f = model.score_f(out)
     try:
         succ, parents = beam_step(beam, f, k, f_rows)
-    except NonFiniteScoreError as exc:
-        exc.sentence = int(sent[np.flatnonzero(~np.isfinite(f).all(axis=1))[0]])
+    except SentenceError as exc:
+        exc.sentence = int(sent[exc.sentence])
         raise
     return out.state, f, succ, parents
 
@@ -480,7 +465,7 @@ def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
         state = state if len(parents) == state.batch == 1 else state.select(parents)
     # a sentence stops only by ending or by getting stuck
     if None in found:
-        raise DecodeError(found.index(None))
+        raise DecodeError("no valid expansion left before it ended", found.index(None))
     return [(tokens, score) for tokens, (_, score) in found]
 
 

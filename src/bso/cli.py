@@ -130,36 +130,38 @@ def read_sentences(path):
 
 
 def load_pairs(cfg, split):
-    """Return (examples, src_vocab_sentences, tgt_vocab_sentences).
+    """Return (examples, src_vocab_sentences, tgt_vocab_sentences, lines).
 
-    examples are (src_tokens, tgt_tokens) with EOS already on the target.
+    examples are (src_tokens, tgt_tokens) with EOS already on the target;
+    lines[i] is the index in its file of example i's sentence (a line, or
+    a tree for ``parse``, which skips trees it cannot encode).
     """
     d = cfg.data_dir
     if cfg.task == "word_order":
         sents = read_sentences(f"{d}/{split}.txt")
         rng = np.random.default_rng(cfg.shuffle_seed + (0 if split == "train" else 1))
         examples = [tasks.make_word_ordering_example(s, rng) for s in sents]
-        return examples, sents, sents
+        return examples, sents, sents, range(len(examples))
     if cfg.task == "parse":
         parses = tasks.read_conll(f"{d}/{split}.conll")
-        examples = []
-        skipped = 0
-        for p in parses:
+        examples, lines = [], []
+        for i, p in enumerate(parses):
             try:
                 tgt = tasks.encode_parse_example(p) + [EOS]
             except DataError:
-                skipped += 1
                 continue
             examples.append((list(p.words), tgt))
-        if skipped:
-            print(f"# skipped {skipped} non-encodable parse(s) in {split}", file=sys.stderr)
-        return examples, [e[0] for e in examples], [e[1] for e in examples]
+            lines.append(i)
+        if len(lines) < len(parses):
+            print(f"# skipped {len(parses) - len(lines)} non-encodable parse(s) in {split}",
+                  file=sys.stderr)
+        return examples, [e[0] for e in examples], [e[1] for e in examples], lines
     srcs = read_sentences(f"{d}/{split}.src")
     tgts = read_sentences(f"{d}/{split}.tgt")
     if len(srcs) != len(tgts):
         raise DataError(f"{split}: source/target line counts differ")
     examples = [(s, t + [EOS]) for s, t in zip(srcs, tgts)]
-    return examples, srcs, tgts
+    return examples, srcs, tgts, range(len(examples))
 
 
 def build_vocabs(cfg, src_sents, tgt_sents):
@@ -246,15 +248,12 @@ def decode_corpus(model, cfg, src_sentences, src_vocab, tgt_vocab, k):
         try:
             for s in srcs:
                 constraints.append(factory(s))
-        except beam_mod.ConstraintError as exc:
-            exc.sentence = chunk[len(constraints)]
-            raise
-        try:
             found = beam_mod.beam_search(model, enc, k, constraints,
                                          [max_decode_len(cfg, len(s)) for s in srcs],
                                          BOS_ID, EOS_ID)
-        except (beam_mod.DecodeError, beam_mod.NonFiniteScoreError) as exc:
-            exc.sentence = chunk[exc.sentence]
+        except beam_mod.SentenceError as exc:
+            # a constraint that could not be built names no sentence: the next one
+            exc.sentence = chunk[len(constraints) if exc.sentence is None else exc.sentence]
             raise
         for i, s, (tokens, score) in zip(chunk, srcs, found):
             outputs[i] = (output_words(cfg, tokens, s, tgt_vocab), score)
@@ -284,8 +283,8 @@ def dev_metric(model, cfg, dev_examples, src_vocab, tgt_vocab):
 
 def cmd_pretrain(cfg, model_out):
     cfg.validate()
-    train_examples, src_sents, tgt_sents = load_pairs(cfg, "train")
-    dev_examples, _, _ = load_pairs(cfg, "dev")
+    train_examples, src_sents, tgt_sents, _ = load_pairs(cfg, "train")
+    dev_examples = load_pairs(cfg, "dev")[0]
     # the initial weights come from the rng that then shuffles the batches
     rng = np.random.default_rng(cfg.seed)
     model, extra, src_vocab, tgt_vocab = fresh_model(cfg, src_sents, tgt_sents, rng)
@@ -316,7 +315,7 @@ def load_with_vocabs(path, task):
     vocabularies; CheckpointError if the header stores no vocabularies,
     ConfigError if it was written for a task other than ``task`` (a header
     without a task loads for any)."""
-    model, extra = Seq2SeqModel.load(path, with_extra=True)
+    model, extra = Seq2SeqModel.load(path)
     if isinstance(extra, dict) and extra.get("task", task) != task:
         raise ConfigError(f"checkpoint {path} was written for task {extra['task']!r}; "
                           f"the configuration is for task {task!r}")
@@ -329,12 +328,29 @@ def load_with_vocabs(path, task):
     return model, extra, *vocabs
 
 
+def bso_epochs(model, cfg, pairs, train_examples, lines, tgt_vocab, rng):
+    """Build each training example's constraint, then run the BSO epochs,
+    yielding (epoch, EpochStats) after each. A SentenceError names the
+    sentence by ``lines``: its index in the training file."""
+    factory = constraint_factory(cfg, tgt_vocab)
+    examples = []
+    try:
+        for (src_ids, tgt_ids), (src_toks, _) in zip(pairs, train_examples):
+            examples.append((src_ids, tgt_ids, factory(src_toks)))
+        for epoch in range(1, cfg.bso_epochs + 1):
+            yield epoch, training.train_bso_epoch(model, examples, cfg, epoch, rng, BOS_ID)
+    except beam_mod.SentenceError as exc:
+        # a constraint that could not be built names no sentence: the next one
+        exc.sentence = lines[len(examples) if exc.sentence is None else exc.sentence]
+        raise
+
+
 def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     cfg.validate()
     if model_in is None and not allow_cold_start:
         raise ConfigError("train-bso requires a pretrained checkpoint "
                           "(use --allow-cold-start to override)")
-    train_examples, src_sents, tgt_sents = load_pairs(cfg, "train")
+    train_examples, src_sents, tgt_sents, lines = load_pairs(cfg, "train")
     if model_in is None:
         print("# warning: cold start; BSO training from random initialization "
               "is expected to fail to learn", file=sys.stderr)
@@ -343,22 +359,12 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
             cfg, src_sents, tgt_sents, np.random.default_rng(cfg.seed))
     else:
         model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
-    dev_examples, _, _ = load_pairs(cfg, "dev")
+    dev_examples = load_pairs(cfg, "dev")[0]
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     rng = np.random.default_rng(cfg.seed)
-    factory = constraint_factory(cfg, tgt_vocab)
-    examples = []
-    for i, ((src_ids, tgt_ids), (src_toks, _)) in enumerate(zip(pairs, train_examples)):
-        try:
-            examples.append((src_ids, tgt_ids, factory(src_toks)))
-        except beam_mod.ConstraintError as exc:
-            exc.sentence = i
-            raise
     best = -float("inf")
     print("epoch\tbeam\tmargin_loss\tviolation_rate\tdev_metric")
-    for epoch in range(1, cfg.bso_epochs + 1):
-        stats = training.train_bso_epoch(model, examples, cfg, epoch, rng,
-                                         BOS_ID)
+    for epoch, stats in bso_epochs(model, cfg, pairs, train_examples, lines, tgt_vocab, rng):
         metric = dev_metric(model, cfg, dev_examples, src_vocab, tgt_vocab)
         print(f"{epoch}\t{stats.beam}\t{stats.loss:.4f}\t{stats.violation_rate:.4f}\t{metric:.4f}")
         model.save(model_out + ".last", extra=extra)
@@ -465,8 +471,7 @@ def main(argv=None):
         elif args.command == "eval":
             cmd_eval(args.task, args.hyp, args.ref)
     except (ConfigError, DataError, OSError, CheckpointError, InputError,
-            beam_mod.ConstraintError, beam_mod.DecodeError,
-            FloatingPointError) as exc:
+            beam_mod.SentenceError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -499,9 +499,10 @@ class Seq2SeqModel:
             raise
 
     @classmethod
-    def load(cls, path, with_extra=False):
-        """Read a checkpoint; raises CheckpointError unless its header, its
-        parameter set and every shape agree with its ModelConfig."""
+    def load(cls, path):
+        """Read a checkpoint: (model, header ``extra``); raises
+        CheckpointError unless its header, its parameter set and every
+        shape agree with its ModelConfig."""
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != b"BSOC":
@@ -534,6 +535,4 @@ class Seq2SeqModel:
         for name in shapes:
             model.params[name] = ParamSlot(name, tensors[name],
                                            adagrad_accum=tensors[name + ".accum"])
-        if with_extra:
-            return model, extra
-        return model
+        return model, extra

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .beam import Beam, ConstraintError, join_constraints, search_step, validate_gold
+from .beam import Beam, SentenceError, join_constraints, search_step, validate_gold
 from .metrics import sentence_bleu_smoothed
 from .model import MaskSet
 from .tasks import pad_ids
@@ -451,9 +451,9 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id):
     """One BSO epoch with curriculum beam and delayed per-batch updates.
 
     examples: list of (src_ids, gold_ids, initial constraint state). Each
-    minibatch is encoded, searched and backpropagated in lockstep. A gold
-    sequence its constraint rejects raises ConstraintError, its
-    ``sentence`` the example's index. Returns EpochStats.
+    minibatch is encoded, searched and backpropagated in lockstep. A
+    SentenceError (a gold sequence its constraint rejects, or non-finite
+    scores) names the example's index. Returns EpochStats.
     """
     delta_fn = DELTA_FNS[config.delta]
     beam = curriculum_beam(epoch, config)
@@ -471,8 +471,8 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id):
         try:
             fwd = bso_forward(model, enc, golds, beam, [c for _, _, c in batch],
                               delta_fn, bos_id, margin_score=config.margin_score)
-        except ConstraintError as exc:
-            exc.sentence = int(order[start + exc.row])
+        except SentenceError as exc:
+            exc.sentence = int(order[start + exc.sentence])
             raise
         stats.loss += margin_loss(fwd.records)
         bso_backward(model, fwd)

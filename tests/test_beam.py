@@ -136,17 +136,18 @@ class TestValidateGold:
     def test_error_names_the_offending_row(self):
         c = join_constraints([PermutationConstraint(V, [], EOS_ID),
                               PermutationConstraint(V, [4], EOS_ID)])
-        with pytest.raises(ConstraintError, match="sequence 1 invalid at step 1: word 5 "
-                                                  "not among") as err:
+        with pytest.raises(ConstraintError, match="sentence 1: gold sequence invalid at step 1: "
+                                                  "word 5 not among") as err:
             validate_gold(c, [[EOS_ID], [5]])
-        assert err.value.row == 1
+        assert err.value.sentence == 1
 
     def test_invalid_names_sequence_of_batch(self):
         c = join_constraints([PermutationConstraint(V, [4, 5], EOS_ID),
                               PermutationConstraint(V, [6], EOS_ID)])
-        with pytest.raises(ConstraintError, match="sequence 1 invalid at step 1") as err:
+        with pytest.raises(ConstraintError, match="sentence 1: gold sequence invalid at step 1") \
+                as err:
             validate_gold(c, [[5, 4, EOS_ID], [4, EOS_ID]])
-        assert err.value.row == 1
+        assert err.value.sentence == 1
 
     def test_prefix_states_cover_the_longer_sequences(self):
         c = join_constraints([PermutationConstraint(V, [4, 5], EOS_ID),
@@ -643,10 +644,11 @@ class TestBeamSearch:
         model = toy_model(tgt_vocab=V)
         enc = model.encode(np.array([[1, 2], [2, 3], [3, 4]]))
         enc.annotations[1] = np.nan
-        with pytest.raises(NonFiniteScoreError, match="step 1 of sentence 1") as err:
+        with pytest.raises(NonFiniteScoreError,
+                           match="sentence 1: non-finite f-scores at output step 1$") as err:
             beam_search(model, enc, 2, [search_constraint("none", [])] * 3, [4, 4, 4],
                         BOS_ID, EOS_ID)
-        assert (err.value.step, err.value.sentence) == (1, 1)
+        assert err.value.sentence == 1
 
     @pytest.mark.parametrize("max_lens", [[3], [0, 2], [2, 2, 2]])
     def test_needs_one_positive_max_len_per_sentence(self, max_lens):

@@ -391,6 +391,20 @@ class TestCleanFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite ")
 
+    def test_non_finite_scores_named_by_the_input_index(self, tmp_path, capsys, monkeypatch):
+        # decode_corpus sorts by length: the first input line is the third
+        # of its chunk, and only it holds "fast", whose embedding is NaN
+        real = cli.load_with_vocabs
+
+        def poisoned(path, task):
+            model, extra, src_vocab, tgt_vocab = real(path, task)
+            model.params["src_embed"].value[src_vocab.stoi["fast"]] = np.nan
+            return model, extra, src_vocab, tgt_vocab
+        monkeypatch.setattr(cli, "load_with_vocabs", poisoned)
+        assert self.decode(tmp_path, text="the dog runs fast\nthe\ndog runs\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sentence 0: non-finite f-scores at output step 1\n")
+
     def test_search_stuck(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "constraint_factory", lambda cfg, vocab: lambda src: (
             NoConstraint(len(vocab), blocked=range(len(vocab)))))
@@ -485,6 +499,23 @@ class TestCleanFailures:
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: sentence 9: gold sequence invalid at step 3: word 2 ")
 
+    def test_a_parse_training_error_names_its_tree_in_the_file(self, tmp_path, capsys):
+        # tree 0 has two roots, so training skips it; tree 1's source word
+        # @L_det is also a reduce action. The error names tree 1 of the
+        # file, not example 0 of the trees kept
+        trees = [ParseExample(["she", "runs"], [0, 0], ["root", "root"]),
+                 ParseExample(["@L_det", "dog"], [2, 0], ["det", "root"]),
+                 ParseExample(["the", "dog"], [2, 0], ["det", "root"])]
+        write_conll(tmp_path / "train.conll", trees)
+        write_conll(tmp_path / "dev.conll", trees[2:])
+        cfg_path = base_config(tmp_path, task="parse", constraint="arc_standard")
+        assert cli.main(["train-bso", "--config", str(cfg_path), "--allow-cold-start",
+                         "--model-out", str(tmp_path / "m.bso")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "# skipped 1 non-encodable parse(s) in train" in err
+        assert err[-1].startswith("error: sentence 1: source word ")
+        assert "reduce action" in err[-1]
+
     def test_action_in_an_arc_standard_source(self, tmp_path, capsys):
         assert self.decode(tmp_path, text="the @L_x dog\n", words=("the", "dog", "@L_x"),
                            task="parse", constraint="arc_standard") == 1
@@ -512,7 +543,7 @@ class TestCleanFailures:
                                               "task": "parse"})
         else:
             self.decode(tmp_path)
-            model = Seq2SeqModel.load(tmp_path / "m.bso")
+            model, _ = Seq2SeqModel.load(tmp_path / "m.bso")
             model.save(tmp_path / "m.bso", extra={"src_vocab": itos, "tgt_vocab": itos,
                                                   "task": "parse"})
             capsys.readouterr()

@@ -433,7 +433,7 @@ class TestCheckpoint:
         m.params["out.w"].adagrad_accum += 0.5
         path = tmp_path / "model.bso"
         m.save(path, extra={"note": ["a", "b"]})
-        loaded, extra = Seq2SeqModel.load(path, with_extra=True)
+        loaded, extra = Seq2SeqModel.load(path)
         assert extra == {"note": ["a", "b"]}
         assert loaded.config.to_dict() == m.config.to_dict()
         for name, slot in m.params.items():
@@ -445,7 +445,7 @@ class TestCheckpoint:
         m = toy_model(dtype=np.float32)
         path = tmp_path / "model.bso"
         m.save(path)
-        loaded = Seq2SeqModel.load(path)
+        loaded, _ = Seq2SeqModel.load(path)
         src = np.array([[1, 2, 3]])
         a = m.encode(src)
         b = loaded.encode(src)
@@ -468,7 +468,7 @@ class TestCheckpoint:
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
             nn.write_fragment(fh, tensors)
-        loaded, extra = Seq2SeqModel.load(path, with_extra=True)
+        loaded, extra = Seq2SeqModel.load(path)
         assert extra == {"task": "parse"}
         assert loaded.config == m.config
         for name, slot in m.params.items():
@@ -480,7 +480,7 @@ def load_bytes(data):
         path = os.path.join(d, "model.bso")
         with open(path, "wb") as fh:
             fh.write(data)
-        return Seq2SeqModel.load(path)
+        return Seq2SeqModel.load(path)[0]
 
 
 class TestCheckpointRobustness:
@@ -583,7 +583,7 @@ class TestAtomicSave:
         monkeypatch.setattr(nn, "write_fragment", broken)
         with pytest.raises(OSError, match="disk full"):
             toy_model(seed=2, dtype=np.float32).save(path)
-        loaded = Seq2SeqModel.load(path)
+        loaded, _ = Seq2SeqModel.load(path)
         for name, slot in old.params.items():
             assert np.array_equal(loaded.params[name].value, slot.value)
         assert [p.name for p in tmp_path.iterdir()] == ["model.bso"]
@@ -593,6 +593,6 @@ class TestAtomicSave:
         toy_model(seed=1, dtype=np.float32).save(path)
         new = toy_model(seed=2, dtype=np.float32)
         new.save(path)
-        loaded = Seq2SeqModel.load(path)
+        loaded, _ = Seq2SeqModel.load(path)
         assert np.array_equal(loaded.params["out.w"].value, new.params["out.w"].value)
         assert [p.name for p in tmp_path.iterdir()] == ["model.bso"]

@@ -315,9 +315,10 @@ class TestNonFinite:
         # source word 4 occurs in sentence 2 only
         model.params["src_embed"].value[4] = np.nan
         enc = model.encode(src, lengths=np.array([2, 3, 3]))
-        with pytest.raises(NonFiniteScoreError, match="step 1 of sentence 2") as err:
+        with pytest.raises(NonFiniteScoreError,
+                           match="sentence 2: non-finite f-scores at output step 1$") as err:
             bso_forward(model, enc, golds, 2, constraints, delta_01, BOS)
-        assert (err.value.step, err.value.sentence) == (1, 2)
+        assert err.value.sentence == 2
 
     def test_optimizer_step_rejects_non_finite_gradient_norm(self):
         model = toy_model(0)
@@ -651,12 +652,27 @@ class TestEpochDrivers:
         # BOS is no source word: the permutation rejects it at step 2
         examples[7] = (src, gold[:1] + (BOS,) + gold[1:], constraint)
         config = TrainConfig(batch_size=4)
-        order = np.random.default_rng(3).permutation(len(examples))
-        row = int(np.flatnonzero(order == 7)[0]) % config.batch_size
         with pytest.raises(beam_mod.ConstraintError) as err:
             train_bso_epoch(toy_model(2), examples, config, 1, np.random.default_rng(3), BOS)
-        assert (err.value.row, err.value.sentence) == (row, 7)
+        assert err.value.sentence == 7
         assert str(err.value).startswith("sentence 7: gold sequence invalid at step 2: word 2 ")
+
+    def test_non_finite_scores_name_their_example(self):
+        """Non-finite f-scores are named by the example's index in
+        ``examples``, not by its row in the shuffled minibatch."""
+        words = [[1, 1], [1], [1, 1, 1], [1], [4, 1], [1, 4]]
+        examples = [(np.array(w), tuple(w) + (EOS,), PermutationConstraint(5, w, EOS))
+                    for w in words]
+        model = toy_model(2)
+        # source word 4 occurs in examples 4 and 5 only; example 5 is row 2
+        # of the first minibatch, example 4 row 3
+        model.params["src_embed"].value[4] = np.nan
+        assert np.random.default_rng(0).permutation(6).tolist() == [3, 2, 5, 4, 0, 1]
+        with pytest.raises(NonFiniteScoreError,
+                           match="^sentence 5: non-finite f-scores at output step 1$") as err:
+            train_bso_epoch(model, examples, TrainConfig(batch_size=4), 1,
+                            np.random.default_rng(0), BOS)
+        assert err.value.sentence == 5
 
     @pytest.mark.parametrize("regime", ["xent", "bso"])
     def test_encoder_and_decoder_steps_draw_independent_masks(self, regime):
