@@ -130,7 +130,7 @@ def read_sentences(path):
 
 
 def load_pairs(cfg, split):
-    """Return (examples, src_vocab_sentences, tgt_vocab_sentences, lines).
+    """Return (examples, lines).
 
     examples are (src_tokens, tgt_tokens) with EOS already on the target;
     lines[i] is the index in its file of example i's sentence (a line, or
@@ -141,7 +141,7 @@ def load_pairs(cfg, split):
         sents = read_sentences(f"{d}/{split}.txt")
         rng = np.random.default_rng(cfg.shuffle_seed + (0 if split == "train" else 1))
         examples = [tasks.make_word_ordering_example(s, rng) for s in sents]
-        return examples, sents, sents, range(len(examples))
+        return examples, range(len(examples))
     if cfg.task == "parse":
         parses = tasks.read_conll(f"{d}/{split}.conll")
         examples, lines = [], []
@@ -155,16 +155,21 @@ def load_pairs(cfg, split):
         if len(lines) < len(parses):
             print(f"# skipped {len(parses) - len(lines)} non-encodable parse(s) in {split}",
                   file=sys.stderr)
-        return examples, [e[0] for e in examples], [e[1] for e in examples], lines
+        return examples, lines
     srcs = read_sentences(f"{d}/{split}.src")
     tgts = read_sentences(f"{d}/{split}.tgt")
     if len(srcs) != len(tgts):
         raise DataError(f"{split}: source/target line counts differ")
     examples = [(s, t + [EOS]) for s, t in zip(srcs, tgts)]
-    return examples, srcs, tgts, range(len(examples))
+    return examples, range(len(examples))
 
 
-def build_vocabs(cfg, src_sents, tgt_sents):
+def build_vocabs(cfg, examples):
+    """Source and target vocabularies of the examples' tokens. A word
+    ordering source is a shuffle of its sentence, and Vocab drops the EOS
+    that ends every target."""
+    src_sents = [s for s, _ in examples]
+    tgt_sents = [t for _, t in examples]
     if cfg.task == "word_order":
         vocab = Vocab.build(src_sents, min_count=cfg.min_count)
         return vocab, vocab
@@ -177,12 +182,12 @@ def build_vocabs(cfg, src_sents, tgt_sents):
             Vocab.build(tgt_sents, min_count=cfg.min_count))
 
 
-def fresh_model(cfg, src_sents, tgt_sents, rng):
+def fresh_model(cfg, examples, rng):
     """A model of ``cfg``'s sizes over vocabularies built from the
-    sentences, its weights drawn from ``rng``: (model, checkpoint header
+    examples, its weights drawn from ``rng``: (model, checkpoint header
     ``extra``, source vocabulary, target vocabulary), as
     :func:`load_with_vocabs` returns them."""
-    src_vocab, tgt_vocab = build_vocabs(cfg, src_sents, tgt_sents)
+    src_vocab, tgt_vocab = build_vocabs(cfg, examples)
     mcfg = ModelConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
                        d_emb=cfg.d_emb, d_h=cfg.d_h, layers=cfg.layers)
     extra = {"src_vocab": src_vocab.itos, "tgt_vocab": tgt_vocab.itos, "task": cfg.task}
@@ -283,11 +288,11 @@ def dev_metric(model, cfg, dev_examples, src_vocab, tgt_vocab):
 
 def cmd_pretrain(cfg, model_out):
     cfg.validate()
-    train_examples, src_sents, tgt_sents, _ = load_pairs(cfg, "train")
+    train_examples = load_pairs(cfg, "train")[0]
     dev_examples = load_pairs(cfg, "dev")[0]
     # the initial weights come from the rng that then shuffles the batches
     rng = np.random.default_rng(cfg.seed)
-    model, extra, src_vocab, tgt_vocab = fresh_model(cfg, src_sents, tgt_sents, rng)
+    model, extra, src_vocab, tgt_vocab = fresh_model(cfg, train_examples, rng)
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     dev_pairs = encode_pairs(dev_examples, src_vocab, tgt_vocab)
     best = float("inf")
@@ -350,13 +355,13 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
     if model_in is None and not allow_cold_start:
         raise ConfigError("train-bso requires a pretrained checkpoint "
                           "(use --allow-cold-start to override)")
-    train_examples, src_sents, tgt_sents, lines = load_pairs(cfg, "train")
+    train_examples, lines = load_pairs(cfg, "train")
     if model_in is None:
         print("# warning: cold start; BSO training from random initialization "
               "is expected to fail to learn", file=sys.stderr)
         # fresh random model, no cross-entropy phase
         model, extra, src_vocab, tgt_vocab = fresh_model(
-            cfg, src_sents, tgt_sents, np.random.default_rng(cfg.seed))
+            cfg, train_examples, np.random.default_rng(cfg.seed))
     else:
         model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
     dev_examples = load_pairs(cfg, "dev")[0]

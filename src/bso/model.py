@@ -33,19 +33,23 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .nn import CheckpointError, ParamSlot
+from .nn import ParamSlot
 
 ATTN_NEG = -1e9
+HEADER = "header.json"
 
-# ModelConfig fields that older checkpoint headers carry and nothing read
-LEGACY_CONFIG_KEYS = ("dropout", "attention")
+
+class CheckpointError(ValueError):
+    """A checkpoint is truncated or corrupt, or does not match its model
+    configuration."""
 
 
 class InputError(ValueError):
@@ -475,21 +479,23 @@ class Seq2SeqModel:
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path, extra=None):
-        """Write the checkpoint to a temporary file next to ``path``, then
-        move it over ``path``: a failed write leaves the old file intact."""
-        tensors = {}
-        for name, slot in self.params.items():
-            tensors[name] = slot.value
-            tensors[name + ".accum"] = slot.adagrad_accum
+        """Write the checkpoint, a zip archive of stored members: ``header.json``
+        (the config and ``extra``), then each parameter's value and its
+        ``.accum`` as little-endian float32 bytes. Members carry zip's fixed
+        1980 date, so equal models give equal files. The archive goes to a
+        temporary file next to ``path``, which then moves over ``path``: a
+        failed write leaves the old file intact."""
         header = {"config": self.config.to_dict(), "extra": extra or {}}
-        cfg_bytes = json.dumps(header).encode("utf-8")
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(b"BSOC")
-                fh.write(struct.pack("<I", len(cfg_bytes)))
-                fh.write(cfg_bytes)
-                nn.write_fragment(fh, tensors)
+                with zipfile.ZipFile(fh, "w") as zf:
+                    zf.writestr(zipfile.ZipInfo(HEADER), json.dumps(header))
+                    for name, slot in self.params.items():
+                        for member, arr in ((name, slot.value),
+                                            (name + ".accum", slot.adagrad_accum)):
+                            zf.writestr(zipfile.ZipInfo(member),
+                                        np.ascontiguousarray(arr, dtype="<f4").tobytes())
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -501,38 +507,67 @@ class Seq2SeqModel:
     @classmethod
     def load(cls, path):
         """Read a checkpoint: (model, header ``extra``); raises
-        CheckpointError unless its header, its parameter set and every
-        shape agree with its ModelConfig."""
+        CheckpointError unless it is a whole archive of stored members whose
+        header, member set and sizes agree with its ModelConfig, and every
+        member's CRC-32 matches its bytes."""
         with open(path, "rb") as fh:
             magic = fh.read(4)
-            if magic != b"BSOC":
+            if magic == b"BSOC":
+                raise CheckpointError(f"checkpoint {path} was written in the old BSOC format; "
+                                      f"write it again with this version's bso pretrain")
+            if magic != b"PK\x03\x04":
                 raise CheckpointError(f"bad model checkpoint magic {magic!r}")
-            clen = struct.unpack("<I", nn.read_exact(fh, 4, "the header length"))[0]
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 22, 0))
+            end = fh.read()
+            # the end record, with no archive comment, closes the file
+            if len(end) != 22 or end[:4] != b"PK\x05\x06" or end[20:] != b"\0\0":
+                raise CheckpointError(f"checkpoint {path} is truncated or has bytes after "
+                                      f"its zip end record")
             try:
-                header = json.loads(nn.read_exact(fh, clen, "the header").decode("utf-8"))
-                cfg = ModelConfig(**{k: v for k, v in header["config"].items()
-                                     if k not in LEGACY_CONFIG_KEYS})
-                extra = header.get("extra", {})
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                raise CheckpointError(f"bad checkpoint header: {exc}") from None
-            sizes = cfg.to_dict().values()
-            if not all(type(v) is int and v > 0 for v in sizes):
-                raise CheckpointError(f"bad model configuration {cfg.to_dict()}")
-            tensors = nn.read_fragment(fh)
-            if fh.read(1):
-                raise CheckpointError("unexpected bytes after the last tensor")
-        shapes = param_shapes(cfg)
-        want = {n: s for name, s in shapes.items() for n in (name, name + ".accum")}
-        if set(tensors) != set(want):
-            missing, unexpected = sorted(set(want) - set(tensors)), sorted(set(tensors) - set(want))
-            raise CheckpointError(f"checkpoint parameters do not match the model configuration: "
-                                  f"missing {missing}, unexpected {unexpected}")
-        for name, arr in tensors.items():
-            if arr.shape != want[name]:
-                raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
-                                      f"the configuration needs {want[name]}")
+                with zipfile.ZipFile(fh) as zf:
+                    cfg, extra, tensors = _read_members(zf)
+            except CheckpointError:
+                raise
+            # what zipfile raises on corrupt input: a bad CRC-32 or structure,
+            # an encrypted or patched member, a seek to a corrupt offset
+            except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, OSError,
+                    ValueError) as exc:
+                raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
         model = cls(cfg, init=False)
-        for name in shapes:
+        for name in param_shapes(cfg):
             model.params[name] = ParamSlot(name, tensors[name],
                                            adagrad_accum=tensors[name + ".accum"])
         return model, extra
+
+
+def _read_members(zf):
+    """(ModelConfig, header ``extra``, name -> float32 array) of an open
+    checkpoint archive. Everything the central directory and the header
+    decide is checked before a tensor is read, so memory stays bounded by
+    the file's size."""
+    infos = zf.infolist()
+    packed = [i.filename for i in infos if i.compress_type != zipfile.ZIP_STORED]
+    if packed:
+        raise CheckpointError(f"checkpoint members {packed} are compressed; "
+                              f"a checkpoint stores every member")
+    try:
+        header = json.loads(zf.read(HEADER))
+        cfg = ModelConfig(**header["config"])
+        extra = header.get("extra", {})
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from None
+    if not all(type(v) is int and v > 0 for v in cfg.to_dict().values()):
+        raise CheckpointError(f"bad model configuration {cfg.to_dict()}")
+    want = {n: s for name, s in param_shapes(cfg).items() for n in (name, name + ".accum")}
+    have, need = {i.filename for i in infos}, {HEADER, *want}
+    if have != need:
+        raise CheckpointError(f"checkpoint parameters do not match the model configuration: "
+                              f"missing {sorted(need - have)}, unexpected {sorted(have - need)}")
+    for name, shape in want.items():
+        size = zf.getinfo(name).file_size
+        if size != 4 * math.prod(shape):
+            raise CheckpointError(f"parameter {name} holds {size} bytes, "
+                                  f"the configuration needs shape {shape}")
+    tensors = {name: np.frombuffer(zf.read(name), "<f4").reshape(shape).astype(np.float32)
+               for name, shape in want.items()}
+    return cfg, extra, tensors

@@ -8,24 +8,16 @@ live with the stacked LSTM that applies them (``model.MaskSet``).
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 ADAGRAD_EPS = 1e-10
 INIT_SCALE = 0.1
-MAGIC = b"BSO1"
 
 
 class DimensionError(ValueError):
     """Shapes passed to a primitive do not match its parameters."""
-
-
-class CheckpointError(ValueError):
-    """A checkpoint is truncated or corrupt, or does not match its model
-    configuration."""
 
 
 def assert_finite(x, what="tensor"):
@@ -241,62 +233,3 @@ def adagrad_step(slot, lr):
     slot.adagrad_accum += g * g
     slot.value -= (lr * g / (np.sqrt(slot.adagrad_accum) + ADAGRAD_EPS)).astype(slot.value.dtype)
     slot.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint fragment format: MAGIC, then per tensor
-#   u32 name length, name bytes (utf-8), u32 ndim, u32 dims..., f32 data (LE).
-
-
-def write_fragment(fh, tensors):
-    fh.write(MAGIC)
-    fh.write(struct.pack("<I", len(tensors)))
-    for name, arr in tensors.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<I", data.ndim))
-        fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-        fh.write(data.tobytes())
-
-
-def read_exact(fh, n, what):
-    """Read exactly n bytes, in bounded pieces, or raise CheckpointError:
-    a corrupt length reads to the end of the file, not into memory."""
-    chunks = []
-    while n > 0:
-        chunk = fh.read(min(n, 1 << 20))
-        if not chunk:
-            raise CheckpointError(f"checkpoint truncated in {what}")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _read_u32(fh, what):
-    return struct.unpack("<I", read_exact(fh, 4, what))[0]
-
-
-def read_fragment(fh):
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    count = _read_u32(fh, "the tensor count")
-    tensors = {}
-    for i in range(count):
-        raw = read_exact(fh, _read_u32(fh, f"tensor {i}"), f"tensor {i}")
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"tensor {i} has a name that is not UTF-8") from None
-        if name in tensors:
-            raise CheckpointError(f"tensor {name!r} appears twice")
-        ndim = _read_u32(fh, name)
-        shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, name))
-        data = np.frombuffer(read_exact(fh, 4 * math.prod(shape), name), dtype="<f4")
-        try:
-            tensors[name] = data.reshape(shape).astype(np.float32)
-        except ValueError:
-            raise CheckpointError(f"tensor {name!r} has an impossible shape {shape}") from None
-    return tensors

@@ -207,11 +207,13 @@ def read_plain_corpus(path):
 
 
 def read_conll(path):
-    """CoNLL-style TSV: index, form, head, label; blank line between trees."""
+    """CoNLL-style TSV: index, form, head, label; blank line between trees.
+    DataError names ``path:lineno`` of a line with fewer fields or a head
+    that is not an integer."""
     examples = []
     words, heads, labels = [], [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 if words:
@@ -220,9 +222,13 @@ def read_conll(path):
                 continue
             fields = line.split("\t")
             if len(fields) < 4:
-                raise DataError(f"bad CoNLL line: {line!r}")
+                raise DataError(f"{path}:{lineno}: bad CoNLL line {line!r}; "
+                                f"it needs index, form, head and label")
+            try:
+                heads.append(int(fields[2]))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: head {fields[2]!r} is not an integer") from None
             words.append(fields[1])
-            heads.append(int(fields[2]))
             labels.append(fields[3])
     if words:
         examples.append(ParseExample(words, heads, labels))

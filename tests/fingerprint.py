@@ -3,8 +3,9 @@
 Prints one sha256 per artefact for a seed: the start models, cross-entropy
 losses, gradients and parameters, BSO violation records, gradients and
 parameters, and beam-search tokens and scores, of batches of 20 sentences
-and of one sentence at a time. Two versions of the code that
-do the same arithmetic print the same lines, so a change meant to keep
+and of one sentence at a time, and the bytes ``save`` writes for each start
+model. Two versions of the code that do the same arithmetic and write the
+same checkpoint format print the same lines, so a change meant to keep
 every number can be checked against its parent by running this script on
 both and comparing the output:
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 
@@ -52,6 +55,15 @@ def digest(*parts):
 
 def params_digest(model, field="value"):
     return digest(*(getattr(s, field) for s in model.slots())).hexdigest()
+
+
+def checkpoint_digest(model):
+    """sha256 of the checkpoint file ``save`` writes for the model."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.bso")
+        model.save(path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 def corpus(rng, n):
@@ -175,6 +187,8 @@ def fingerprint(seed):
         for k in (1, 5, 10):
             out.append((f"decode.{regime}.k{k}.batch1",
                         decode_artefact(starts[1], dev, k, constrained, chunk=1)))
+    for layers, model in starts.items():
+        out.append((f"checkpoint.layers{layers}", checkpoint_digest(model)))
     return out
 
 

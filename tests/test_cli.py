@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -326,6 +329,15 @@ class TestCommands:
         assert "UAS\t100.0000" in out
         assert "LAS\t80.0000" in out
 
+    def test_parse_eval_names_a_head_that_is_not_an_integer(self, tmp_path, capsys):
+        ref = tmp_path / "dev.conll"
+        ref.write_text("1\tthe\t2\tdet\n2\tdog\tx\troot\n")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("the dog @L_det\n")
+        rc = cli.main(["eval", "--task", "parse", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {ref}:2: head 'x'")
+
 
 class TestCleanFailures:
     """Errors of a checkpoint, an input or the search end the command with
@@ -366,6 +378,19 @@ class TestCleanFailures:
         assert self.decode(tmp_path, truncate=True) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated" in err
+
+    def test_old_format_checkpoint(self, tmp_path, capsys):
+        # the format before the zip archive starts b"BSOC", then the header
+        header = json.dumps({"config": {}, "extra": {}}).encode("utf-8")
+        old = tmp_path / "old.bso"
+        old.write_bytes(b"BSOC" + struct.pack("<I", len(header)) + header)
+        write_word_order_data(tmp_path)
+        (tmp_path / "in.txt").write_text("the dog\n")
+        assert cli.main(["decode", "--config", str(base_config(tmp_path)),
+                         "--model-in", str(old), "--input", str(tmp_path / "in.txt"),
+                         "--output", str(tmp_path / "out.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "old BSOC format" in err
 
     def test_input_outside_the_model_vocabulary(self, tmp_path, capsys):
         # the checkpoint's source vocabulary lists more words than its model embeds

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import struct
 import tempfile
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -453,26 +455,35 @@ class TestCheckpoint:
         out_b, _ = loaded.decode_step(loaded.init_state(b), [BOS], b)
         assert np.array_equal(m.score_f(out_a), loaded.score_f(out_b))
 
-    def test_loads_header_with_legacy_config_fields(self, tmp_path):
-        # older checkpoints carry ModelConfig fields the model never read
+    def test_old_bsoc_format_rejected(self, tmp_path):
+        # the format before the zip archive: b"BSOC", the header, then a
+        # b"BSO1" fragment of named tensors
         m = toy_model(dtype=np.float32)
-        tensors = {}
-        for name, slot in m.params.items():
-            tensors[name] = slot.value
-            tensors[name + ".accum"] = slot.adagrad_accum
-        config = dict(m.config.to_dict(), dropout=0.3, attention="dot")
-        header = json.dumps({"config": config, "extra": {"task": "parse"}}).encode("utf-8")
+        header = json.dumps({"config": m.config.to_dict(), "extra": {}}).encode("utf-8")
         path = tmp_path / "old.bso"
         with open(path, "wb") as fh:
-            fh.write(b"BSOC")
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            nn.write_fragment(fh, tensors)
-        loaded, extra = Seq2SeqModel.load(path)
-        assert extra == {"task": "parse"}
-        assert loaded.config == m.config
-        for name, slot in m.params.items():
-            assert np.array_equal(loaded.params[name].value, slot.value)
+            fh.write(b"BSOC" + struct.pack("<I", len(header)) + header)
+            fh.write(b"BSO1" + struct.pack("<I", 2 * len(m.params)))
+            for name, slot in m.params.items():
+                for member, arr in ((name, slot.value), (name + ".accum", slot.adagrad_accum)):
+                    fh.write(struct.pack("<I", len(member)) + member.encode("utf-8"))
+                    fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+                    fh.write(arr.astype("<f4").tobytes())
+        with pytest.raises(CheckpointError, match="old BSOC format; write it again"):
+            Seq2SeqModel.load(path)
+
+    def test_members_are_stored_in_order_with_a_fixed_date(self, tmp_path):
+        m = toy_model(dtype=np.float32)
+        m.save(tmp_path / "a.bso")
+        m.save(tmp_path / "b.bso")
+        assert (tmp_path / "a.bso").read_bytes() == (tmp_path / "b.bso").read_bytes()
+        with zipfile.ZipFile(tmp_path / "a.bso") as zf:
+            infos = zf.infolist()
+        assert [i.filename for i in infos] == ["header.json"] + [
+            n for name in m.params for n in (name, name + ".accum")]
+        for info in infos:
+            assert info.compress_type == zipfile.ZIP_STORED
+            assert info.date_time == (1980, 1, 1, 0, 0, 0)
 
 
 def load_bytes(data):
@@ -485,11 +496,19 @@ def load_bytes(data):
 
 class TestCheckpointRobustness:
     @pytest.fixture(scope="class")
-    def data(self, tmp_path_factory):
-        """The bytes of a small saved checkpoint."""
+    def saved(self):
+        """A small model with non-zero accumulators."""
+        m = toy_model(src_vocab=5, tgt_vocab=6, d_emb=2, d_h=3, dtype=np.float32)
+        rng = np.random.default_rng(1)
+        for slot in m.params.values():
+            slot.adagrad_accum += rng.random(slot.value.shape, dtype=np.float32)
+        return m
+
+    @pytest.fixture(scope="class")
+    def data(self, saved, tmp_path_factory):
+        """The bytes of the small model's checkpoint."""
         path = tmp_path_factory.mktemp("ckpt") / "model.bso"
-        toy_model(src_vocab=5, tgt_vocab=6, d_emb=2, d_h=3, dtype=np.float32).save(
-            path, extra={"note": "x"})
+        saved.save(path, extra={"note": "x"})
         return path.read_bytes()
 
     @given(st.integers(0, 10 ** 6))
@@ -501,7 +520,7 @@ class TestCheckpointRobustness:
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
                     min_size=1, max_size=3))
     @settings(max_examples=300)
-    def test_byte_flips_load_consistently_or_raise_checkpoint_error(self, data, flips):
+    def test_byte_flips_load_consistently_or_raise_checkpoint_error(self, saved, data, flips):
         blob = bytearray(data)
         for pos, bits in flips:
             blob[pos % len(blob)] ^= bits
@@ -509,27 +528,34 @@ class TestCheckpointRobustness:
             model = load_bytes(bytes(blob))
         except CheckpointError:
             return
-        # a flip in the tensor data loads; the structure still matches
-        shapes = param_shapes(model.config)
-        assert list(model.params) == list(shapes)
+        # a copy that loads was flipped where no reader looks: it holds the saved model
+        assert list(model.params) == list(param_shapes(saved.config))
         for name, slot in model.params.items():
-            assert slot.value.shape == slot.adagrad_accum.shape == shapes[name]
+            assert slot.value.tobytes() == saved.params[name].value.tobytes()
+            assert slot.adagrad_accum.tobytes() == saved.params[name].adagrad_accum.tobytes()
+
+    def test_a_flip_in_tensor_data_fails_its_crc(self, data):
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            info = zf.getinfo("out.w")
+        # the local header: 30 fixed bytes, the name, then the member's data
+        blob = bytearray(data)
+        blob[info.header_offset + 30 + len(info.filename) + 5] ^= 0x01
+        with pytest.raises(CheckpointError, match="CRC-32 for file 'out.w'"):
+            load_bytes(bytes(blob))
 
     def test_truncated_file_is_a_checkpoint_error_not_a_buffer_error(self, data):
         with pytest.raises(CheckpointError, match="truncated"):
             load_bytes(data[:-3])
 
     def test_trailing_bytes_rejected(self, data):
-        with pytest.raises(CheckpointError, match="after the last tensor"):
+        with pytest.raises(CheckpointError, match="bytes after its zip end record"):
             load_bytes(data + b"\0")
 
     def write(self, path, config, tensors):
-        header = json.dumps({"config": config, "extra": {}}).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(b"BSOC")
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            nn.write_fragment(fh, tensors)
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("header.json", json.dumps({"config": config, "extra": {}}))
+            for name, arr in tensors.items():
+                zf.writestr(name, np.asarray(arr, dtype="<f4").tobytes())
 
     def tensors(self, m):
         out = {}
@@ -576,11 +602,13 @@ class TestAtomicSave:
         path = tmp_path / "model.bso"
         old.save(path)
 
-        def broken(fh, tensors):
-            fh.write(b"BSO1partial")
+        writestr = zipfile.ZipFile.writestr
+
+        def broken(zf, info, data):
+            writestr(zf, info, data[:3])
             raise OSError("disk full")
 
-        monkeypatch.setattr(nn, "write_fragment", broken)
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", broken)
         with pytest.raises(OSError, match="disk full"):
             toy_model(seed=2, dtype=np.float32).save(path)
         loaded, _ = Seq2SeqModel.load(path)

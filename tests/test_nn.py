@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 import warnings
@@ -452,21 +451,3 @@ class TestDropoutMasks:
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             MaskSet.build(1.0, 2, 2, 2, np.random.default_rng(0), 3)
-
-
-class TestCheckpointFragment:
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        tensors = {"a.w": rng.normal(size=(3, 4)).astype(np.float32),
-                   "b": rng.normal(size=(7,)).astype(np.float32)}
-        buf = io.BytesIO()
-        nn.write_fragment(buf, tensors)
-        buf.seek(0)
-        loaded = nn.read_fragment(buf)
-        assert set(loaded) == set(tensors)
-        for k in tensors:
-            assert np.array_equal(loaded[k], tensors[k])
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            nn.read_fragment(io.BytesIO(b"XXXX"))

@@ -276,7 +276,11 @@ class TestFileFormats:
     def test_bad_conll_line_raises(self, tmp_path):
         path = tmp_path / "bad.conll"
         path.write_text("1\tword\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"bad\.conll:1: bad CoNLL line"):
+            read_conll(path)
+        # a head that is not an integer is named by its file and line
+        path.write_text("1\tthe\t2\tdet\n2\tdog\tx\troot\n")
+        with pytest.raises(DataError, match=r"bad\.conll:2: head 'x' is not an integer"):
             read_conll(path)
 
 
