@@ -408,14 +408,14 @@ def search_step(model, state, words, sent, enc, beam, k, f_rows=None):
     ``state``, then :func:`beam_step` on ``beam`` (``f_rows`` as its rows).
     ``sent[row]`` is the sentence of each state row, which a SentenceError
     names. Returns (state, f, succ, parents)."""
-    out = model.decode_step(state, words, enc)[0]
-    f = model.score_f(out)
+    state = model.decode_step(state, words, enc)[0]
+    f = model.score_f(state)
     try:
         succ, parents = beam_step(beam, f, k, f_rows)
     except SentenceError as exc:
         exc.sentence = int(sent[exc.sentence])
         raise
-    return out.state, f, succ, parents
+    return state, f, succ, parents
 
 
 def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
@@ -441,7 +441,7 @@ def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
     found = [None] * n
     beam = Beam.seed(np.zeros((n, 0)), np.arange(n),
                      constraints[0] if n == 1 else join_constraints(constraints))
-    state = model.init_state(enc)
+    state = enc.init_state
     for step in range(max(last_steps)):
         words = beam.tokens[:, -1] if step else np.full(len(beam), bos_id)
         state, _, succ, parents = search_step(model, state, words, beam.sent, enc, beam, k)

@@ -364,6 +364,12 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
             cfg, train_examples, np.random.default_rng(cfg.seed))
     else:
         model, extra, src_vocab, tgt_vocab = load_with_vocabs(model_in, cfg.task)
+        # the echoed configuration must describe the model it trained
+        for key in ("d_emb", "d_h", "layers"):
+            have, want = getattr(model.config, key), getattr(cfg, key)
+            if have != want:
+                raise ConfigError(f"checkpoint {model_in} has {key} = {have}; "
+                                  f"the configuration has {key} = {want}")
     dev_examples = load_pairs(cfg, "dev")[0]
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     rng = np.random.default_rng(cfg.seed)

@@ -22,11 +22,10 @@ views of the annotations. A decoder step adds the attention weights, the
 attention hidden state, the consumed words and the input feed; its backward
 recomputes the attention context from the annotations it gathers anyway.
 The output layer keeps nothing: ``score_f_backward`` turns a step's [B, V]
-score gradient into a [B, H] one at once, which is what
-``decode_step_backward`` takes. Decoder rows need not map one to one onto
-encoded sources: each state row carries the index of the source it attends
-to, so the rows of many hypotheses of many sentences can share one decoder
-step.
+score gradient into a [B, H] one at once, which is added to the state's
+feed gradient. Decoder rows need not map one to one onto encoded sources:
+each state row carries the index of the source it attends to, so the rows
+of many hypotheses of many sentences can share one decoder step.
 """
 
 from __future__ import annotations
@@ -134,13 +133,6 @@ class EncodedSource:
     attn_bias: np.ndarray | None     # [B, S], 0 for real tokens, ATTN_NEG for pad
     cache: object = None
     masks: MaskSet | None = None     # dropout masks of the encoder and decoder steps
-
-
-@dataclass
-class StepOutput:
-    state: DecoderState
-    attn_weights: np.ndarray         # [B, S]
-    attn_hidden: np.ndarray          # [B, H]
 
 
 class MaskSet:
@@ -309,8 +301,6 @@ class Seq2SeqModel:
     def encode(self, src, lengths=None, masks=None):
         """Run the encoder over a [B, S] batch of source token ids."""
         src = np.asarray(src)
-        if src.ndim == 1:
-            src = src[None, :]
         B, S = src.shape
         if S == 0:
             raise InputError("empty source sequence")
@@ -377,18 +367,15 @@ class Seq2SeqModel:
 
     # -- decoder ------------------------------------------------------------
 
-    def init_state(self, enc):
-        s = enc.init_state
-        return DecoderState([h.copy() for h in s.h], [c.copy() for c in s.c],
-                            s.input_feed.copy(), s.src.copy(), 0)
-
     def decode_step(self, state, words, enc):
         """Advance one decoder step for a batch of hypotheses.
 
-        ``words`` are the tokens being consumed (the previous outputs); the
-        returned StepOutput scores candidates for the next position via
-        score_f. Row i attends to source ``state.src[i]`` of enc; the step
-        is decoder step ``state.step``. Returns (StepOutput, cache).
+        ``words`` are the tokens being consumed (the previous outputs). Row
+        i attends to source ``state.src[i]`` of enc; the step is decoder
+        step ``state.step``. Returns (state, cache): the new state's input
+        feed is the step's attention hidden state, which score_f scores
+        for the next position. No step writes into ``state``; the encoding's
+        start state is shared by every search and loss that starts there.
         """
         words = np.atleast_1d(np.asarray(words))
         if words.min() < 0 or words.max() >= self.config.tgt_vocab:
@@ -401,20 +388,21 @@ class Seq2SeqModel:
         attn_in = np.concatenate([context, top], axis=1)
         attn_hidden = nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value)
         np.tanh(attn_hidden, out=attn_hidden)
-        out_state = DecoderState(new_h, new_c, attn_hidden, state.src, state.step + 1)
         cache.update(words=words, feed=state.input_feed, attn=attn, attn_hidden=attn_hidden,
                      enc=enc, src=state.src)
-        return StepOutput(out_state, attn, attn_hidden), cache
+        return DecoderState(new_h, new_c, attn_hidden, state.src, state.step + 1), cache
 
     def _dec_input(self, words, feed):
         """Decoder layer 0's input: the embedded words joined to the input
         feed. The step's backward rebuilds it from its cache."""
         return np.concatenate([self.params["tgt_embed"].value.take(words, axis=0), feed], axis=1)
 
-    def score_f(self, out):
-        """Unnormalized next-token scores [B, V]."""
+    def score_f(self, state):
+        """Unnormalized next-token scores [B, V] of a state: an affine map
+        of its input feed, the attention hidden state of the step that made
+        it."""
         p = self.params
-        return nn.affine_forward(out.attn_hidden, p["out.w"].value, p["out.b"].value)
+        return nn.affine_forward(state.input_feed, p["out.w"].value, p["out.b"].value)
 
     def score_f_backward(self, attn_hidden, d_f):
         """The adjoint of score_f.
@@ -422,33 +410,31 @@ class Seq2SeqModel:
         ``d_f`` [B, V] is the gradient w.r.t. the scores of the step whose
         attention hidden state is ``attn_hidden`` [B, H]. Adds the out.w and
         out.b gradients in place and returns the [B, H] gradient w.r.t.
-        ``attn_hidden``, for ``decode_step_backward``'s ``d_hidden``. A
-        caller can take it at the step that scores, so no array of
-        vocabulary size has to outlive that step.
+        ``attn_hidden``, which the caller adds to the ``input_feed`` of the
+        StateGrad it hands ``decode_step_backward``. A caller can take it
+        at the step that scores, so no array of vocabulary size has to
+        outlive that step.
         """
         p = self.params
         return nn.affine_backward(attn_hidden, p["out.w"].value, d_f,
                                   p["out.w"].grad, p["out.b"].grad)
 
-    def decode_step_backward(self, cache, d_state, d_hidden, d_annotations):
+    def decode_step_backward(self, cache, d_state, d_annotations):
         """Backprop one decoder step, up to the attention hidden state.
 
-        d_state is the StateGrad w.r.t. the step's output state; d_hidden,
-        if not None, is the gradient [B, H] w.r.t. the step's attention hidden
-        state from its scores, as score_f_backward returns it. It adds to
-        the gradient the same state receives as the next step's input feed.
-        Parameter grads accumulate in place; annotation grads accumulate
-        into d_annotations (shape [enc_batch, S, H]) at each row's source.
-        Returns the StateGrad w.r.t. the input state.
+        d_state is the StateGrad w.r.t. the step's output state. Its
+        input_feed is the whole gradient w.r.t. the attention hidden state:
+        what the next step's input feed receives plus, added by the caller,
+        what the step's scores give (score_f_backward). Parameter grads
+        accumulate in place; annotation grads accumulate into d_annotations
+        (shape [enc_batch, S, H]) at each row's source. Returns the
+        StateGrad w.r.t. the input state.
         """
         cfg = self.config
         p = self.params
         src = cache["src"]
         ah = cache["attn_hidden"]
-        d_ah = d_state.input_feed.copy()
-        if d_hidden is not None:
-            d_ah += d_hidden
-        d_pre = d_ah * (1.0 - ah * ah)
+        d_pre = d_state.input_feed * (1.0 - ah * ah)
         attn = cache["attn"]
         top = cache["h"][-1]
         ann = cache["enc"].annotations.take(src, axis=0)

@@ -208,31 +208,46 @@ def read_plain_corpus(path):
 
 def read_conll(path):
     """CoNLL-style TSV: index, form, head, label; blank line between trees.
-    DataError names ``path:lineno`` of a line with fewer fields or a head
-    that is not an integer."""
-    examples = []
-    words, heads, labels = [], [], []
+    DataError names ``path:lineno`` of a line with fewer fields, an index
+    out of its tree's count 1..n, or a head that is not an integer in 0..n
+    (0 is the root)."""
+    examples, rows = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                if words:
-                    examples.append(ParseExample(words, heads, labels))
-                    words, heads, labels = [], [], []
-                continue
-            fields = line.split("\t")
-            if len(fields) < 4:
-                raise DataError(f"{path}:{lineno}: bad CoNLL line {line!r}; "
-                                f"it needs index, form, head and label")
-            try:
-                heads.append(int(fields[2]))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: head {fields[2]!r} is not an integer") from None
-            words.append(fields[1])
-            labels.append(fields[3])
-    if words:
-        examples.append(ParseExample(words, heads, labels))
+            if line:
+                rows.append((lineno, line))
+            elif rows:
+                examples.append(_conll_tree(path, rows))
+                rows = []
+    if rows:
+        examples.append(_conll_tree(path, rows))
     return examples
+
+
+def _conll_tree(path, rows):
+    """The ParseExample of one tree's (lineno, line) rows."""
+    n = len(rows)
+    words, heads, labels = [], [], []
+    for i, (lineno, line) in enumerate(rows, start=1):
+        fields = line.split("\t")
+        if len(fields) < 4:
+            raise DataError(f"{path}:{lineno}: bad CoNLL line {line!r}; "
+                            f"it needs index, form, head and label")
+        if fields[0] != str(i):
+            raise DataError(f"{path}:{lineno}: index {fields[0]!r} should be {i}; "
+                            f"the lines of a tree count 1..n")
+        try:
+            head = int(fields[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: head {fields[2]!r} is not an integer") from None
+        if not 0 <= head <= n:
+            raise DataError(f"{path}:{lineno}: head {head} is outside 0..{n}, "
+                            f"the root and the words of its tree")
+        words.append(fields[1])
+        heads.append(head)
+        labels.append(fields[3])
+    return ParseExample(words, heads, labels)
 
 
 def pad_ids(seqs):

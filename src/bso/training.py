@@ -145,7 +145,7 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
     gold_seg = np.zeros(len(golds))
     seeded = np.ones(len(golds), dtype=bool)           # reset at the previous step
     records = []
-    state = model.init_state(enc)
+    state = enc.init_state
     gold_rows = np.arange(len(golds))   # state row of each live gold prefix
     # hypotheses that go on, and their state rows
     kept, kept_rows = Beam.seed(np.zeros((0, 0)), [], gold_states[0].select([])), gold_rows[:0]
@@ -236,7 +236,7 @@ def bso_backward(model, fwd):
     every_step = fwd.margin_score == "cumulative"
     enc = fwd.enc
 
-    state = model.init_state(enc)
+    state = enc.init_state
     gold_rows = {b: b for b in order}         # state row of each gold prefix
     viol_rows = {}                            # state row of each violating prefix
     steps = []
@@ -263,9 +263,9 @@ def bso_backward(model, fwd):
                 words.append(viol[i - 1])
             if every_step or t == rec.t:
                 coefs += [(new_gold[b], gold[t - 1], -rec.delta), (new_viol[b], viol[i], rec.delta)]
-        out, cache = model.decode_step(state.select(rows), np.array(words), enc)
+        new_state, cache = model.decode_step(state.select(rows), np.array(words), enc)
         steps.append((cache, rows, state.batch, coefs))
-        state = out.state
+        state = new_state
         gold_rows, viol_rows = new_gold, new_viol
 
     v = model.config.tgt_vocab
@@ -274,13 +274,12 @@ def bso_backward(model, fwd):
     while steps:
         # popped, so each step's cache is freed once it has been used
         cache, rows, n_in, coefs = steps.pop()
-        d_hidden = None
         if coefs:
             d_f = np.zeros((len(rows), v), dtype=model.dtype)
             for row, w, c in coefs:
                 d_f[row, w] += c
-            d_hidden = model.score_f_backward(cache["attn_hidden"], d_f)
-        d_in = model.decode_step_backward(cache, d_state, d_hidden, d_ann)
+            d_state.input_feed += model.score_f_backward(cache["attn_hidden"], d_f)
+        d_in = model.decode_step_backward(cache, d_state, d_ann)
         d_state = d_in.scatter(rows, n_in)
     model.encode_backward(enc, d_ann, d_state)
 
@@ -308,35 +307,35 @@ def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
     used it.
     """
     B, T = tgt.shape
-    state = model.init_state(enc)
+    state = enc.init_state
     loss = 0.0
     steps = []
     for t in range(T):
         in_w = tgt[:, t - 1] if t > 0 else np.full(B, bos_id, dtype=tgt.dtype)
-        out, cache = model.decode_step(state, in_w, enc)
-        step_loss, d_hidden = _xent_step(model, out, tgt[:, t], t < tgt_lengths, backward)
+        state, cache = model.decode_step(state, in_w, enc)
+        step_loss, d_hidden = _xent_step(model, state, tgt[:, t], t < tgt_lengths, backward)
         loss += step_loss
         if backward:
             steps.append((cache, d_hidden))
-        state = out.state
     if backward:
         d_state = model.state_grad_zeros(B)
         d_ann = np.zeros_like(enc.annotations)
         while steps:
             # popped, so each step's cache is freed once it has been used
             cache, d_hidden = steps.pop()
-            d_state = model.decode_step_backward(cache, d_state, d_hidden, d_ann)
+            d_state.input_feed += d_hidden
+            d_state = model.decode_step_backward(cache, d_state, d_ann)
         model.encode_backward(enc, d_ann, d_state)
     return loss
 
 
-def _xent_step(model, out, gold, live, backward):
+def _xent_step(model, state, gold, live, backward):
     """One step's summed negative log-likelihood of ``gold`` over the
     ``live`` rows and, with ``backward``, the [B, H] gradient w.r.t. the
     step's attention hidden state (else None). The log-probabilities, and
     then the score gradient, are formed in the buffer of the step's float64
     scores; no [B, V] array outlives the call."""
-    logp = model.score_f(out).astype(np.float64)
+    logp = model.score_f(state).astype(np.float64)
     nn.log_softmax(logp, out=logp)
     rows = np.arange(len(gold))
     loss = float(-(logp[rows, gold] * live).sum())
@@ -345,7 +344,7 @@ def _xent_step(model, out, gold, live, backward):
     d_f = np.exp(logp, out=logp)
     d_f[rows, gold] -= 1.0
     d_f *= live[:, None]
-    return loss, model.score_f_backward(out.attn_hidden, d_f.astype(model.dtype))
+    return loss, model.score_f_backward(state.input_feed, d_f.astype(model.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -118,20 +118,29 @@ def record_digest(rec):
                   rec.delta, rec.sentence)
 
 
-def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative"):
+def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative",
+                  dropout=0.0):
     """Records and gradients of four minibatches of eight, with an update
     after each: permutation constraint with 0/1 cost, or no constraint with
-    sentence-BLEU cost, under ``margin_score``."""
+    sentence-BLEU cost, under ``margin_score``. With ``dropout``, each
+    minibatch draws one MaskSet, which the search applies and the backward
+    replays."""
     model = copy_of(start)
+    rng = np.random.default_rng(seed + 3)
     delta = delta_01 if constrained else delta_sentence_bleu
     records, grads = digest(), digest()
     for lo in range(0, 32, 8):
         batch = pairs[lo:lo + 8]
         src, lengths = pad_ids([s for s, _ in batch])
+        golds = [t for _, t in batch]
         constraints = [PermutationConstraint(VOCAB, s, EOS_ID) if constrained
                        else NoConstraint(VOCAB, blocked=(PAD_ID, BOS_ID)) for s, _ in batch]
-        enc = model.encode(src, lengths)
-        fwd = bso_forward(model, enc, [t for _, t in batch], k, constraints, delta, BOS_ID,
+        masks = None
+        if dropout:
+            masks = MaskSet.build(dropout, model.config.layers, src.shape[1],
+                                  max(len(g) for g in golds), rng, D_H, dtype=model.dtype)
+        enc = model.encode(src, lengths, masks)
+        fwd = bso_forward(model, enc, golds, k, constraints, delta, BOS_ID,
                           margin_score=margin_score)
         for rec in fwd.records:
             records.update(record_digest(rec).digest())
@@ -171,15 +180,17 @@ def fingerprint(seed):
     for layers, model in starts.items():
         out.append((f"start.layers{layers}.params", params_digest(model)))
         out.append((f"start.layers{layers}.accum", params_digest(model, "adagrad_accum")))
-    for layers, model in starts.items():
-        for dropout in (0.0, 0.3):
-            for name, h in xent_artefacts(model, train, dropout, seed).items():
-                out.append((f"xent.layers{layers}.dropout{dropout}.{name}", h))
+    # one layer has no dropout: masks apply between stacked layers
+    for layers, dropout in ((1, 0.0), (2, 0.0), (2, 0.3)):
+        for name, h in xent_artefacts(starts[layers], train, dropout, seed).items():
+            out.append((f"xent.layers{layers}.dropout{dropout}.{name}", h))
     for constrained, regime in ((True, "perm-zero_one"), (False, "free-sentence_bleu")):
         for name, h in bso_artefacts(starts[1], train, constrained, seed).items():
             out.append((f"bso.{regime}.k6.{name}", h))
     for name, h in bso_artefacts(starts[1], train, True, seed, margin_score="laststep").items():
         out.append((f"bso.perm-zero_one.k6.laststep.{name}", h))
+    for name, h in bso_artefacts(starts[2], train, True, seed, dropout=0.3).items():
+        out.append((f"bso.perm-zero_one.k6.layers2.dropout0.3.{name}", h))
     for constrained, regime in ((True, "perm"), (False, "free")):
         for k in (1, 5, 10):
             out.append((f"decode.{regime}.k{k}", decode_artefact(starts[1], dev, k, constrained)))

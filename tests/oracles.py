@@ -142,14 +142,13 @@ def rescore_prefix(model, enc, tokens, bos_id):
     """Teacher-force a token prefix from the initial state; return the
     f-score of each emitted token, the per-step caches and the states
     after each prefix (entry j after the first j tokens)."""
-    state = model.init_state(enc)
+    state = enc.init_state
     fs, caches, states = [], [], [state]
     for t, w in enumerate(tokens):
         in_w = bos_id if t == 0 else tokens[t - 1]
-        out, cache = model.decode_step(state, [in_w], enc)
-        fs.append(float(model.score_f(out)[0, w]))
+        state, cache = model.decode_step(state, [in_w], enc)
+        fs.append(float(model.score_f(state)[0, w]))
         caches.append(cache)
-        state = out.state
         states.append(state)
     return fs, caches, states
 
@@ -243,12 +242,11 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
     d_state = model.state_grad_zeros(1)
     v = model.config.tgt_vocab
     for t in range(len(tokens) - 1, -1, -1):
-        d_hidden = None
         if coefs[t] != 0.0:
             d_f = np.zeros((1, v), dtype=model.dtype)
             d_f[0, tokens[t]] = coefs[t]
-            d_hidden = model.score_f_backward(caches[t]["attn_hidden"], d_f)
-        d_state = model.decode_step_backward(caches[t], d_state, d_hidden, d_annotations=d_ann)
+            d_state.input_feed += model.score_f_backward(caches[t]["attn_hidden"], d_f)
+        d_state = model.decode_step_backward(caches[t], d_state, d_annotations=d_ann)
     return d_state
 
 
@@ -310,11 +308,10 @@ def bso_frozen_loss(model, src, gold, records, bos_id, margin_score, masks=None)
         for i, w in enumerate(rec.violating_tokens):
             step = rec.r + i
             in_w = bos_id if step == 0 else prev_words[step - 1]
-            out, _ = model.decode_step(vstate, [in_w], enc)
-            fv = float(model.score_f(out)[0, w])
+            vstate, _ = model.decode_step(vstate, [in_w], enc)
+            fv = float(model.score_f(vstate)[0, w])
             v_seg += fv
             v_last = fv
-            vstate = out.state
         if margin_score == "laststep":
             total += rec.delta * (1.0 - g_last + v_last)
         else:

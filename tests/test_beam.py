@@ -500,13 +500,12 @@ def brute_force_best(model, enc, max_len, bos, eos, vocab, blocked):
     for length in range(1, max_len + 1):
         for body in itertools.product(allowed, repeat=length - 1):
             seq = tuple(body) + (eos,)
-            state = model.init_state(enc)
+            state = enc.init_state
             total = 0.0
             for t, w in enumerate(seq):
                 in_w = bos if t == 0 else seq[t - 1]
-                out, _ = model.decode_step(state, [in_w], enc)
-                total = total + float(model.score_f(out)[0, w])
-                state = out.state
+                state, _ = model.decode_step(state, [in_w], enc)
+                total = total + float(model.score_f(state)[0, w])
             if best is None or total > best[0]:
                 best = (total, seq)
     return best
@@ -519,18 +518,17 @@ class TestBeamDecode:
         toks = beam_decode(model, enc, 1, NoConstraint(6, blocked=(PAD_ID, BOS_ID)),
                            5, BOS_ID, EOS_ID)
         # replicate greedy stepping manually
-        state = model.init_state(enc)
+        state = enc.init_state
         manual = []
         w = BOS_ID
         for t in range(5):
-            out, _ = model.decode_step(state, [w], enc)
-            f = model.score_f(out)[0]
+            state, _ = model.decode_step(state, [w], enc)
+            f = model.score_f(state)[0]
             f[[PAD_ID, BOS_ID]] = -np.inf
             w = int(np.argmax(f))
             manual.append(w)
             if w == EOS_ID:
                 break
-            state = out.state
         assert list(toks) == manual
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

@@ -338,6 +338,22 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {ref}:2: head 'x'")
 
+    @pytest.mark.parametrize("text, lineno", [("1\tthe\t9\tdet\n2\tdog\t0\troot\n", 1),
+                                              ("1\tthe\t-1\tdet\n2\tdog\t0\troot\n", 1),
+                                              ("1\tthe\t2\tdet\n1\tdog\t0\troot\n", 2)],
+                             ids=["head-past-n", "head-negative", "index-repeated"])
+    def test_parse_eval_rejects_a_reference_tree_it_cannot_score(self, tmp_path, capsys,
+                                                                  text, lineno):
+        # a head outside the tree, or an index out of order, is no tree:
+        # scoring it would print a UAS and exit 0
+        ref = tmp_path / "dev.conll"
+        ref.write_text(text)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("the dog @L_det\n")
+        rc = cli.main(["eval", "--task", "parse", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {ref}:{lineno}: ")
+
 
 class TestCleanFailures:
     """Errors of a checkpoint, an input or the search end the command with
@@ -578,6 +594,24 @@ class TestCleanFailures:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'parse'" in err and "'word_order'" in err
+        assert not (tmp_path / "out.bso").exists()
+
+    @pytest.mark.parametrize("key, have, value", [("d_emb", 8, 16), ("d_h", 8, 16),
+                                                  ("layers", 1, 2)])
+    def test_train_bso_checkpoint_of_other_sizes(self, tmp_path, capsys, key, have, value):
+        # train-bso writes its configuration next to the model it trains:
+        # sizes other than the checkpoint's would describe another model
+        write_word_order_data(tmp_path)
+        model = tmp_path / "m.bso"
+        assert cli.main(["pretrain", "--config", str(base_config(tmp_path, xent_epochs=1)),
+                         "--model-out", str(model)]) == 0
+        capsys.readouterr()
+        cfg_path = base_config(tmp_path, **{key: value})
+        assert cli.main(["train-bso", "--config", str(cfg_path), "--model-in", str(model),
+                         "--model-out", str(tmp_path / "out.bso")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"has {key} = {have};" in err and f"has {key} = {value}" in err
         assert not (tmp_path / "out.bso").exists()
 
     def test_checkpoint_of_the_same_task_or_none(self, tmp_path, capsys):

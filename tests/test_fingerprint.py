@@ -13,6 +13,7 @@ def test_same_seed_same_fingerprint():
     names = [name for name, _ in first]
     assert len(set(names)) == len(names)
     assert "bso.perm-zero_one.k6.laststep.records" in names
+    assert "bso.perm-zero_one.k6.layers2.dropout0.3.grad" in names
     # a digest nothing was fed into would pass any comparison unnoticed
     empty = hashlib.sha256().hexdigest()
     assert [name for name, h in first if h == empty] == []

@@ -19,9 +19,9 @@ from gradcheck import max_relative_error, numerical_grad
 BOS = 2
 
 
-def score_g(model, out):
+def score_g(model, state):
     """Log-probabilities [B, V]: log-softmax over score_f."""
-    return nn.log_softmax(model.score_f(out))
+    return nn.log_softmax(model.score_f(state))
 
 
 def toy_model(src_vocab=7, tgt_vocab=9, d_emb=4, d_h=5, layers=1, seed=0,
@@ -66,29 +66,29 @@ class TestDecodeStep:
     def test_single_source_token_attention_is_one(self):
         m = toy_model()
         enc = m.encode(np.array([[4]]))
-        out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
-        assert out.attn_weights.shape == (1, 1)
-        assert out.attn_weights[0, 0] == pytest.approx(1.0)
+        _, cache = m.decode_step(enc.init_state, [BOS], enc)
+        assert cache["attn"].shape == (1, 1)
+        assert cache["attn"][0, 0] == pytest.approx(1.0)
 
     def test_attention_normalized(self):
         m = toy_model()
         enc = m.encode(np.array([[1, 2, 3, 4]]))
-        out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
-        assert np.all(out.attn_weights >= 0)
-        assert out.attn_weights.sum() == pytest.approx(1.0, abs=1e-6)
+        _, cache = m.decode_step(enc.init_state, [BOS], enc)
+        assert np.all(cache["attn"] >= 0)
+        assert cache["attn"].sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic(self):
         m = toy_model()
         enc = m.encode(np.array([[1, 2]]))
-        a, _ = m.decode_step(m.init_state(enc), [5], enc)
-        b, _ = m.decode_step(m.init_state(enc), [5], enc)
-        assert np.array_equal(a.attn_hidden, b.attn_hidden)
+        a, _ = m.decode_step(enc.init_state, [5], enc)
+        b, _ = m.decode_step(enc.init_state, [5], enc)
+        assert np.array_equal(a.input_feed, b.input_feed)
 
     def test_input_feed_carries_attn_hidden(self):
         m = toy_model()
         enc = m.encode(np.array([[1, 2]]))
-        out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
-        assert np.array_equal(out.state.input_feed, out.attn_hidden)
+        state, cache = m.decode_step(enc.init_state, [BOS], enc)
+        assert np.array_equal(state.input_feed, cache["attn_hidden"])
 
     def test_rows_attend_to_their_own_source(self):
         # rows of one step may come from different sentences of a padded batch
@@ -97,20 +97,20 @@ class TestDecodeStep:
         enc = m.encode(np.array([[1, 2, 0, 0], [3, 4, 5, 6]]), lengths=np.array([2, 4]))
         rows = [1, 0, 0, 1, 1]
         words = [5, 2, 6, 2, 7]
-        out, _ = m.decode_step(m.init_state(enc).select(rows), words, enc)
-        assert list(out.state.src) == rows
+        state, cache = m.decode_step(enc.init_state.select(rows), words, enc)
+        assert list(state.src) == rows
         for i, (b, w) in enumerate(zip(rows, words)):
             one = m.encode(srcs[b][None, :])
-            ref, _ = m.decode_step(m.init_state(one), [w], one)
-            assert np.allclose(out.attn_weights[i, :len(srcs[b])], ref.attn_weights[0], atol=1e-12)
-            assert np.all(out.attn_weights[i, len(srcs[b]):] == 0.0)
-            assert np.allclose(out.attn_hidden[i], ref.attn_hidden[0], atol=1e-12)
+            ref, ref_cache = m.decode_step(one.init_state, [w], one)
+            assert np.allclose(cache["attn"][i, :len(srcs[b])], ref_cache["attn"][0], atol=1e-12)
+            assert np.all(cache["attn"][i, len(srcs[b]):] == 0.0)
+            assert np.allclose(state.input_feed[i], ref.input_feed[0], atol=1e-12)
 
     def test_missing_dropout_mask_is_usage_error(self):
         m = toy_model(layers=2)
         masks = MaskSet.build(0.5, 2, 2, 3, np.random.default_rng(0), 5, dtype=np.float64)
         enc = m.encode(np.array([[1, 2]]), masks=masks)
-        state = m.init_state(enc)
+        state = enc.init_state.select([0])
         state.step = 3
         with pytest.raises(LookupError):
             m.decode_step(state, [BOS], enc)
@@ -120,9 +120,9 @@ class TestScores:
     def test_g_is_log_softmax_of_f(self):
         m = toy_model()
         enc = m.encode(np.array([[1, 2]]))
-        out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
-        f = m.score_f(out)
-        g = score_g(m, out)
+        state, _ = m.decode_step(enc.init_state, [BOS], enc)
+        f = m.score_f(state)
+        g = score_g(m, state)
         assert np.allclose(g, nn.log_softmax(f), atol=1e-12)
         assert np.exp(g).sum() == pytest.approx(1.0, abs=1e-6)
         assert np.argmax(f) == np.argmax(g)
@@ -130,10 +130,10 @@ class TestScores:
     def test_bias_shift_moves_f_not_g(self):
         m = toy_model()
         enc = m.encode(np.array([[1, 2]]))
-        out, _ = m.decode_step(m.init_state(enc), [BOS], enc)
-        f0, g0 = m.score_f(out), score_g(m, out)
+        state, _ = m.decode_step(enc.init_state, [BOS], enc)
+        f0, g0 = m.score_f(state), score_g(m, state)
         m.params["out.b"].value += 3.0
-        f1, g1 = m.score_f(out), score_g(m, out)
+        f1, g1 = m.score_f(state), score_g(m, state)
         assert np.allclose(f1, f0 + 3.0, atol=1e-9)
         assert np.allclose(g1, g0, atol=1e-9)
 
@@ -143,12 +143,12 @@ class TestScoreBackward:
 
     def step(self, m):
         enc = m.encode(np.array([[1, 2, 3], [4, 5, 6], [2, 2, 1]]))
-        return m.decode_step(m.init_state(enc), [BOS, 4, 6], enc)
+        return m.decode_step(enc.init_state, [BOS, 4, 6], enc)
 
     def test_matches_the_affine_products(self):
         m = toy_model()
-        out, _ = self.step(m)
-        ah = out.attn_hidden
+        state, _ = self.step(m)
+        ah = state.input_feed
         d_f = np.random.default_rng(1).normal(size=(3, 9))
         m.zero_grads()
         d_ah = m.score_f_backward(ah, d_f)
@@ -161,46 +161,25 @@ class TestScoreBackward:
 
     def test_matches_finite_differences(self):
         m = toy_model(dtype=np.float64)
-        out, _ = self.step(m)
+        state, _ = self.step(m)
         weights = np.random.default_rng(2).normal(size=(3, 9))
 
         def loss():
-            return float(np.sum(m.score_f(out) * weights))
+            return float(np.sum(m.score_f(state) * weights))
 
         m.zero_grads()
-        d_ah = m.score_f_backward(out.attn_hidden, weights)
+        d_ah = m.score_f_backward(state.input_feed, weights)
         for name in ("out.w", "out.b"):
             num = numerical_grad(loss, m.params[name].value, step=1e-4)
             assert max_relative_error(m.params[name].grad, num) < 1e-7
-        num = numerical_grad(loss, out.attn_hidden, step=1e-4)
+        num = numerical_grad(loss, state.input_feed, step=1e-4)
         assert max_relative_error(d_ah, num) < 1e-7
-
-    def test_decode_step_backward_adds_d_hidden_to_the_input_feed_gradient(self):
-        m = toy_model()
-        _, cache = self.step(m)
-        d_state = m.state_grad_zeros(3)
-        d_state.input_feed[...] = np.random.default_rng(3).normal(size=(3, 5))
-        d_hidden = np.random.default_rng(4).normal(size=(3, 5))
-        m.zero_grads()
-        d_ann_a = np.zeros_like(cache["enc"].annotations)
-        a = m.decode_step_backward(cache, d_state, d_hidden, d_ann_a)
-        ga = {n: s.grad.copy() for n, s in m.params.items()}
-        merged = m.state_grad_zeros(3)
-        merged.input_feed[...] = d_state.input_feed + d_hidden
-        m.zero_grads()
-        d_ann_b = np.zeros_like(d_ann_a)
-        b = m.decode_step_backward(cache, merged, None, d_ann_b)
-        assert np.array_equal(a.input_feed, b.input_feed)
-        assert np.array_equal(a.h[0], b.h[0]) and np.array_equal(a.c[0], b.c[0])
-        assert np.array_equal(d_ann_a, d_ann_b)
-        for n, s in m.params.items():
-            assert np.array_equal(ga[n], s.grad)
 
 
 class TestSelectStates:
     def make_state(self, m):
         enc = m.encode(np.array([[1, 2], [3, 4], [5, 6]]))
-        return m.init_state(enc)
+        return enc.init_state
 
     def test_identity(self):
         m = toy_model()
@@ -383,19 +362,20 @@ class TestAttentionWeights:
                        lengths=[5, 2, 4])
         assert enc.attn_bias is not None
         rows = np.array([2, 0, 1, 1, 2])
-        out, _ = m.decode_step(m.init_state(enc).select(rows), [BOS, 4, 5, 6, 7], enc)
+        state, cache = m.decode_step(enc.init_state.select(rows), [BOS, 4, 5, 6, 7], enc)
         ann = enc.annotations[rows]
-        s = np.einsum("bsh,bh->bs", ann, out.state.h[-1]) + enc.attn_bias[rows]
+        s = np.einsum("bsh,bh->bs", ann, state.h[-1]) + enc.attn_bias[rows]
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
         assert np.ptp(s[enc.attn_bias[rows] == 0]) > 1.0
-        assert out.attn_weights.dtype == dtype
-        assert out.attn_weights.tobytes() == want.tobytes()
-        assert not out.attn_weights[enc.attn_bias[rows] != 0].any()
+        attn = cache["attn"]
+        assert attn.dtype == dtype
+        assert attn.tobytes() == want.tobytes()
+        assert not attn[enc.attn_bias[rows] != 0].any()
         context = np.einsum("bs,bsh->bh", want, ann)
-        hidden = np.tanh(np.concatenate([context, out.state.h[-1]], axis=1)
+        hidden = np.tanh(np.concatenate([context, state.h[-1]], axis=1)
                          @ m.params["attn.w"].value + m.params["attn.b"].value)
-        assert out.attn_hidden.tobytes() == hidden.tobytes()
+        assert state.input_feed.tobytes() == hidden.tobytes()
 
 
 class TestAstype:
@@ -451,9 +431,9 @@ class TestCheckpoint:
         src = np.array([[1, 2, 3]])
         a = m.encode(src)
         b = loaded.encode(src)
-        out_a, _ = m.decode_step(m.init_state(a), [BOS], a)
-        out_b, _ = loaded.decode_step(loaded.init_state(b), [BOS], b)
-        assert np.array_equal(m.score_f(out_a), loaded.score_f(out_b))
+        state_a, _ = m.decode_step(a.init_state, [BOS], a)
+        state_b, _ = loaded.decode_step(b.init_state, [BOS], b)
+        assert np.array_equal(m.score_f(state_a), loaded.score_f(state_b))
 
     def test_old_bsoc_format_rejected(self, tmp_path):
         # the format before the zip archive: b"BSOC", the header, then a

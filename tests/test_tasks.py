@@ -282,6 +282,17 @@ class TestFileFormats:
         path.write_text("1\tthe\t2\tdet\n2\tdog\tx\troot\n")
         with pytest.raises(DataError, match=r"bad\.conll:2: head 'x' is not an integer"):
             read_conll(path)
+        # heads point into 0..n of their own tree, and indices count 1..n
+        for text, match in (
+                ("1\tthe\t9\tdet\n2\tdog\t0\troot\n", r"bad\.conll:1: head 9 is outside 0\.\.2"),
+                ("1\tthe\t-1\tdet\n2\tdog\t0\troot\n", r"bad\.conll:1: head -1 is outside"),
+                ("1\tgo\t0\troot\n\n1\tthe\t2\tdet\n2\tdog\t3\troot\n",
+                 r"bad\.conll:4: head 3 is outside 0\.\.2"),
+                ("1\tthe\t2\tdet\n1\tdog\t0\troot\n", r"bad\.conll:2: index '1' should be 2"),
+                ("2\tthe\t0\troot\n", r"bad\.conll:1: index '2' should be 1")):
+            path.write_text(text)
+            with pytest.raises(DataError, match=match):
+                read_conll(path)
 
 
 class TestPadIds:

@@ -7,6 +7,7 @@ from bso import beam as beam_mod
 from bso import nn, training
 from bso.beam import NonFiniteScoreError, NoConstraint, PermutationConstraint
 from bso.model import MaskSet, ModelConfig, Seq2SeqModel
+from bso.tasks import pad_ids
 from bso.training import (TrainConfig, ViolationRecord,
                           bso_backward, bso_forward, curriculum_beam, delta_01,
                           delta_sentence_bleu, make_batches, margin_loss,
@@ -83,11 +84,18 @@ class TestCurriculum:
 
 
 class ScriptedState:
-    def __init__(self, prefixes):
+    """The input-word history of each row and, after a step, its scores."""
+
+    def __init__(self, prefixes, scores=None):
         self.prefixes = list(prefixes)
+        self.scores = scores
 
     def select(self, rows):
         return ScriptedState([self.prefixes[r] for r in rows])
+
+
+# the encoding of a scripted model: its start state is the empty history
+SCRIPTED_ENC = types.SimpleNamespace(init_state=ScriptedState([()]))
 
 
 class ScriptedModel:
@@ -99,20 +107,16 @@ class ScriptedModel:
         self.table = table
         self.default = default
 
-    def init_state(self, enc):
-        return ScriptedState([()])
-
     def decode_step(self, state, words, enc):
         prefixes = [state.prefixes[i] + (int(w),) for i, w in enumerate(words)]
         rows = np.full((len(prefixes), self.config.tgt_vocab), self.default)
         for i, p in enumerate(prefixes):
             for w, val in self.table.get(p, {}).items():
                 rows[i, w] = val
-        out = types.SimpleNamespace(state=ScriptedState(prefixes), scores=rows)
-        return out, {"prefixes": prefixes}
+        return ScriptedState(prefixes, rows), {"prefixes": prefixes}
 
-    def score_f(self, out):
-        return out.scores.copy()
+    def score_f(self, state):
+        return state.scores.copy()
 
 
 A, B, C, D = 4, 5, 6, 7
@@ -131,7 +135,7 @@ def scripted_table(d_eos=3.2, gold_eos=1.0):
 
 def run_scripted(table, k=2):
     model = ScriptedModel(table, vocab=8)
-    return bso_forward(model, enc=None, golds=[(A, B, C, EOS)], k_tr=k,
+    return bso_forward(model, enc=SCRIPTED_ENC, golds=[(A, B, C, EOS)], k_tr=k,
                        constraints=[NoConstraint(8, blocked=(0, 1, 2))],
                        delta_fn=delta_01, bos_id=BOS)
 
@@ -170,7 +174,7 @@ class TestScriptedForward:
 
     def test_matches_oracle_on_scripted_model(self):
         model = ScriptedModel(scripted_table(), vocab=8)
-        got = oracle_bso_forward(model, None, (A, B, C, EOS), 2,
+        got = oracle_bso_forward(model, SCRIPTED_ENC, (A, B, C, EOS), 2,
                                  NoConstraint(8, blocked=(0, 1, 2)),
                                  delta_01, BOS)
         fwd = run_scripted(scripted_table())
@@ -258,7 +262,7 @@ class TestZeroCostRule:
         # with K=1 the gold prefix is the one successor at steps 1-3, so each
         # step records it as its own comparator and resets
         model = ScriptedModel(scripted_table(), vocab=8)
-        fwd = bso_forward(model, None, [(A, B, C, EOS)], 1,
+        fwd = bso_forward(model, SCRIPTED_ENC, [(A, B, C, EOS)], 1,
                           [NoConstraint(8, blocked=(0, 1, 2))], self.always_one, BOS)
         gold_comparators = [rec for rec in fwd.records
                             if rec.violating_tokens == fwd.gold_tokens[0][rec.r:rec.t]]
@@ -302,7 +306,7 @@ class TestNonFinite:
         }
         model = ScriptedModel(table, vocab=8)
         with pytest.raises(NonFiniteScoreError, match="step 3") as err:
-            bso_forward(model, None, [(A, B, EOS)], 3,
+            bso_forward(model, SCRIPTED_ENC, [(A, B, EOS)], 3,
                         [NoConstraint(8, blocked=(0, 1, 2))], delta_01, BOS,
                         margin_score="laststep")
         assert err.value.sentence == 0
@@ -689,9 +693,9 @@ class TestEpochDrivers:
             return encoded[-1]
 
         def tracing_decode_step(*args, **kwargs):
-            out, cache = decode_step(*args, **kwargs)
+            state, cache = decode_step(*args, **kwargs)
             drops.append(cache["drop"])
-            return out, cache
+            return state, cache
 
         model.encode, model.decode_step = tracing_encode, tracing_decode_step
         rng = np.random.default_rng(1)
@@ -748,6 +752,35 @@ class TestEpochDrivers:
         losses = [train_bso_epoch(model, examples, config, e, rng, BOS).loss
                   for e in range(1, 16)]
         assert losses[-1] < losses[0]
+
+
+class TestSharedStartState:
+    def test_losses_and_search_leave_the_start_state_unchanged(self):
+        """Every loss and search starts from the encoding's start state
+        itself, not a copy, so none of them may write into it."""
+        model = toy_model(4, layers=2, d_h=8)
+        rng = np.random.default_rng(6)
+        examples = TestEpochDrivers().bso_examples(rng, n=4)
+        src, lengths = pad_ids([s for s, _, _ in examples])
+        golds = [g for _, g, _ in examples]
+        tgt, tgt_lengths = pad_ids(golds)
+        masks = MaskSet.build(0.3, 2, src.shape[1], tgt.shape[1], rng, 8)
+        enc = model.encode(src, lengths, masks)
+        start = enc.init_state
+
+        def snapshot():
+            return [a.tobytes() for a in (*start.h, *start.c, start.input_feed, start.src)] + \
+                [start.step]
+
+        before = snapshot()
+        training.xent_loss(model, enc, tgt, tgt_lengths, BOS)
+        fwd = bso_forward(model, enc, golds, 3, [c for _, _, c in examples], delta_01, BOS)
+        assert fwd.records
+        bso_backward(model, fwd)
+        beam_mod.beam_search(model, enc, 3, [c for _, _, c in examples],
+                             [len(g) for g in golds], BOS, EOS)
+        assert enc.init_state is start
+        assert snapshot() == before
 
 
 class TestBenchmarkProbes:
