@@ -306,7 +306,6 @@ class Beam:
 
     tokens: np.ndarray           # [n, t] token prefixes
     seg_score: np.ndarray        # [n] cumulative f since the last search reset
-    last_f: np.ndarray           # [n] f of the last token
     sent: np.ndarray             # [n] index of each row's sentence
     constraint: object           # constraint state, one row per hypothesis
 
@@ -314,21 +313,21 @@ class Beam:
     def seed(cls, tokens, sent, constraint):
         """Hypotheses that search starts or resumes from, with zero scores."""
         n = len(sent)
-        return cls(np.asarray(tokens, dtype=np.int64), np.zeros(n), np.zeros(n),
+        return cls(np.asarray(tokens, dtype=np.int64), np.zeros(n),
                    np.asarray(sent, dtype=np.int64), constraint)
 
     def __len__(self):
         return len(self.sent)
 
     def select(self, rows):
-        return Beam(self.tokens.take(rows, axis=0), self.seg_score[rows],
-                    self.last_f[rows], self.sent[rows], self.constraint.select(rows))
+        return Beam(self.tokens.take(rows, axis=0), self.seg_score[rows], self.sent[rows],
+                    self.constraint.select(rows))
 
     @staticmethod
     def join(beams):
         """Stack the rows of several beams, in order."""
         return Beam(*(np.concatenate([getattr(b, name) for b in beams])
-                      for name in ("tokens", "seg_score", "last_f", "sent")),
+                      for name in ("tokens", "seg_score", "sent")),
                     join_constraints([b.constraint for b in beams]))
 
 
@@ -389,13 +388,12 @@ def beam_step(beam, f, k, rows=None):
     sent = beam.sent
     one = len(sent) < 2 or not np.count_nonzero(sent != sent[0])
     pick = top_k(cum, words, parents, k, None if one else sent[parents])
-    parents, words, fw = parents[pick], words[pick], fw[pick]
+    parents, words = parents[pick], words[pick]
     # one successor of a one-row beam: its constraint rows need no gather
     constraint = beam.constraint if len(parents) == len(beam) == 1 \
         else beam.constraint.select(parents)
     succ = Beam(np.concatenate([beam.tokens.take(parents, axis=0), words[:, None]], axis=1),
-                cum[pick], fw, sent[parents],
-                constraint.advance(words))
+                cum[pick], sent[parents], constraint.advance(words))
     return succ, parents
 
 
@@ -403,17 +401,17 @@ def beam_step(beam, f, k, rows=None):
 # Lockstep search
 
 
-def search_step(model, state, words, sent, enc, beam, k, f_rows=None):
+def search_step(model, state, words, enc, beam, k, f_rows=None):
     """One lockstep step: ``decode_step`` and ``score_f`` over the rows of
     ``state``, then :func:`beam_step` on ``beam`` (``f_rows`` as its rows).
-    ``sent[row]`` is the sentence of each state row, which a SentenceError
-    names. Returns (state, f, succ, parents)."""
+    A SentenceError names a state row's sentence, its ``src``. Returns
+    (state, f, succ, parents)."""
     state = model.decode_step(state, words, enc)[0]
     f = model.score_f(state)
     try:
         succ, parents = beam_step(beam, f, k, f_rows)
     except SentenceError as exc:
-        exc.sentence = int(sent[exc.sentence])
+        exc.sentence = int(state.src[exc.sentence])
         raise
     return state, f, succ, parents
 
@@ -444,7 +442,7 @@ def beam_search(model, enc, k, constraints, max_lens, bos_id, eos_id):
     state = enc.init_state
     for step in range(max(last_steps)):
         words = beam.tokens[:, -1] if step else np.full(len(beam), bos_id)
-        state, _, succ, parents = search_step(model, state, words, beam.sent, enc, beam, k)
+        state, _, succ, parents = search_step(model, state, words, enc, beam, k)
         if not len(succ):
             break
         done = succ.tokens[:, -1] == eos_id

@@ -143,7 +143,6 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
     gold, lengths = pad_ids(golds)
     reset = np.zeros(len(golds), dtype=np.int64)       # r: the last reset step
     gold_seg = np.zeros(len(golds))
-    seeded = np.ones(len(golds), dtype=bool)           # reset at the previous step
     records = []
     state = enc.init_state
     gold_rows = np.arange(len(golds))   # state row of each live gold prefix
@@ -157,14 +156,15 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
         state = state.select(np.concatenate([gold_rows, kept_rows]))
         words = np.concatenate([np.full(len(live), bos_id) if t == 1 else gold[live, t - 2],
                                 kept.tokens[:, -1:].ravel()])
-        # a sentence (re)seeded from its gold prefix y_{1:r} is a beam of one
-        # whose step is the gold step, which consumed the same state and word
-        new = np.flatnonzero(seeded[live])
+        # a sentence that starts or was reset at the previous step is reseeded
+        # from its gold prefix y_{1:r}: a beam of one whose step is the gold
+        # step, which consumed the same state and word
+        new = np.flatnonzero(reset[live] == t - 1)
         parents = kept if not new.size else Beam.join([kept, Beam.seed(
             gold[live[new], :t - 1], live[new], gold_states[t - 1].select(new))])
         parent_at = np.concatenate([np.arange(len(live), len(words)), new])
-        state, f, succ, succ_parent = search_step(
-            model, state, words, np.concatenate([live, kept.sent]), enc, parents, k_tr, parent_at)
+        state, f, succ, succ_parent = search_step(model, state, words, enc, parents, k_tr,
+                                                  parent_at)
         fy = f[np.arange(len(live)), gold[live, t - 1]].astype(np.float64)
 
         # comparator: the K-th successor, or at the final step the best one
@@ -180,8 +180,9 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
             comp = np.where(final, best, comp)
         has_comp = (comp >= first) & (comp < first + count)
         gold_seg_t = gold_seg[live] + fy
-        gold_m, succ_m = (fy, succ.last_f) if margin_score == "laststep" else \
-            (gold_seg_t, succ.seg_score)
+        # the last-step margin takes each successor's last f as beam_step ranked it
+        gold_m, succ_m = (gold_seg_t, succ.seg_score) if margin_score == "cumulative" else \
+            (fy, f[parent_at[succ_parent], succ.tokens[:, -1]].astype(np.float64))
         # constraints exhausting the beam before the end count as a violation
         violated = ~final
         if len(succ):
@@ -196,7 +197,6 @@ def bso_forward(model, enc, golds, k_tr, constraints, delta_fn, bos_id, margin_s
                                            float(succ_m[c]), delta, sentence=b))
         reset[live[violated]] = t
         gold_seg[live] = np.where(violated, 0.0, gold_seg_t)
-        seeded[live] = violated
         go_on = np.flatnonzero((~violated & ~final)[succ_live])
         kept, kept_rows = succ.select(go_on), parent_at[succ_parent[go_on]]
         gold_rows = np.flatnonzero(~final)

@@ -36,6 +36,7 @@ from bso.training import (TrainConfig, bso_backward, bso_forward, delta_01,
 VOCAB = 40
 D_EMB, D_H = 16, 24
 CONFIG = TrainConfig(batch_size=16, lr_main=0.1, lr_out=0.2)
+OUT = ("out.w", "out.b")         # the output layer's slots
 
 
 def digest(*parts):
@@ -124,7 +125,8 @@ def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative
     after each: permutation constraint with 0/1 cost, or no constraint with
     sentence-BLEU cost, under ``margin_score``. With ``dropout``, each
     minibatch draws one MaskSet, which the search applies and the backward
-    replays."""
+    replays. ``grad0.out`` is the first minibatch's out.w and out.b
+    gradient, ``grad0.rest`` every other slot's."""
     model = copy_of(start)
     rng = np.random.default_rng(seed + 3)
     delta = delta_01 if constrained else delta_sentence_bleu
@@ -146,9 +148,16 @@ def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative
             records.update(record_digest(rec).digest())
         model.zero_grads()
         bso_backward(model, fwd)
+        if not lo:
+            # the first gradient, before clipping and Adagrad spread a
+            # difference to every parameter, the output layer apart
+            slots = model.slots()
+            grad0 = {"grad0.out": digest(*(s.grad for s in slots if s.name in OUT)).hexdigest(),
+                     "grad0.rest": digest(*(s.grad for s in slots
+                                            if s.name not in OUT)).hexdigest()}
         grads.update(digest(*(s.grad for s in model.slots())).digest())
         optimizer_step(model, CONFIG)
-    return {"records": records.hexdigest(), "grad": grads.hexdigest(),
+    return {"records": records.hexdigest(), "grad": grads.hexdigest(), **grad0,
             "params": params_digest(model)}
 
 

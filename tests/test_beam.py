@@ -249,7 +249,6 @@ def as_beam(sentences):
     rows = [(b, h) for b, hyps in enumerate(sentences) for h in hyps]
     return Beam(np.array([h.tokens for _, h in rows], dtype=np.int64).reshape(len(rows), -1),
                 np.array([h.seg_score for _, h in rows]),
-                np.array([h.last_f for _, h in rows]),
                 np.array([b for b, _ in rows], dtype=np.int64),
                 join_constraints([h.constraint for _, h in rows]))
 
@@ -267,7 +266,7 @@ class TestBeamStep:
         assert succ.tokens.tolist() == [[5, 4], [4, 6], [4, 5]]
         assert rows.tolist() == [1, 0, 0]
         assert succ.seg_score.tolist() == [2.5, 2.0, 1.75]
-        assert succ.last_f.tolist() == [1.5, 0.5, 0.25]
+        assert f[rows, succ.tokens[:, -1]].tolist() == [1.5, 0.5, 0.25]
         assert successors(succ.constraint.select([0])) == [6]
 
     def test_no_valid_expansion_gives_empty_beam(self):
@@ -357,7 +356,7 @@ def random_sentences(kind, k, seed):
             for _ in range(int(rng.integers(1, k + 1))):
                 hyps.append(Hypothesis(tuple(int(w) for w in rng.integers(3, V, size=t)),
                                        value(), random_constraint(kind, rng, blocked),
-                                       seg_score=value(), last_f=value()))
+                                       seg_score=value()))
         sentences.append(hyps)
     n = sum(len(h) for h in sentences)
     f = (rng.choice([-1.0, 0.0, 0.5, 1.0], size=(n, V)) if ties else rng.normal(size=(n, V)))
@@ -389,9 +388,11 @@ class TestArrayBeamStepMatchesReference:
             mine = np.flatnonzero(succ.sent == b)
             assert succ.tokens[mine].tolist() == [list(h.tokens) for h in ref]
             assert (parents[mine] - lo).tolist() == ref_rows
-            for name in ("seg_score", "last_f"):
-                want = np.array([getattr(h, name) for h in ref], dtype=np.float64)
-                assert getattr(succ, name)[mine].tobytes() == want.tobytes()
+            want = np.array([h.seg_score for h in ref], dtype=np.float64)
+            assert succ.seg_score[mine].tobytes() == want.tobytes()
+            # the last f a successor was ranked by, as bso_forward reads it
+            last_f = f[parents[mine], succ.tokens[mine, -1]].astype(np.float64)
+            assert last_f.tobytes() == np.array([h.last_f for h in ref]).tobytes()
             want = np.array([successor_mask(h.constraint)[0] for h in ref], dtype=bool)
             assert np.array_equal(masks[mine], want.reshape(len(ref), V))
             lo += len(hyps)
@@ -481,7 +482,7 @@ class TestInterleavedRows:
         got, got_parents = beam_step(grouped.select(perm), f, k, rows=perm)
         assert np.all(np.diff(got.sent) >= 0)
         assert perm[got_parents].tolist() == want_parents.tolist()
-        for name in ("tokens", "seg_score", "last_f", "sent"):
+        for name in ("tokens", "seg_score", "sent"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert np.array_equal(successor_mask(got.constraint, len(got)),
                               successor_mask(want.constraint, len(want)))

@@ -84,18 +84,20 @@ class TestCurriculum:
 
 
 class ScriptedState:
-    """The input-word history of each row and, after a step, its scores."""
+    """The input-word history and sentence of each row and, after a step,
+    its scores."""
 
-    def __init__(self, prefixes, scores=None):
+    def __init__(self, prefixes, src, scores=None):
         self.prefixes = list(prefixes)
+        self.src = np.asarray(src)
         self.scores = scores
 
     def select(self, rows):
-        return ScriptedState([self.prefixes[r] for r in rows])
+        return ScriptedState([self.prefixes[r] for r in rows], self.src[rows])
 
 
 # the encoding of a scripted model: its start state is the empty history
-SCRIPTED_ENC = types.SimpleNamespace(init_state=ScriptedState([()]))
+SCRIPTED_ENC = types.SimpleNamespace(init_state=ScriptedState([()], [0]))
 
 
 class ScriptedModel:
@@ -113,7 +115,7 @@ class ScriptedModel:
         for i, p in enumerate(prefixes):
             for w, val in self.table.get(p, {}).items():
                 rows[i, w] = val
-        return ScriptedState(prefixes, rows), {"prefixes": prefixes}
+        return ScriptedState(prefixes, state.src, rows), {"prefixes": prefixes}
 
     def score_f(self, state):
         return state.scores.copy()
@@ -310,6 +312,17 @@ class TestNonFinite:
                         [NoConstraint(8, blocked=(0, 1, 2))], delta_01, BOS,
                         margin_score="laststep")
         assert err.value.sentence == 0
+
+    def test_gold_row_named_by_its_sentence_once_earlier_ones_finished(self):
+        # sentence 0 ends at t=2, so at t=3 sentence 2's gold row, the only
+        # one that scores NaN, is row 1 of the step
+        model = ScriptedModel({(BOS, B, C): {D: np.nan}}, vocab=8)
+        enc = types.SimpleNamespace(init_state=ScriptedState([()] * 3, [0, 1, 2]))
+        with pytest.raises(NonFiniteScoreError,
+                           match="sentence 2: non-finite f-scores at output step 3$") as err:
+            bso_forward(model, enc, [(A, EOS), (A, B, C, EOS), (B, C, D, EOS)], 2,
+                        [NoConstraint(8, blocked=(0, 1, 2))] * 3, delta_01, BOS)
+        assert err.value.sentence == 2
 
     def test_error_names_the_sentence(self):
         model = toy_model(3, dtype=np.float64)
