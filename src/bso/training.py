@@ -30,8 +30,10 @@ sentences:
   row-batched with the beam;
 * a teacher-forced backward pass: the rows that receive gradient (each
   sentence's gold row and the violating segment in scope, at most one per
-  sentence) are recomputed with one ``decode_step`` per step, then
-  backpropagated with one ``decode_step_backward`` per step in reverse.
+  sentence) are recomputed with one ``decode_step`` per step, and each
+  recomputed step's score gradient is taken through the output layer
+  (``score_f_backward``) as the step is recomputed. Then one reverse sweep
+  backpropagates them with one ``decode_step_backward`` per step.
 
 The violating segment of a record that resets at r starts from the gold
 state after r steps and consumes the same word as the gold step r+1, so
@@ -44,7 +46,8 @@ padded batch. Like ``bso_forward``, it takes the batch its caller encoded.
 Each step backpropagates its log-softmax loss through the output layer as
 soon as it has scored, and keeps for the reverse sweep only its decoder
 cache and the [B, H] gradient w.r.t. its attention hidden state: nothing
-of vocabulary size is held across steps.
+of vocabulary size is held across steps. Both losses end in the same
+reverse sweep, which sums the output layer's gradient first step to last.
 """
 
 from __future__ import annotations
@@ -216,12 +219,14 @@ def bso_backward(model, fwd):
     Recomputes, teacher-forced, the decoder rows that receive gradient:
     per sentence the gold row up to its last violation and the violating
     row of the record in scope, which starts from the gold row of the step
-    after the record's reset. Then one reverse sweep backpropagates all of
-    them together; a violating stream folds into its gold stream where
-    both share a row. Search decisions (beam membership) are treated as
-    constants; gradients flow only through the f-scores of the gold and
-    recorded violating prefixes: every step of a segment under the
-    cumulative margin, its last step under the last-step margin.
+    after the record's reset, and takes each step's score gradient as it
+    recomputes the step. Then the reverse sweep :func:`xent_loss` ends in
+    too backpropagates all of them together; a violating stream folds into
+    its gold stream where both share a row. Search decisions (beam
+    membership) are treated as constants; gradients flow only through the
+    f-scores of the gold and recorded violating prefixes: every step of a
+    segment under the cumulative margin, its last step under the last-step
+    margin.
     """
     covering = {}                 # (sentence, t) -> record with r < t <= rec.t and delta != 0
     last = {}                     # sentence -> last step that needs its gold row
@@ -264,23 +269,35 @@ def bso_backward(model, fwd):
             if every_step or t == rec.t:
                 coefs += [(new_gold[b], gold[t - 1], -rec.delta), (new_viol[b], viol[i], rec.delta)]
         new_state, cache = model.decode_step(state.select(rows), np.array(words), enc)
-        steps.append((cache, rows, state.batch, coefs))
+        d_feed = None
+        if coefs:
+            d_f = np.zeros((len(rows), model.config.tgt_vocab), dtype=model.dtype)
+            for row, w, c in coefs:
+                d_f[row, w] += c
+            d_feed = model.score_f_backward(new_state.input_feed, d_f)
+        steps.append((cache, d_feed, rows, state.batch))
         state = new_state
         gold_rows, viol_rows = new_gold, new_viol
+    _reverse_sweep(model, enc, steps)
 
-    v = model.config.tgt_vocab
+
+def _reverse_sweep(model, enc, steps):
+    """Backpropagate teacher-forced decoder steps, last first, then the
+    encoder. ``steps`` holds one (cache, d_feed, rows, n_in) per step:
+    ``d_feed`` is the gradient its scores give its attention hidden state,
+    or None, and ``rows`` the rows of the ``n_in``-row previous state the
+    step gathered, or None for all of them in order. The last step has a
+    score gradient."""
     d_ann = np.zeros_like(enc.annotations)
     d_state = model.state_grad_zeros(len(steps[-1][1]))
     while steps:
         # popped, so each step's cache is freed once it has been used
-        cache, rows, n_in, coefs = steps.pop()
-        if coefs:
-            d_f = np.zeros((len(rows), v), dtype=model.dtype)
-            for row, w, c in coefs:
-                d_f[row, w] += c
-            d_state.input_feed += model.score_f_backward(cache["attn_hidden"], d_f)
-        d_in = model.decode_step_backward(cache, d_state, d_ann)
-        d_state = d_in.scatter(rows, n_in)
+        cache, d_feed, rows, n_in = steps.pop()
+        if d_feed is not None:
+            d_state.input_feed += d_feed
+        d_state = model.decode_step_backward(cache, d_state, d_ann)
+        if rows is not None:
+            d_state = d_state.scatter(rows, n_in)
     model.encode_backward(enc, d_ann, d_state)
 
 
@@ -316,16 +333,9 @@ def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
         step_loss, d_hidden = _xent_step(model, state, tgt[:, t], t < tgt_lengths, backward)
         loss += step_loss
         if backward:
-            steps.append((cache, d_hidden))
+            steps.append((cache, d_hidden, None, B))
     if backward:
-        d_state = model.state_grad_zeros(B)
-        d_ann = np.zeros_like(enc.annotations)
-        while steps:
-            # popped, so each step's cache is freed once it has been used
-            cache, d_hidden = steps.pop()
-            d_state.input_feed += d_hidden
-            d_state = model.decode_step_backward(cache, d_state, d_ann)
-        model.encode_backward(enc, d_ann, d_state)
+        _reverse_sweep(model, enc, steps)
     return loss
 
 
