@@ -134,16 +134,20 @@ def load_pairs(cfg, split):
 
     examples are (src_tokens, tgt_tokens) with EOS already on the target;
     lines[i] is the index in its file of example i's sentence (a line, or
-    a tree for ``parse``, which skips trees it cannot encode).
+    a tree for ``parse``, which skips trees it cannot encode). A split
+    with no example raises DataError naming its file: nothing could be
+    trained, or a checkpoint chosen, on it.
     """
     d = cfg.data_dir
     if cfg.task == "word_order":
-        sents = read_sentences(f"{d}/{split}.txt")
+        path = f"{d}/{split}.txt"
+        sents = read_sentences(path)
         rng = np.random.default_rng(cfg.shuffle_seed + (0 if split == "train" else 1))
         examples = [tasks.make_word_ordering_example(s, rng) for s in sents]
-        return examples, range(len(examples))
-    if cfg.task == "parse":
-        parses = tasks.read_conll(f"{d}/{split}.conll")
+        lines = range(len(examples))
+    elif cfg.task == "parse":
+        path = f"{d}/{split}.conll"
+        parses = tasks.read_conll(path)
         examples, lines = [], []
         for i, p in enumerate(parses):
             try:
@@ -155,13 +159,18 @@ def load_pairs(cfg, split):
         if len(lines) < len(parses):
             print(f"# skipped {len(parses) - len(lines)} non-encodable parse(s) in {split}",
                   file=sys.stderr)
-        return examples, lines
-    srcs = read_sentences(f"{d}/{split}.src")
-    tgts = read_sentences(f"{d}/{split}.tgt")
-    if len(srcs) != len(tgts):
-        raise DataError(f"{split}: source/target line counts differ")
-    examples = [(s, t + [EOS]) for s, t in zip(srcs, tgts)]
-    return examples, range(len(examples))
+    else:
+        path = f"{d}/{split}.src"
+        srcs = read_sentences(path)
+        tgts = read_sentences(f"{d}/{split}.tgt")
+        if len(srcs) != len(tgts):
+            raise DataError(f"{split}: source/target line counts differ")
+        examples = [(s, t + [EOS]) for s, t in zip(srcs, tgts)]
+        lines = range(len(examples))
+    if not examples:
+        what = "tree it can encode" if cfg.task == "parse" else "sentence"
+        raise DataError(f"{path}: the {split} split has no {what}")
+    return examples, lines
 
 
 def build_vocabs(cfg, examples):
@@ -356,6 +365,7 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
         raise ConfigError("train-bso requires a pretrained checkpoint "
                           "(use --allow-cold-start to override)")
     train_examples, lines = load_pairs(cfg, "train")
+    dev_examples = load_pairs(cfg, "dev")[0]
     if model_in is None:
         print("# warning: cold start; BSO training from random initialization "
               "is expected to fail to learn", file=sys.stderr)
@@ -370,7 +380,6 @@ def cmd_train_bso(cfg, model_in, model_out, allow_cold_start=False):
             if have != want:
                 raise ConfigError(f"checkpoint {model_in} has {key} = {have}; "
                                   f"the configuration has {key} = {want}")
-    dev_examples = load_pairs(cfg, "dev")[0]
     pairs = encode_pairs(train_examples, src_vocab, tgt_vocab)
     rng = np.random.default_rng(cfg.seed)
     best = -float("inf")

@@ -377,7 +377,7 @@ class Seq2SeqModel:
         for the next position. No step writes into ``state``; the encoding's
         start state is shared by every search and loss that starts there.
         """
-        words = np.atleast_1d(np.asarray(words))
+        words = np.asarray(words)
         if words.min() < 0 or words.max() >= self.config.tgt_vocab:
             raise InputError("target token id out of vocabulary range")
         p = self.params

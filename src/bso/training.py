@@ -97,7 +97,7 @@ class ViolationRecord:
     gold_score: float             # margin score of the gold segment y_{r+1:t}
     viol_score: float             # margin score of the violating segment
     delta: float
-    sentence: int = 0             # index of the sentence in its batch
+    sentence: int                 # index of the sentence in its batch
 
 
 @dataclass

@@ -263,6 +263,32 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    @pytest.mark.parametrize("command", [["pretrain"], ["train-bso", "--allow-cold-start"]])
+    def test_empty_split_is_clean_error(self, tmp_path, capsys, split, command):
+        # an empty training split trains on nothing, and an empty dev split
+        # picks the saved checkpoint on nothing
+        write_word_order_data(tmp_path)
+        (tmp_path / f"{split}.txt").write_text("")
+        rc = cli.main(command + ["--config", str(base_config(tmp_path)),
+                                 "--model-out", str(tmp_path / "m.bso")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path}/{split}.txt: the {split} split has no sentence\n"
+        assert not (tmp_path / "m.bso").exists()
+
+    def test_parse_split_without_an_encodable_tree_is_clean_error(self, tmp_path, capsys):
+        # a tree with two roots has no arc-standard sequence
+        write_conll(tmp_path / "train.conll",
+                    [ParseExample(["she", "runs"], [0, 0], ["root", "root"])])
+        write_conll(tmp_path / "dev.conll", [ParseExample(["the", "dog"], [2, 0], ["det", "root"])])
+        cfg_path = base_config(tmp_path, task="parse", constraint="arc_standard")
+        assert cli.main(["pretrain", "--config", str(cfg_path),
+                         "--model-out", str(tmp_path / "m.bso")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["# skipped 1 non-encodable parse(s) in train",
+                       f"error: {tmp_path}/train.conll: the train split has no tree it can encode"]
+
     def test_eval_count_mismatch_is_clean_error(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a b\n")
         (tmp_path / "r.txt").write_text("a b\nc d\n")

@@ -42,7 +42,7 @@ class TestDeltas:
 class TestMarginLoss:
     def rec(self, g, v, delta=1.0):
         return ViolationRecord(t=1, r=0, violating_tokens=(5,), gold_score=g, viol_score=v,
-                               delta=delta)
+                               delta=delta, sentence=0)
 
     def test_hand_value(self):
         # 1 * (1 - 2.0 + 2.3) = 1.3
