@@ -326,19 +326,23 @@ def cmd_pretrain(cfg, model_out):
 
 def load_with_vocabs(path, task):
     """A checkpoint's model, header ``extra`` and source and target
-    vocabularies; CheckpointError if the header stores no vocabularies,
-    ConfigError if it was written for a task other than ``task`` (a header
-    without a task loads for any)."""
+    vocabularies; CheckpointError if the header stores no vocabularies or
+    one whose size is not its model's, ConfigError if it was written for a
+    task other than ``task`` (a header without a task loads for any)."""
     model, extra = Seq2SeqModel.load(path)
     if isinstance(extra, dict) and extra.get("task", task) != task:
         raise ConfigError(f"checkpoint {path} was written for task {extra['task']!r}; "
                           f"the configuration is for task {task!r}")
-    vocabs = []
-    for key in ("src_vocab", "tgt_vocab"):
+    keys = ("src_vocab", "tgt_vocab")
+    for key in keys:
         if not isinstance(extra, dict) or key not in extra:
             raise CheckpointError(f"checkpoint {path} has no {key!r} in its header; "
                                   f"it was not written by bso pretrain or train-bso")
-        vocabs.append(Vocab(extra[key][len(tasks.RESERVED):]))
+    vocabs = [Vocab(extra[key][len(tasks.RESERVED):]) for key in keys]
+    for key, vocab in zip(keys, vocabs):
+        if len(vocab) != getattr(model.config, key):
+            raise CheckpointError(f"checkpoint {path} header {key!r} has {len(vocab)} "
+                                  f"entries; its model has {getattr(model.config, key)}")
     return model, extra, *vocabs
 
 

@@ -217,9 +217,12 @@ def bso_backward(model, fwd):
     """Accumulate gradients of margin_loss(fwd.records) into the model.
 
     Recomputes, teacher-forced, the decoder rows that receive gradient:
-    per sentence the gold row up to its last violation and the violating
-    row of the record in scope, which starts from the gold row of the step
-    after the record's reset, and takes each step's score gradient as it
+    per sentence the gold row up to its last record with delta != 0, and
+    the violating row of the record in scope, which starts from the gold
+    row of the step after the record's reset. Each sentence walks its
+    records with delta != 0 in step order: at step t it drops those that
+    ended before t, and the first one left is in scope from the step after
+    its reset. The recompute takes each step's score gradient as it
     recomputes the step. Then the reverse sweep :func:`xent_loss` ends in
     too backpropagates all of them together; a violating stream folds into
     its gold stream where both share a row. Search decisions (beam
@@ -228,46 +231,41 @@ def bso_backward(model, fwd):
     segment under the cumulative margin, its last step under the last-step
     margin.
     """
-    covering = {}                 # (sentence, t) -> record with r < t <= rec.t and delta != 0
-    last = {}                     # sentence -> last step that needs its gold row
-    for rec in fwd.records:
+    stacks = {}                   # sentence -> its records with delta != 0, last first
+    for rec in reversed(fwd.records):
         if rec.delta != 0.0:
-            for t in range(rec.r + 1, rec.t + 1):
-                covering[rec.sentence, t] = rec
-            last[rec.sentence] = max(last.get(rec.sentence, 0), rec.t)
-    if not last:
+            stacks.setdefault(rec.sentence, []).append(rec)
+    if not stacks:
         return
-    order = sorted(last)
     every_step = fwd.margin_score == "cumulative"
     enc = fwd.enc
 
     state = enc.init_state
-    gold_rows = {b: b for b in order}         # state row of each gold prefix
-    viol_rows = {}                            # state row of each violating prefix
+    # state rows of each sentence's gold prefix and violating prefix
+    pairs = {b: (b, None) for b in sorted(stacks)}
     steps = []
-    for t in range(1, max(last.values()) + 1):
-        rows, words, coefs = [], [], []
-        new_gold, new_viol = {}, {}
-        for b in order:
-            if t > last[b]:
+    for t in range(1, max(stack[0].t for stack in stacks.values()) + 1):
+        rows, words, coefs, new_pairs = [], [], [], {}
+        for b, (gold_row, viol_row) in pairs.items():
+            stack = stacks[b]
+            while stack and stack[-1].t < t:
+                stack.pop()
+            if not stack:
                 continue
-            gold = fwd.gold_tokens[b]
-            new_gold[b] = len(rows)
-            rows.append(gold_rows[b])
-            words.append(fwd.bos_id if t == 1 else gold[t - 2])
-            rec = covering.get((b, t))
-            if rec is None:
-                continue
+            # the record in scope, or the next one if t is before its reset
+            rec, gold = stack[-1], fwd.gold_tokens[b]
             viol, i = rec.violating_tokens, t - rec.r - 1
-            if i == 0:
-                # the violating segment's first step is the gold step
-                new_viol[b] = new_gold[b]
-            else:
-                new_viol[b] = len(rows)
-                rows.append(viol_rows[b])
+            g = v = len(rows)
+            rows.append(gold_row)
+            words.append(fwd.bos_id if t == 1 else gold[t - 2])
+            # the violating segment's first step (i == 0) is the gold step
+            if i > 0:
+                v = len(rows)
+                rows.append(viol_row)
                 words.append(viol[i - 1])
-            if every_step or t == rec.t:
-                coefs += [(new_gold[b], gold[t - 1], -rec.delta), (new_viol[b], viol[i], rec.delta)]
+            new_pairs[b] = g, v
+            if i >= 0 and (every_step or t == rec.t):
+                coefs += [(g, gold[t - 1], -rec.delta), (v, viol[i], rec.delta)]
         new_state, cache = model.decode_step(state.select(rows), np.array(words), enc)
         d_feed = None
         if coefs:
@@ -276,8 +274,7 @@ def bso_backward(model, fwd):
                 d_f[row, w] += c
             d_feed = model.score_f_backward(new_state.input_feed, d_f)
         steps.append((cache, d_feed, rows, state.batch))
-        state = new_state
-        gold_rows, viol_rows = new_gold, new_viol
+        state, pairs = new_state, new_pairs
     _reverse_sweep(model, enc, steps)
 
 

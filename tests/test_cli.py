@@ -438,7 +438,7 @@ class TestCleanFailures:
         # the checkpoint's source vocabulary lists more words than its model embeds
         assert self.decode(tmp_path, src_vocab=len(tasks.RESERVED)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "out of vocabulary range" in err
+        assert err.startswith("error:") and "'src_vocab' has 8 entries; its model has 4" in err
 
     def test_non_finite_scores(self, tmp_path, capsys):
         assert self.decode(tmp_path, nan_scores=True) == 1
@@ -600,6 +600,23 @@ class TestCleanFailures:
                          "--model-out", str(tmp_path / "out.bso")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(missing) in err
+
+    @pytest.mark.parametrize("size", [5, 10], ids=["short", "long"])
+    def test_checkpoint_target_vocabulary_of_another_size(self, tmp_path, capsys, size):
+        # a header vocabulary the model's output layer does not match would
+        # decode, and train, ids into the wrong words
+        itos = Vocab(("the", "dog", "runs", "fast")).itos
+        extra = {"src_vocab": itos, "tgt_vocab": (itos + ["cat", "sat"])[:size]}
+        assert self.decode(tmp_path, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'tgt_vocab' has {size} entries; its model has 8" in err
+        assert not (tmp_path / "out.txt").exists()
+        assert cli.main(["train-bso", "--config", str(tmp_path / "run.cfg"),
+                         "--model-in", str(tmp_path / "m.bso"),
+                         "--model-out", str(tmp_path / "out.bso")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'tgt_vocab' has {size} entries; its model has 8" in err
+        assert not (tmp_path / "out.bso").exists()
 
     @pytest.mark.parametrize("command", ["decode", "train-bso"])
     def test_checkpoint_of_another_task(self, tmp_path, capsys, command):

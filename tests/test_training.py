@@ -1,3 +1,4 @@
+import copy
 import types
 
 import numpy as np
@@ -371,6 +372,11 @@ def random_batch(seed):
     return model, src, lengths, srcs, golds, k, constraints
 
 
+def varying_delta(viol_tokens, gold_tokens):
+    """A cost that differs between the records of one batch."""
+    return 1.0 + 0.1 * viol_tokens[-1]
+
+
 def sentence_records(fwd, b):
     return [(r.t, r.r, r.violating_tokens, r.delta) for r in fwd.records if r.sentence == b]
 
@@ -393,11 +399,16 @@ class TestLockstepBatch:
                 assert rec.viol_score == pytest.approx(ref.viol_score, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("margin_score", ["cumulative", "laststep"])
-    def test_backward_equals_sum_of_naive_bptt(self, seed, margin_score):
+    # delta_sentence_bleu gives these batches no fractional cost: a cost that
+    # differs from record to record fails a step scaled by another record's
+    @pytest.mark.parametrize("margin_score, delta_fn", [
+        ("cumulative", delta_01), ("laststep", delta_01),
+        ("cumulative", varying_delta), ("laststep", varying_delta)],
+        ids=["cumulative", "laststep", "cumulative-varying_delta", "laststep-varying_delta"])
+    def test_backward_equals_sum_of_naive_bptt(self, seed, margin_score, delta_fn):
         model, src, lengths, srcs, golds, k, constraints = random_batch(seed)
         enc = model.encode(src, lengths)
-        fwd = bso_forward(model, enc, golds, k, constraints, delta_01, BOS,
+        fwd = bso_forward(model, enc, golds, k, constraints, delta_fn, BOS,
                           margin_score=margin_score)
         model.zero_grads()
         bso_backward(model, fwd)
@@ -405,11 +416,50 @@ class TestLockstepBatch:
         model.zero_grads()
         for b, s in enumerate(srcs):
             one = bso_forward(model, model.encode(s[None, :]), [golds[b]], k,
-                              [constraints[b]], delta_01, BOS, margin_score=margin_score)
+                              [constraints[b]], delta_fn, BOS, margin_score=margin_score)
             assert sentence_records(fwd, b) == sentence_records(one, 0)
             naive_bso_backward(model, s[None, :], one, BOS)
         worst = max(max_relative_error(batched[s.name], s.grad) for s in model.slots())
         assert worst < 1e-6
+
+    def test_backward_recomputes_only_the_rows_that_take_gradient(self):
+        """Step t of the recompute holds one gold row per sentence whose last
+        record with delta != 0 ends at t or later, plus one violating row per
+        such record with r + 1 < t <= rec.t: the O(T) row economy, which the
+        gradient oracles cannot see. Search on these untrained models
+        violates at once, so long segments come from hand-made records."""
+        cases = []
+        for seed in range(12):
+            model, src, lengths, _, golds, k, constraints = random_batch(seed)
+            cases.append((model, bso_forward(model, model.encode(src, lengths), golds, k,
+                                             constraints, delta_01, BOS)))
+        model = toy_model(0)
+        src, lengths = pad_ids([[1, 2, 3], [4, 1], [2, 2, 4, 1]])
+        golds = [(1, 3, 4, 4, 1, 3), (4, 3, 1, 3), (3, 1, 4, 1, 4)]
+        records = [ViolationRecord(2, 0, (4, 1), 0.5, 0.2, 1.0, sentence=0),
+                   ViolationRecord(3, 2, (4,), 0.1, 0.4, 0.0, sentence=0),
+                   ViolationRecord(6, 3, (3, 3, 4), 0.3, 0.6, 0.5, sentence=0),
+                   ViolationRecord(1, 0, (1,), 0.2, 0.7, 0.0, sentence=1),
+                   ViolationRecord(4, 1, (1, 4, 3), 0.4, 0.9, 1.0, sentence=2)]
+        cases.append((model, training.ForwardResult(records, golds, model.encode(src, lengths),
+                                                    BOS, "cumulative")))
+        for model, fwd in cases:
+            recs = [rec for rec in fwd.records if rec.delta != 0.0]
+            last = {}
+            for rec in recs:
+                last[rec.sentence] = max(last.get(rec.sentence, 0), rec.t)
+            rows, real = [], model.decode_step
+
+            def counting(state, words, enc):
+                rows.append(len(words))
+                return real(state, words, enc)
+            model.decode_step = counting
+            bso_backward(model, fwd)
+            assert len(rows) == max(last.values(), default=0)
+            for t, n in enumerate(rows, start=1):
+                assert n == sum(end >= t for end in last.values()) + \
+                    sum(rec.r + 1 < t <= rec.t for rec in recs)
+        assert rows == [2, 3, 3, 3, 2, 2]
 
     def test_some_batches_have_violations_in_several_sentences(self):
         hits = 0
@@ -789,7 +839,10 @@ class TestSharedStartState:
         training.xent_loss(model, enc, tgt, tgt_lengths, BOS)
         fwd = bso_forward(model, enc, golds, 3, [c for _, _, c in examples], delta_01, BOS)
         assert fwd.records
+        records = copy.deepcopy(fwd.records)
         bso_backward(model, fwd)
+        # train_bso_epoch counts the violations in fwd.records after the backward
+        assert fwd.records == records
         beam_mod.beam_search(model, enc, 3, [c for _, _, c in examples],
                              [len(g) for g in golds], BOS, EOS)
         assert enc.init_state is start
