@@ -160,11 +160,12 @@ def load_pairs(cfg, split):
             print(f"# skipped {len(parses) - len(lines)} non-encodable parse(s) in {split}",
                   file=sys.stderr)
     else:
-        path = f"{d}/{split}.src"
+        path, tgt_path = f"{d}/{split}.src", f"{d}/{split}.tgt"
         srcs = read_sentences(path)
-        tgts = read_sentences(f"{d}/{split}.tgt")
+        tgts = read_sentences(tgt_path)
         if len(srcs) != len(tgts):
-            raise DataError(f"{split}: source/target line counts differ")
+            raise DataError(f"{path} and {tgt_path} differ in length: "
+                            f"{len(srcs)} against {len(tgts)} lines")
         examples = [(s, t + [EOS]) for s, t in zip(srcs, tgts)]
         lines = range(len(examples))
     if not examples:
@@ -417,7 +418,8 @@ def cmd_eval(task, hyp_path, ref_path):
     hyps = tasks.read_plain_corpus(hyp_path)
     refs = tasks.read_conll(ref_path) if task == "parse" else tasks.read_plain_corpus(ref_path)
     if len(hyps) != len(refs):
-        raise DataError("hypothesis/reference counts differ")
+        raise DataError(f"{hyp_path} and {ref_path} differ in length: "
+                        f"{len(hyps)} against {len(refs)} sentences")
     if task == "parse":
         preds = [tasks.decode_parse_sequence(h, g.words, strict=False)
                  for h, g in zip(hyps, refs)]

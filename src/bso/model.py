@@ -234,6 +234,8 @@ class Seq2SeqModel:
         return list(self.params.values())
 
     def zero_grads(self):
+        """Drop every parameter's gradient buffer; the next backward pass
+        makes each one afresh as it first writes it."""
         for s in self.params.values():
             s.zero_grad()
 
@@ -243,8 +245,8 @@ class Seq2SeqModel:
 
     def astype(self, dtype):
         """Copy of the model with its parameters and Adagrad accumulators
-        cast to dtype: in the same dtype, a copy that trains on as its
-        original would."""
+        cast to dtype, and no gradient: in the same dtype, a copy that
+        trains on as its original would."""
         other = Seq2SeqModel(self.config, dtype=dtype, init=False)
         for name, slot in self.params.items():
             other.params[name] = ParamSlot(name, slot.value.astype(dtype),
@@ -448,9 +450,11 @@ class Seq2SeqModel:
         d_attn = np.einsum("bh,bsh->bs", d_context, ann)
         d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
         d_top += np.einsum("bs,bsh->bh", d_scores, ann)
-        del ann   # freed before the annotation-gradient rows, which are as large
         d_ann_rows = attn[:, :, None] * d_context[:, None, :]
-        d_ann_rows += d_scores[:, :, None] * top[:, None, :]
+        # the gathered annotations' buffer, read for the last time above,
+        # takes the second product
+        d_ann_rows += np.multiply(d_scores[:, :, None], top[:, None, :], out=ann)
+        del ann
         nn.scatter_add(d_annotations, src, d_ann_rows)
         dh = d_state.h[:-1] + [d_state.h[-1] + d_top]
         dx, dh_prev, dc_prev = self._stack_backward(

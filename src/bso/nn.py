@@ -8,8 +8,6 @@ live with the stacked LSTM that applies them (``model.MaskSet``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ADAGRAD_EPS = 1e-10
@@ -25,30 +23,38 @@ def assert_finite(x, what="tensor"):
         raise FloatingPointError(f"non-finite values in {what}")
 
 
-@dataclass
 class ParamSlot:
-    """One named parameter with its gradient and Adagrad accumulator."""
+    """One named parameter with its Adagrad accumulator and, from the first
+    write of a backward pass to the update that consumes it, its gradient.
 
-    name: str
-    value: np.ndarray
-    grad: np.ndarray = None
-    adagrad_accum: np.ndarray = None
+    ``grad`` is made as zeros the first time it is read, and backward code
+    adds into it in place; ``zero_grad`` drops it. A slot that is built,
+    copied, loaded or only read by a search or a decode holds its value and
+    accumulator alone.
+    """
 
-    def __post_init__(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.adagrad_accum is None:
-            self.adagrad_accum = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape or self.adagrad_accum.shape != self.value.shape:
-            raise DimensionError(f"slot {self.name}: value/grad/accum shapes differ")
+    def __init__(self, name, value, adagrad_accum=None):
+        self.name = name
+        self.value = value
+        self.adagrad_accum = np.zeros_like(value) if adagrad_accum is None else adagrad_accum
+        if self.adagrad_accum.shape != value.shape:
+            raise DimensionError(f"slot {name}: value/accum shapes differ")
+        self._grad = None
 
     @classmethod
     def create(cls, name, shape, rng, dtype=np.float32):
         value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
         return cls(name, value)
 
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
     def zero_grad(self):
-        self.grad[...] = 0
+        """Drop the gradient: the next read of ``grad`` makes a zero one."""
+        self._grad = None
 
 
 def sigmoid(x):
@@ -109,8 +115,10 @@ def lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
     tc = np.tanh(cache["c"])
     B, H = tc.shape
     # a gate-major copy [4, B, H]: elementwise arithmetic on whole
-    # contiguous blocks is cheaper than on strided column slices
-    g4 = np.ascontiguousarray(gates.reshape(B, 4, H).transpose(1, 0, 2))
+    # contiguous blocks is cheaper than on strided column slices. A copy
+    # always, as it is written below: for one row the transpose is already
+    # contiguous, and ascontiguousarray would hand back a view of the cache
+    g4 = gates.reshape(B, 4, H).transpose(1, 0, 2).copy()
     i, f, g, o = g4
 
     dc_full = dc + dh * o * (1.0 - tc * tc)
@@ -124,9 +132,12 @@ def lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
     np.multiply(dh, tc, out=d4[3])
     d_cand = d4[2] * (1.0 - g * g)
     d4 *= g4
-    d4 *= 1.0 - g4
+    d4 *= np.subtract(1.0, g4, out=g4)
     d4[2] = d_cand
+    # the gate-major arrays go before the weight-gradient products
+    del g4, i, f, g, o, d_cand
     dpre = d4.transpose(1, 0, 2).reshape(B, 4 * H)
+    del d4
     gw_x += x.T @ dpre
     gw_h += h_prev.T @ dpre
     gb += dpre.sum(axis=0)
@@ -223,12 +234,13 @@ def clip_global_norm(slots, max_norm):
     if np.isfinite(norm) and norm > max_norm:
         scale = max_norm / norm
         for s in slots:
-            s.grad *= np.asarray(scale, dtype=s.grad.dtype)
+            g = s.grad
+            g *= np.asarray(scale, dtype=g.dtype)
     return norm
 
 
 def adagrad_step(slot, lr):
-    """Adagrad update; zeroes the grad afterwards."""
+    """Adagrad update from the slot's gradient, which it then drops."""
     g = slot.grad
     slot.adagrad_accum += g * g
     slot.value -= (lr * g / (np.sqrt(slot.adagrad_accum) + ADAGRAD_EPS)).astype(slot.value.dtype)

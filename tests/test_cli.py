@@ -296,7 +296,19 @@ class TestCommands:
                        "--hyp", str(tmp_path / "h.txt"),
                        "--ref", str(tmp_path / "r.txt")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {tmp_path}/h.txt and {tmp_path}/r.txt "
+                                           f"differ in length: 1 against 2 sentences\n")
+
+    def test_translate_line_count_mismatch_names_both_files(self, tmp_path, capsys):
+        (tmp_path / "train.src").write_text("a b\nb c\nc a\n")
+        (tmp_path / "train.tgt").write_text("x y\ny z\n")
+        cfg_path = base_config(tmp_path, task="translate", constraint="none")
+        rc = cli.main(["pretrain", "--config", str(cfg_path),
+                       "--model-out", str(tmp_path / "m.bso")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {tmp_path}/train.src and {tmp_path}/train.tgt differ in length: "
+            f"3 against 2 lines")
 
     def test_blank_training_line_is_clean_error(self, tmp_path, capsys):
         write_word_order_data(tmp_path)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bso import nn, training
+from bso.beam import PermutationConstraint, beam_search
 from bso.model import (CheckpointError, InputError, MaskSet, ModelConfig, Seq2SeqModel,
                        StateGrad, param_shapes)
+from bso.tasks import pad_ids
 from gradcheck import max_relative_error, numerical_grad
 
 BOS = 2
@@ -280,9 +283,10 @@ class TestXentMemory:
         m = toy_model(src_vocab=7, tgt_vocab=V, d_emb=4, d_h=8, dtype=np.float32)
         src = rng.integers(3, 7, size=(B, 5))
         tgts = {T: rng.integers(3, V, size=(B, T)) for T in (10, 40)}
-        m.zero_grads()
         peaks = {}
         for T, tgt in tgts.items():
+            # each traced loss makes the gradient buffers afresh
+            m.zero_grads()
             tracemalloc.start()
             try:
                 training.xent_loss(m, m.encode(src), tgt, np.full(B, T), BOS)
@@ -309,6 +313,7 @@ class TestXentMemory:
             tgt = rng.integers(3, V, size=(B, T))
             masks = (MaskSet.build(dropout, layers, S, T, np.random.default_rng(1), H)
                      if dropout else None)
+            m.zero_grads()
             tracemalloc.start()
             try:
                 training.xent_loss(m, m.encode(src, masks=masks), tgt, np.full(B, T), BOS)
@@ -407,6 +412,79 @@ class TestAstype:
             for field in ("value", "grad", "adagrad_accum"):
                 assert not np.shares_memory(getattr(slot, field),
                                             getattr(m.params[name], field))
+
+
+def held_bytes(fn):
+    """fn's result and the traced bytes allocated during the call and still
+    held after it."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGradientLifetime:
+    """A gradient buffer lives from the first write of a backward pass to
+    the update that consumes it. The model's parameters outweigh the few
+    KiB of Python objects a model, a copy or a search keeps, so one more
+    parameter-sized buffer breaks each bound."""
+
+    def model(self):
+        return toy_model(src_vocab=30, tgt_vocab=40, d_emb=16, d_h=24, dtype=np.float32)
+
+    @staticmethod
+    def param_bytes(m):
+        return sum(s.value.nbytes for s in m.slots())
+
+    def test_built_copied_or_loaded_holds_values_and_accumulators(self, tmp_path):
+        m = self.model()
+        size = self.param_bytes(m)
+        m.save(tmp_path / "m.bso")
+        for make in (self.model, lambda: m.astype(m.dtype),
+                     lambda: Seq2SeqModel.load(tmp_path / "m.bso")[0]):
+            # measured at the second call: the first load also keeps the
+            # state of the modules it is the first to use
+            make()
+            _, held = held_bytes(make)
+            # 8 KiB for the Python objects of the model and its slots
+            assert 2 * size <= held <= 2 * size + 8192
+
+    def test_the_update_releases_the_gradients(self):
+        m = self.model()
+        rng = np.random.default_rng(0)
+        src, tgt = rng.integers(3, 30, size=(4, 5)), rng.integers(3, 40, size=(4, 6))
+        tracemalloc.start()
+        try:
+            training.xent_loss(m, m.encode(src), tgt, np.full(4, 6), BOS)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            training.optimizer_step(m, training.TrainConfig())
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert before - after >= self.param_bytes(m)
+        for s in m.slots():
+            assert s.grad.shape == s.value.shape and not s.grad.any()
+
+    def test_search_leaves_no_gradient_buffer(self):
+        m = self.model()
+        rng = np.random.default_rng(1)
+        srcs = [[int(w) for w in rng.integers(4, 30, size=n)] for n in (3, 5, 4)]
+        src, lengths = pad_ids(srcs)
+        golds = [tuple(rng.permutation(s).tolist()) + (3,) for s in srcs]
+
+        def search():
+            copy = m.astype(m.dtype)
+            enc = copy.encode(src, lengths)
+            constraints = [PermutationConstraint(40, s, 3) for s in srcs]
+            training.bso_forward(copy, enc, golds, 4, constraints, training.delta_01, BOS)
+            beam_search(copy, enc, 4, constraints, [len(s) + 1 for s in srcs], BOS, 3)
+            return copy
+        _, held = held_bytes(search)
+        assert held <= 2 * self.param_bytes(m) + 8192
 
 
 class TestCheckpoint:

@@ -328,7 +328,7 @@ def slots_from(arrs):
     out = []
     for i, a in enumerate(arrs):
         s = nn.ParamSlot(f"p{i}", np.zeros_like(a))
-        s.grad = a.copy()
+        s.grad[...] = a
         out.append(s)
     return out
 
@@ -380,17 +380,17 @@ class TestAdagrad:
 
     def test_first_step_is_signed_lr(self):
         s = nn.ParamSlot("w", np.array([1.0]))
-        s.grad = np.array([0.25])
+        s.grad[...] = np.array([0.25])
         nn.adagrad_step(s, 0.1)
         assert s.value[0] == pytest.approx(1.0 - 0.1, rel=1e-6)
         assert np.allclose(s.grad, 0.0)
 
     def test_second_identical_step_smaller(self):
         s = nn.ParamSlot("w", np.array([0.0]))
-        s.grad = np.array([0.5])
+        s.grad[...] = np.array([0.5])
         nn.adagrad_step(s, 0.1)
         first = abs(s.value[0])
-        s.grad = np.array([0.5])
+        s.grad[...] = np.array([0.5])
         nn.adagrad_step(s, 0.1)
         second = abs(s.value[0]) - first
         assert second < first
@@ -400,7 +400,7 @@ class TestAdagrad:
         s = nn.ParamSlot("w", rng.normal(size=8))
         prev = s.adagrad_accum.copy()
         for _ in range(20):
-            s.grad = rng.normal(size=8)
+            s.grad[...] = rng.normal(size=8)
             nn.adagrad_step(s, 0.5)
             assert np.all(s.adagrad_accum >= prev)
             assert np.all(np.isfinite(s.value))

@@ -13,6 +13,7 @@ from bso.training import (TrainConfig, ViolationRecord,
                           bso_backward, bso_forward, curriculum_beam, delta_01,
                           delta_sentence_bleu, make_batches, margin_loss,
                           optimizer_step, train_bso_epoch, train_xent_epoch)
+import fingerprint
 from gradcheck import max_relative_error, numerical_grad
 from oracles import (bso_frozen_loss, grad_snapshot, naive_bso_backward,
                      oracle_bso_forward)
@@ -419,6 +420,43 @@ class TestLockstepBatch:
                               [constraints[b]], delta_fn, BOS, margin_score=margin_score)
             assert sentence_records(fwd, b) == sentence_records(one, 0)
             naive_bso_backward(model, s[None, :], one, BOS)
+        worst = max(max_relative_error(batched[s.name], s.grad) for s in model.slots())
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("margin_score", ["cumulative", "laststep"])
+    @pytest.mark.parametrize("constrained", [True, False], ids=["perm-zero_one",
+                                                                "free-sentence_bleu"])
+    def test_multi_step_segments_equal_naive_bptt(self, constrained, margin_score):
+        """The untrained models of random_batch violate at once, so their
+        segments are one step long. The fingerprint's start model, trained
+        for two cross-entropy epochs, holds longer ones: violating rows of
+        their own past the first step, and gold rows kept past an earlier
+        segment of their sentence."""
+        rng = np.random.default_rng(7)
+        pairs = fingerprint.corpus(rng, 160)
+        model = fingerprint.start_model(1, pairs, 7).astype(np.float64)
+        batch = pairs[:8]
+        src, lengths = pad_ids([s for s, _ in batch])
+        golds = [tuple(int(w) for w in t) for _, t in batch]
+        vocab = fingerprint.VOCAB
+        constraints = [PermutationConstraint(vocab, s, EOS) if constrained
+                       else NoConstraint(vocab, blocked=(0, BOS)) for s, _ in batch]
+        delta_fn = delta_01 if constrained else delta_sentence_bleu
+        fwd = bso_forward(model, model.encode(src, lengths), golds, 6, constraints, delta_fn,
+                          BOS, margin_score=margin_score)
+        long = [rec for rec in fwd.records if rec.delta != 0.0 and rec.t - rec.r >= 2]
+        assert len({rec.sentence for rec in long}) >= 2
+        assert any(rec.r > 0 for rec in long)
+        model.zero_grads()
+        bso_backward(model, fwd)
+        batched = grad_snapshot(model)
+        model.zero_grads()
+        for b, (s, _) in enumerate(batch):
+            s = np.asarray(s)[None, :]
+            one = bso_forward(model, model.encode(s), [golds[b]], 6, [constraints[b]],
+                              delta_fn, BOS, margin_score=margin_score)
+            assert sentence_records(fwd, b) == sentence_records(one, 0)
+            naive_bso_backward(model, s, one, BOS)
         worst = max(max_relative_error(batched[s.name], s.grad) for s in model.slots())
         assert worst < 1e-6
 
