@@ -11,16 +11,21 @@ axis. A cache keeps only what its backward cannot rebuild exactly and
 cheaply. The encoder and the decoder are the same stacked LSTM, with
 dropout between layers, run one time step at a time by ``_stack_forward``
 and ``_stack_backward``. A step of either side keeps, per layer, the LSTM
-cell's cache (``h_prev``, ``c_prev``, the gates and the new cell state
-``c``) and the layer's output, plus the step's dropout masks, which the
-``EncodedSource`` carries for both sides (a decoder step's are those of
-``state.step``). The backward rebuilds bit for bit each layer's input: the
-embedded source word for encoder layer 0, the embedded word joined to the
-input feed for decoder layer 0, and above them the masked output of the
-layer beneath. It also rebuilds tanh(c). The encoder's top-layer outputs are
-views of the annotations. A decoder step adds the attention weights, the
-attention hidden state, the consumed words and the input feed; its backward
-recomputes the attention context from the annotations it gathers anyway.
+cell's cache (the gates and the new cell state ``c``) and the layer's
+output, plus the step's dropout masks, which the ``EncodedSource`` carries
+for both sides (a decoder step's are those of ``state.step``). A step keeps
+nothing of the state it started from, which the step before keeps as its
+output: the caller hands the backward that state. ``encode_backward`` takes
+it from the previous step's cache (zeros at the first step); a decoder
+step's caller passes ``decode_step_backward`` the state it passed
+``decode_step``, its input feed included. The backward rebuilds bit for bit
+each layer's input: the embedded source word for encoder layer 0, the
+embedded word joined to the input feed for decoder layer 0, and above them
+the masked output of the layer beneath. It also rebuilds tanh(c). The
+encoder's top-layer outputs are views of the annotations. A decoder step
+adds the attention weights, the attention hidden state and the consumed
+words; its backward recomputes the attention context from the annotations
+it gathers anyway.
 The output layer keeps nothing: ``score_f_backward`` turns a step's [B, V]
 score gradient into a [B, H] one at once, which is added to the state's
 feed gradient. Decoder rows need not map one to one onto encoded sources:
@@ -272,12 +277,13 @@ class Seq2SeqModel:
             cells.append(cell)
         return new_h, new_c, cache
 
-    def _stack_backward(self, side, cache, x, dh, dc):
+    def _stack_backward(self, side, cache, x, h, c, dh, dc):
         """Backprop one step of the ``side`` stack whose layer-0 input was
-        ``x``, given the gradients ``dh`` and ``dc`` w.r.t. each layer's
-        output h and c (the top layer's dh includes what reached it from
-        above). Adds into the parameter grads; returns the gradient w.r.t.
-        ``x`` and the dh and dc lists w.r.t. the input states."""
+        ``x`` and whose per-layer input states were ``h`` and ``c``, given
+        the gradients ``dh`` and ``dc`` w.r.t. each layer's output h and c
+        (the top layer's dh includes what reached it from above). Adds into
+        the parameter grads; returns the gradient w.r.t. ``x`` and the dh
+        and dc lists w.r.t. the input states."""
         layers = self.config.layers
         dh_prev, dc_prev = [None] * layers, [None] * layers
         drop = cache["drop"]
@@ -288,7 +294,7 @@ class Seq2SeqModel:
                 cur_dh = cur_dh + (dx if drop is None else dx * drop[l])
             wx, wh, b = self._cell_params(side, l)
             dx, dh_prev[l], dc_prev[l] = nn.lstm_cell_backward(
-                cache["cells"][l], cur_dh, dc[l], _layer_input(cache, l, x),
+                cache["cells"][l], cur_dh, dc[l], _layer_input(cache, l, x), h[l], c[l],
                 wx.value, wh.value, wx.grad, wh.grad, b.grad)
         return dx, dh_prev, dc_prev
 
@@ -354,6 +360,8 @@ class Seq2SeqModel:
         dh = [np.zeros((B, cfg.d_h), dtype=d_annotations.dtype) for _ in range(cfg.layers)]
         dc = [np.zeros_like(dh[0]) for _ in range(cfg.layers)]
         emb = self.params["src_embed"]
+        steps = cache["steps"]
+        zero = [np.zeros((B, cfg.d_h), dtype=self.dtype)] * cfg.layers
         last_steps = set((lengths - 1).tolist())
         for t in range(S - 1, -1, -1):
             if t in last_steps:
@@ -362,9 +370,11 @@ class Seq2SeqModel:
                     dh[l][at_end] += d_init.h[l][at_end]
                     dc[l][at_end] += d_init.c[l][at_end]
             dh[-1] += d_annotations[:, t]
-            dx, dh, dc = self._stack_backward("enc", cache["steps"][t],
-                                              emb.value.take(src[:, t], axis=0),
-                                              dh, dc)
+            # step t started from step t - 1's outputs, or from zeros
+            h, c = (zero, zero) if t == 0 else \
+                (steps[t - 1]["h"], [cell["c"] for cell in steps[t - 1]["cells"]])
+            dx, dh, dc = self._stack_backward("enc", steps[t], emb.value.take(src[:, t], axis=0),
+                                              h, c, dh, dc)
             np.add.at(emb.grad, src[:, t], dx)
 
     # -- decoder ------------------------------------------------------------
@@ -390,8 +400,7 @@ class Seq2SeqModel:
         attn_in = np.concatenate([context, top], axis=1)
         attn_hidden = nn.affine_forward(attn_in, p["attn.w"].value, p["attn.b"].value)
         np.tanh(attn_hidden, out=attn_hidden)
-        cache.update(words=words, feed=state.input_feed, attn=attn, attn_hidden=attn_hidden,
-                     enc=enc, src=state.src)
+        cache.update(words=words, attn=attn, attn_hidden=attn_hidden, enc=enc)
         return DecoderState(new_h, new_c, attn_hidden, state.src, state.step + 1), cache
 
     def _dec_input(self, words, feed):
@@ -421,10 +430,12 @@ class Seq2SeqModel:
         return nn.affine_backward(attn_hidden, p["out.w"].value, d_f,
                                   p["out.w"].grad, p["out.b"].grad)
 
-    def decode_step_backward(self, cache, d_state, d_annotations):
+    def decode_step_backward(self, cache, d_state, d_annotations, state):
         """Backprop one decoder step, up to the attention hidden state.
 
-        d_state is the StateGrad w.r.t. the step's output state. Its
+        ``state`` is the state the step started from, the one handed to
+        ``decode_step``: the cache keeps nothing of it. d_state is the
+        StateGrad w.r.t. the step's output state. Its
         input_feed is the whole gradient w.r.t. the attention hidden state:
         what the next step's input feed receives plus, added by the caller,
         what the step's scores give (score_f_backward). Parameter grads
@@ -434,7 +445,7 @@ class Seq2SeqModel:
         """
         cfg = self.config
         p = self.params
-        src = cache["src"]
+        src = state.src
         ah = cache["attn_hidden"]
         d_pre = d_state.input_feed * (1.0 - ah * ah)
         attn = cache["attn"]
@@ -456,9 +467,12 @@ class Seq2SeqModel:
         d_ann_rows += np.multiply(d_scores[:, :, None], top[:, None, :], out=ann)
         del ann
         nn.scatter_add(d_annotations, src, d_ann_rows)
+        # the [B, S, H] buffer goes before the LSTM backward
+        del d_ann_rows
         dh = d_state.h[:-1] + [d_state.h[-1] + d_top]
         dx, dh_prev, dc_prev = self._stack_backward(
-            "dec", cache, self._dec_input(cache["words"], cache["feed"]), dh, d_state.c)
+            "dec", cache, self._dec_input(cache["words"], state.input_feed), state.h, state.c,
+            dh, d_state.c)
         E = cfg.d_emb
         np.add.at(p["tgt_embed"].grad, cache["words"], dx[:, :E])
         return StateGrad(dh_prev, dc_prev, dx[:, E:])

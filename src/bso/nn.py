@@ -77,10 +77,12 @@ def sigmoid(x):
 # axis [input, forget, candidate, output]: the forward pass takes one
 # sigmoid over the whole pre-activation, then overwrites the candidate
 # block with its tanh, and caches that array as ``gates``. The cache holds
-# ``h_prev``, ``c_prev``, ``gates`` and the new cell state ``c``, which a
-# recurrence keeps alive anyway as the next step's ``c_prev``. It holds
-# neither the input ``x``, which the caller passes to the backward, nor
-# tanh(c), which the backward recomputes bit for bit from ``c``.
+# ``gates`` and the new cell state ``c``, which a recurrence keeps alive
+# anyway as the next step's ``c_prev``. It holds nothing the step started
+# from: the caller passes the backward the input ``x`` and the states
+# ``h_prev`` and ``c_prev``, which a recurrence keeps in the step before.
+# Nor does it hold tanh(c), which the backward recomputes bit for bit
+# from ``c``.
 
 
 def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
@@ -104,14 +106,14 @@ def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     c += i * g
     h = np.tanh(c)
     h *= o
-    cache = {"h_prev": h_prev, "c_prev": c_prev, "gates": gates, "c": c}
-    return h, c, cache
+    return h, c, {"gates": gates, "c": c}
 
 
-def lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
-    """Backward of :func:`lstm_cell_forward`, whose input ``x`` was the
-    given one; adds into gw_x/gw_h/gb."""
-    h_prev, c_prev, gates = cache["h_prev"], cache["c_prev"], cache["gates"]
+def lstm_cell_backward(cache, dh, dc, x, h_prev, c_prev, w_x, w_h, gw_x, gw_h, gb):
+    """Backward of :func:`lstm_cell_forward`, whose inputs ``x``,
+    ``h_prev`` and ``c_prev`` were the given ones; adds into
+    gw_x/gw_h/gb."""
+    gates = cache["gates"]
     tc = np.tanh(cache["c"])
     B, H = tc.shape
     # a gate-major copy [4, B, H]: elementwise arithmetic on whole
@@ -214,10 +216,13 @@ def log_softmax(scores, out=None):
 
 
 def global_grad_norm(slots):
+    """The L2 norm of all the slots' gradients together, summed in float64.
+    At most one float64 copy of a gradient is alive at a time."""
     total = 0.0
     for s in slots:
-        g = s.grad.astype(np.float64, copy=False)
-        total += float(np.dot(g.ravel(), g.ravel()))
+        g = s.grad.astype(np.float64, copy=False).ravel()
+        total += float(np.dot(g, g))
+        del g
     return float(np.sqrt(total))
 
 
@@ -240,8 +245,16 @@ def clip_global_norm(slots, max_norm):
 
 
 def adagrad_step(slot, lr):
-    """Adagrad update from the slot's gradient, which it then drops."""
+    """Adagrad update from the slot's gradient, which it then drops: the
+    gradient's buffer takes the step lr * g / (sqrt(accum) + eps), and one
+    temporary holds g * g and then the denominator."""
     g = slot.grad
-    slot.adagrad_accum += g * g
-    slot.value -= (lr * g / (np.sqrt(slot.adagrad_accum) + ADAGRAD_EPS)).astype(slot.value.dtype)
+    tmp = g * g
+    slot.adagrad_accum += tmp
+    np.sqrt(slot.adagrad_accum, out=tmp)
+    tmp += ADAGRAD_EPS
+    g *= lr
+    g /= tmp
+    del tmp
+    slot.value -= g
     slot.zero_grad()

@@ -237,9 +237,17 @@ def bso_backward(model, fwd):
             stacks.setdefault(rec.sentence, []).append(rec)
     if not stacks:
         return
+    _reverse_sweep(model, fwd.enc, _recompute(model, fwd, stacks))
+
+
+def _recompute(model, fwd, stacks):
+    """The teacher-forced steps of :func:`bso_backward`, as the entries
+    :func:`_reverse_sweep` takes. Each step gathers its rows of the
+    previous recomputed state, and its entry keeps that state, not the
+    gathered copy. Nothing of the last step but its entry outlives the
+    call: not its score gradient and not its output state."""
     every_step = fwd.margin_score == "cumulative"
     enc = fwd.enc
-
     state = enc.init_state
     # state rows of each sentence's gold prefix and violating prefix
     pairs = {b: (b, None) for b in sorted(stacks)}
@@ -273,28 +281,32 @@ def bso_backward(model, fwd):
             for row, w, c in coefs:
                 d_f[row, w] += c
             d_feed = model.score_f_backward(new_state.input_feed, d_f)
-        steps.append((cache, d_feed, rows, state.batch))
+        steps.append((cache, d_feed, state, rows))
         state, pairs = new_state, new_pairs
-    _reverse_sweep(model, enc, steps)
+    return steps
 
 
 def _reverse_sweep(model, enc, steps):
     """Backpropagate teacher-forced decoder steps, last first, then the
-    encoder. ``steps`` holds one (cache, d_feed, rows, n_in) per step:
+    encoder. ``steps`` holds one (cache, d_feed, state, rows) per step:
     ``d_feed`` is the gradient its scores give its attention hidden state,
-    or None, and ``rows`` the rows of the ``n_in``-row previous state the
-    step gathered, or None for all of them in order. The last step has a
-    score gradient."""
+    or None; ``state`` the previous step's output state, or the encoding's
+    start state, and ``rows`` the rows of it the step started from, or None
+    for all of them in order. A cache holds nothing of the state it started
+    from: the sweep hands ``decode_step_backward`` that state, gathered
+    again for the step alone, and scatters its gradient back to
+    ``state``'s rows. The last step has a score gradient."""
     d_ann = np.zeros_like(enc.annotations)
     d_state = model.state_grad_zeros(len(steps[-1][1]))
     while steps:
         # popped, so each step's cache is freed once it has been used
-        cache, d_feed, rows, n_in = steps.pop()
+        cache, d_feed, state, rows = steps.pop()
         if d_feed is not None:
             d_state.input_feed += d_feed
-        d_state = model.decode_step_backward(cache, d_state, d_ann)
+        d_state = model.decode_step_backward(
+            cache, d_state, d_ann, state if rows is None else state.select(rows))
         if rows is not None:
-            d_state = d_state.scatter(rows, n_in)
+            d_state = d_state.scatter(rows, state.batch)
     model.encode_backward(enc, d_ann, d_state)
 
 
@@ -315,7 +327,10 @@ def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
     keeps for the reverse sweep its decoder cache and the [B, H] gradient
     w.r.t. its attention hidden state: per row and layer the gates (4H),
     cell state and output (H each), plus the attention weights (S), the
-    attention hidden state and that gradient (H each). The backward
+    attention hidden state and that gradient (H each). A cache keeps
+    nothing of the state its step started from: the sweep hands each
+    step's backward the previous step's output state, which that step's
+    cache holds anyway (the start state for the first). The backward
     rebuilds the layer inputs, tanh(c) and the attention context, and the
     reverse sweep frees each step's cache once ``decode_step_backward`` has
     used it.
@@ -326,12 +341,15 @@ def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
     steps = []
     for t in range(T):
         in_w = tgt[:, t - 1] if t > 0 else np.full(B, bos_id, dtype=tgt.dtype)
-        state, cache = model.decode_step(state, in_w, enc)
+        prev = state
+        state, cache = model.decode_step(prev, in_w, enc)
         step_loss, d_hidden = _xent_step(model, state, tgt[:, t], t < tgt_lengths, backward)
         loss += step_loss
         if backward:
-            steps.append((cache, d_hidden, None, B))
+            steps.append((cache, d_hidden, prev, None))
     if backward:
+        # the sweep frees each step once it has used it
+        del prev, state, cache
         _reverse_sweep(model, enc, steps)
     return loss
 
@@ -438,6 +456,8 @@ def train_xent_epoch(model, pairs, config, rng, bos_id):
         model.zero_grads()
         enc = model.encode(src, s_len, masks)
         stats.loss += xent_loss(model, enc, tgt, t_len, bos_id)
+        # the encoder's step caches go before the update
+        del enc
         optimizer_step(model, config)
         stats.tokens += int(t_len.sum()) + int(s_len.sum())
     stats.seconds = time.perf_counter() - t0
@@ -482,8 +502,10 @@ def train_bso_epoch(model, examples, config, epoch, rng, bos_id):
             raise
         stats.loss += margin_loss(fwd.records)
         bso_backward(model, fwd)
-        optimizer_step(model, config)
         stats.violations += sum(1 for r in fwd.records if r.delta > 0)
+        # the encoding and its step caches go before the update
+        del enc, fwd
+        optimizer_step(model, config)
         stats.margin_steps += gold_len
         stats.tokens += int(lengths.sum()) + gold_len
     stats.seconds = time.perf_counter() - t0

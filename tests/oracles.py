@@ -34,15 +34,13 @@ def reference_lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = {"h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "g": g, "o": o, "tc": tc}
+    cache = {"i": i, "f": f, "g": g, "o": o, "tc": tc}
     return h, c, cache
 
 
-def reference_lstm_cell_backward(cache, dh, dc, x, w_x, w_h, gw_x, gw_h, gb):
-    """Backward of :func:`reference_lstm_cell_forward` at input ``x``;
-    adds into gw_x/gw_h/gb."""
-    h_prev, c_prev = cache["h_prev"], cache["c_prev"]
+def reference_lstm_cell_backward(cache, dh, dc, x, h_prev, c_prev, w_x, w_h, gw_x, gw_h, gb):
+    """Backward of :func:`reference_lstm_cell_forward` at inputs ``x``,
+    ``h_prev`` and ``c_prev``; adds into gw_x/gw_h/gb."""
     i, f, g, o, tc = (cache[k] for k in ("i", "f", "g", "o", "tc"))
 
     do = dh * tc
@@ -238,7 +236,7 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
     """Rerun a prefix with teacher forcing, then backprop coefs[t] onto the
     f-score of tokens[t] at every step, through the decoder into d_ann and
     the returned initial-state gradient."""
-    caches = rescore_prefix(model, enc, tokens, bos_id)[1]
+    _, caches, states = rescore_prefix(model, enc, tokens, bos_id)
     d_state = model.state_grad_zeros(1)
     v = model.config.tgt_vocab
     for t in range(len(tokens) - 1, -1, -1):
@@ -246,7 +244,7 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
             d_f = np.zeros((1, v), dtype=model.dtype)
             d_f[0, tokens[t]] = coefs[t]
             d_state.input_feed += model.score_f_backward(caches[t]["attn_hidden"], d_f)
-        d_state = model.decode_step_backward(caches[t], d_state, d_annotations=d_ann)
+        d_state = model.decode_step_backward(caches[t], d_state, d_ann, states[t])
     return d_state
 
 

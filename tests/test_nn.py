@@ -63,7 +63,7 @@ class TestLstmCell:
         _, _, cache = nn.lstm_cell_forward(*args, wx, wh, b)
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
         dx, dhp, dcp = nn.lstm_cell_backward(cache, np.zeros((2, h)),
-                                             np.zeros((2, h)), args[0], wx, wh, gwx, gwh, gb)
+                                             np.zeros((2, h)), *args, wx, wh, gwx, gwh, gb)
         for arr in (dx, dhp, dcp, gwx, gwh, gb):
             assert np.allclose(arr, 0.0)
 
@@ -74,10 +74,10 @@ class TestLstmCell:
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
         _, _, cache = nn.lstm_cell_forward(*args, wx, wh, b)
         dh = rand(rng, 1, h)
-        out1 = nn.lstm_cell_backward(cache, dh, np.zeros((1, h)), args[0], wx, wh,
+        out1 = nn.lstm_cell_backward(cache, dh, np.zeros((1, h)), *args, wx, wh,
                                      np.zeros_like(wx), np.zeros_like(wh),
                                      np.zeros_like(b))
-        out2 = nn.lstm_cell_backward(cache, 2 * dh, np.zeros((1, h)), args[0], wx, wh,
+        out2 = nn.lstm_cell_backward(cache, 2 * dh, np.zeros((1, h)), *args, wx, wh,
                                      np.zeros_like(wx), np.zeros_like(wh),
                                      np.zeros_like(b))
         for a, b_ in zip(out1, out2):
@@ -100,7 +100,7 @@ class TestLstmCell:
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
         dh = np.ones((2, h))
         dx, dhp, dcp = nn.lstm_cell_backward(cache, dh, np.zeros((2, h)),
-                                             x, wx, wh, gwx, gwh, gb)
+                                             x, hp, cp, wx, wh, gwx, gwh, gb)
         for analytic, arr in [(gwx, wx), (gwh, wh), (gb, b), (dx, x),
                               (dhp, hp), (dcp, cp)]:
             num = numerical_grad(loss, arr)
@@ -128,7 +128,7 @@ class TestLstmCellMatchesReference:
                                   (reference_lstm_cell_forward, reference_lstm_cell_backward)):
             h_new, c_new, cache = forward(x, hp, cp, wx, wh, b)
             grads = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
-            dx, dhp, dcp = backward(cache, dh, dc, x, wx, wh, *grads)
+            dx, dhp, dcp = backward(cache, dh, dc, x, hp, cp, wx, wh, *grads)
             outs.append([h_new, c_new, dx, dhp, dcp, *grads])
         pre = x @ wx + hp @ wh + b
         assert np.abs(pre).max() > scale / 10

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import types
 
 import numpy as np
@@ -692,6 +693,81 @@ class TestBackward:
 
 # ---------------------------------------------------------------------------
 # Batching and epoch drivers
+
+
+class TestBackwardMemory:
+    @pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.3)])
+    def test_a_recompute_step_keeps_only_what_the_backward_cannot_rebuild(self, layers,
+                                                                          dropout):
+        """Per extra recompute step and row, bso_backward keeps what
+        xent_loss keeps (TestXentMemory): per layer the gates (4H), the cell
+        state and the output (H each), plus the attention weights (S), the
+        attention hidden state and its score gradient (H each): 6LH + 2H + S
+        floats. A step's input state is the previous step's output, so a
+        cache that kept its gathered copy would break the bound, as would
+        keeping a layer input (E outweighs everything else here). Each
+        sentence keeps a gold row and, from step 2, a violating row."""
+        B, E, H, V, S = 16, 64, 32, 10, 4
+        rng = np.random.default_rng(0)
+        m = toy_model(0, tgt_vocab=V, d_emb=E, d_h=H, layers=layers)
+        src = rng.integers(1, 5, size=(B, S))
+        peaks = {}
+        for T in (10, 40):
+            golds = [tuple(int(w) for w in rng.integers(4, V, size=T)) for _ in range(B)]
+            # the violating segment differs from the gold one from its second word
+            records = [ViolationRecord(T, 0, g[:1] + tuple(4 + (w - 3) % (V - 4) for w in g[1:]),
+                                       0.0, 0.0, 1.0, sentence=b) for b, g in enumerate(golds)]
+            masks = (MaskSet.build(dropout, layers, S, T, np.random.default_rng(1), H)
+                     if dropout else None)
+            m.zero_grads()
+            tracemalloc.start()
+            try:
+                fwd = training.ForwardResult(records, golds, m.encode(src, masks=masks), BOS,
+                                             "cumulative")
+                bso_backward(m, fwd)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del fwd
+        per_step = (peaks[40] - peaks[10]) / 30
+        # 4 KiB per step for the Python objects of a step: dicts, lists,
+        # array headers, the rows and the int64 words and sources
+        assert per_step < 2 * B * (6 * layers * H + 2 * H + S) * 4 + 4096
+
+
+class TestOptimizerMemory:
+    """An update holds at most one float64 copy of a gradient, for the
+    norm, and one float32 temporary of a slot's size, for Adagrad. The two
+    embeddings are the largest slots and of one size, and each outweighs
+    the few KiB of Python objects an update makes."""
+
+    def model_with_grads(self):
+        cfg = ModelConfig(src_vocab=400, tgt_vocab=400, d_emb=16, d_h=8)
+        m = Seq2SeqModel(cfg, rng=np.random.default_rng(0), dtype=np.float32)
+        rng = np.random.default_rng(1)
+        for s in m.slots():
+            s.grad[...] = rng.uniform(-1, 1, size=s.value.shape)
+        return m, max(s.value.size for s in m.slots())
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_optimizer_step_holds_one_float64_copy_and_one_temporary(self):
+        m, largest = self.model_with_grads()
+        peak = self.traced_peak(lambda: optimizer_step(m, TrainConfig()))
+        assert peak <= largest * (8 + 4) + 4096
+
+    def test_adagrad_step_holds_one_temporary(self):
+        m, _ = self.model_with_grads()
+        slot = m.params["src_embed"]
+        peak = self.traced_peak(lambda: nn.adagrad_step(slot, 0.1))
+        assert peak <= slot.value.nbytes + 1024
 
 
 class TestMakeBatches:
