@@ -7,10 +7,12 @@ beams of many sentences form one :class:`Beam`, whose rows need not be
 grouped by sentence. Constraint states are row-batched the same way:
 ``allowed_mask()`` gives the admissible ``(row, word)`` pairs of every row,
 the one statement of a constraint's rule, ``advance(words)`` moves every
-row by one word it allows, ``select(rows)`` gathers rows and
+row by one word it allows, ``allows(words)`` tells whether each row's word
+is one of its pairs, ``select(rows)`` gathers rows and
 :func:`join_constraints` stacks the states of several sentences. Every
 constraint of one batch must be of the same class. Search only takes words
-from the pairs; :func:`validate_gold` checks gold sequences against them.
+from the pairs; :func:`validate_gold` checks gold sequences with
+``allows``.
 :func:`search_step`, one ``decode_step`` and one :func:`beam_step` for all
 sentences of a batch, is the one search step: test-time decoding
 (:func:`beam_search`) and BSO training both take it.
@@ -76,7 +78,8 @@ class NonFiniteScoreError(SentenceError, FloatingPointError):
 # may leave out pairs that cannot be among their sentence's K best; without
 # f it returns them all. advance(words) takes one word per row (a scalar
 # for a one-row state) from those pairs and checks nothing: search only
-# picks pairs, and validate_gold checks gold words against them.
+# picks pairs, and validate_gold checks gold words with allows(words), which
+# tells for one word per row whether it is one of that row's pairs.
 # select(rows) takes integer row indices; 2-D rows are gathered with
 # ``take(rows, axis=0)``, the copy fancy indexing makes at half its fixed
 # cost on a few rows.
@@ -148,6 +151,10 @@ class NoConstraint:
         # a sparse [rows, V] mask: the flat index beats the 2-D nonzero
         return np.divmod(np.flatnonzero(keep), keep.shape[1])
 
+    def allows(self, words):
+        in_vocab = (words >= 0) & (words < self.vocab_size)
+        return in_vocab & self.allowed[np.where(in_vocab, words, 0)]
+
     def advance(self, words):
         return self
 
@@ -186,6 +193,10 @@ class PermutationConstraint:
         done = (~self.counts.any(axis=1)).nonzero()[0]
         return (np.concatenate([rows, done]),
                 np.concatenate([self.types[rows, cols], np.full(len(done), self.eos_id)]))
+
+    def allows(self, words):
+        unused = ((self.types == words[:, None]) & (self.counts != 0)).any(axis=1)
+        return unused | ((words == self.eos_id) & ~self.counts.any(axis=1))
 
     def advance(self, words):
         # EOS is no type: an EOS row keeps its counts
@@ -240,6 +251,15 @@ class ArcStandardConstraint:
                                 np.tile(self.reduce_ids, len(reduce)),
                                 np.full(len(done), self.eos_id)]))
 
+    def allows(self, words):
+        # a row that has shifted its last word reads its last column, not past it
+        col = np.minimum(self.next_idx, self.source.shape[1] - 1)
+        shift = (self.next_idx < self.n_source) & \
+            (np.take_along_axis(self.source, col[:, None], axis=1)[:, 0] == words)
+        reduce = (self.depth >= 2) & np.isin(words, self.reduce_ids)
+        done = (self.next_idx == self.n_source) & (self.depth == 1) & (words == self.eos_id)
+        return shift | reduce | done
+
     def advance(self, words):
         words = np.reshape(words, -1)
         eos = words == self.eos_id
@@ -266,9 +286,9 @@ def validate_gold(constraint, golds):
 
     Returns the gold prefix states: entry j is the state, after its first
     j words, of every row whose sequence is longer than j, in row order.
-    Every word must be one of its row's ``allowed_mask`` pairs; else
-    ConstraintError names the row as its sentence, the step, the word and
-    the words its row allows.
+    Every word must be one of its row's ``allowed_mask`` pairs, as the
+    state's ``allows`` tells; else ConstraintError names the row as its
+    sentence, the step, the word and the words its row allows.
     """
     padded, lengths = pad_ids(golds)
     rows = np.flatnonzero(lengths > 0)
@@ -276,14 +296,10 @@ def validate_gold(constraint, golds):
     states = [state]
     for j in range(padded.shape[1]):
         words = padded[rows, j]
-        pair_rows, pair_words = state.allowed_mask()
-        hit = pair_words == words[pair_rows]
-        # no pair twice: every row is valid when each has one hit
-        if np.count_nonzero(hit) != len(rows):
-            bad = np.ones(len(rows), dtype=bool)
-            bad[pair_rows[hit]] = False
-            i = int(np.flatnonzero(bad)[0])
-            allowed = np.sort(pair_words[pair_rows == i]).tolist()
+        ok = state.allows(words)
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0])
+            allowed = np.sort(state.select([i]).allowed_mask()[1]).tolist()
             raise ConstraintError(f"gold sequence invalid at step {j + 1}: word {words[i]} "
                                   f"not among the allowed words {allowed}", int(rows[i]))
         state = state.advance(words)

@@ -48,6 +48,11 @@ from . import nn
 from .nn import ParamSlot
 
 ATTN_NEG = -1e9
+# the fewest rows per block of decode_step_backward's d_scores x top
+# product: a step of B rows adds it in blocks of max(8, ceil(B / 4)) rows,
+# so from 32 rows on its temporary is at most a quarter of the [B, S, H]
+# annotation gradient, and no step runs more than four blocks
+ROW_BLOCK = 8
 HEADER = "header.json"
 
 
@@ -307,7 +312,9 @@ class Seq2SeqModel:
     # -- encoder ------------------------------------------------------------
 
     def encode(self, src, lengths=None, masks=None):
-        """Run the encoder over a [B, S] batch of source token ids."""
+        """Run the encoder over a [B, S] batch of source token ids; row b
+        holds ``lengths[b]`` tokens (all S by default), padding after them.
+        InputError unless each length is in 1..S."""
         src = np.asarray(src)
         B, S = src.shape
         if S == 0:
@@ -317,6 +324,8 @@ class Seq2SeqModel:
         if lengths is None:
             lengths = np.full(B, S, dtype=np.int64)
         lengths = np.asarray(lengths)
+        if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > S:
+            raise InputError(f"source lengths must be one per row, each in 1..{S}")
         cfg = self.config
         emb = self.params["src_embed"].value.take(src, axis=0)  # [B, S, E]; no step keeps it
         # every step makes new states: the zero start state is only read
@@ -457,15 +466,18 @@ class Seq2SeqModel:
                                        p["attn.w"].grad, p["attn.b"].grad)
         H = cfg.d_h
         d_context = d_attn_in[:, :H]
-        d_top = d_attn_in[:, H:].copy()
         d_attn = np.einsum("bh,bsh->bs", d_context, ann)
         d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-        d_top += np.einsum("bs,bsh->bh", d_scores, ann)
-        d_ann_rows = attn[:, :, None] * d_context[:, None, :]
+        d_top = d_attn_in[:, H:] + np.einsum("bs,bsh->bh", d_scores, ann)
         # the gathered annotations' buffer, read for the last time above,
-        # takes the second product
-        d_ann_rows += np.multiply(d_scores[:, :, None], top[:, None, :], out=ann)
+        # becomes their gradient: attn x d_context, plus d_scores x top added
+        # a block of rows at a time, so no second [B, S, H] array is made
+        d_ann_rows = np.einsum("bs,bh->bsh", attn, d_context, out=ann)
         del ann
+        step = max(ROW_BLOCK, -(-len(src) // 4))
+        for lo in range(0, len(src), step):
+            block = slice(lo, lo + step)
+            d_ann_rows[block] += np.einsum("bs,bh->bsh", d_scores[block], top[block])
         nn.scatter_add(d_annotations, src, d_ann_rows)
         # the [B, S, H] buffer goes before the LSTM backward
         del d_ann_rows

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from bso.beam import (ArcStandardConstraint, NoConstraint,
-                      PermutationConstraint, beam_decode, validate_gold)
+                      PermutationConstraint, beam_decode, beam_search,
+                      join_constraints, validate_gold)
 from bso.metrics import corpus_bleu, uas_las
 from bso.model import ModelConfig, Seq2SeqModel
-from bso.tasks import BOS_ID, EOS_ID, PAD_ID, ParseExample, Vocab
+from bso.tasks import BOS_ID, EOS_ID, PAD_ID, ParseExample, Vocab, pad_ids
 from bso.training import (TrainConfig, bso_backward,
                           bso_forward, curriculum_beam, delta_01,
                           eval_perplexity, train_bso_epoch, train_xent_epoch)
@@ -205,6 +206,8 @@ class TestCriterion4FinalStepComparator:
 
 
 class TestCriterion5ConstraintSoundness:
+    """Each model decodes its sources as one padded batch: a one-sentence
+    batch is covered by test_beam's direct beam_search cases."""
     N_MODELS = 50
     PER_MODEL = 100
 
@@ -212,17 +215,20 @@ class TestCriterion5ConstraintSoundness:
         for m_idx in range(self.N_MODELS):
             model = toy_model(m_idx, src_vocab=8, tgt_vocab=8)
             rng = np.random.default_rng(2000 + m_idx)
+            sources, golds = [], []
             for _ in range(self.PER_MODEL):
                 words = [int(w) for w in rng.integers(4, 8,
                                                       size=rng.integers(1, 5))]
                 gold = list(words)
                 rng.shuffle(gold)
-                gold = gold + [EOS]
-                validate_gold(PermutationConstraint(8, words, EOS), [gold])
-                enc = model.encode(np.array([words]))
-                toks = beam_decode(model, enc, 3,
-                                   PermutationConstraint(8, words, EOS),
-                                   len(words) + 1, BOS, EOS)
+                sources.append(words)
+                golds.append(gold + [EOS])
+            constraints = [PermutationConstraint(8, words, EOS) for words in sources]
+            validate_gold(join_constraints(constraints), golds)
+            enc = model.encode(*pad_ids(sources))
+            found = beam_search(model, enc, 3, constraints,
+                                [len(words) + 1 for words in sources], BOS, EOS)
+            for words, (toks, _) in zip(sources, found):
                 assert toks[-1] == EOS
                 assert sorted(toks[:-1]) == sorted(words)
 
@@ -233,10 +239,10 @@ class TestCriterion5ConstraintSoundness:
         for m_idx in range(self.N_MODELS):
             model = toy_model(m_idx + 500, src_vocab=10, tgt_vocab=10)
             rng = np.random.default_rng(3000 + m_idx)
+            sources, golds = [], []
             for _ in range(self.PER_MODEL):
                 n = int(rng.integers(1, 5))
                 word_ids = [int(w) for w in rng.integers(4, 8, size=n)]
-                words = [f"w{i}" for i in range(n)]
                 # random valid derivation serves as the gold sequence
                 c = ArcStandardConstraint(10, word_ids, reduce_ids, EOS)
                 gold = []
@@ -247,13 +253,16 @@ class TestCriterion5ConstraintSoundness:
                     c = c.advance(w)
                     if w == EOS:
                         break
-                validate_gold(
-                    ArcStandardConstraint(10, word_ids, reduce_ids, EOS), [gold])
-                enc = model.encode(np.array([word_ids]))
-                toks = beam_decode(model, enc, 3,
-                                   ArcStandardConstraint(10, word_ids,
-                                                         reduce_ids, EOS),
-                                   2 * n + 1, BOS, EOS)
+                sources.append(word_ids)
+                golds.append(gold)
+            constraints = [ArcStandardConstraint(10, word_ids, reduce_ids, EOS)
+                           for word_ids in sources]
+            validate_gold(join_constraints(constraints), golds)
+            enc = model.encode(*pad_ids(sources))
+            found = beam_search(model, enc, 3, constraints,
+                                [2 * len(word_ids) + 1 for word_ids in sources], BOS, EOS)
+            for word_ids, (toks, _) in zip(sources, found):
+                words = [f"w{i}" for i in range(len(word_ids))]
                 syms, shifted = [], 0
                 for t in toks:
                     if t in id_to_tok:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,21 @@ class TestValidateGold:
         assert successors(states[1].select([0])) == [4]
         assert successors(states[1].select([1])) == [EOS_ID]
         assert successors(states[2]) == [EOS_ID]
+
+    def test_checks_words_without_building_every_pair(self):
+        # each row checks its own gold word: no [rows, V] pair arrays, which
+        # allowed_mask() makes for an unconstrained batch
+        rows, V_big = 32, 3000
+        rng = np.random.default_rng(0)
+        c = join_constraints([NoConstraint(V_big, blocked=(PAD_ID, BOS_ID))] * rows)
+        golds = [rng.integers(3, V_big, size=8).tolist() + [EOS_ID] for _ in range(rows)]
+        tracemalloc.start()
+        try:
+            validate_gold(c, golds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * V_big * 8
 
 
 class TestJoin:
@@ -411,8 +427,11 @@ class TestSuccessorPairs:
         rows, words = state.allowed_mask()
         pairs = set(zip(rows.tolist(), words.tolist()))
         assert len(pairs) == len(rows)
-        # a one-step gold passes exactly where it is a pair; words outside
-        # the vocabulary are refused as any other word is
+        # allows tells, row by row, whether a word is a pair; a one-step
+        # gold passes exactly where it is one; words outside the vocabulary
+        # are refused as any other word is
+        for w in range(-1, V + 1):
+            assert state.allows(np.full(n, w)).tolist() == [(r, w) in pairs for r in range(n)]
         for r in range(n):
             one = state.select([r])
             for w in range(-1, V + 1):

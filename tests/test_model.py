@@ -55,6 +55,20 @@ class TestEncode:
         with pytest.raises(InputError):
             m.encode(np.array([], dtype=np.int64).reshape(1, 0))
 
+    @pytest.mark.parametrize("lengths", [[3, 0], [3, 7]])
+    def test_length_outside_the_row_rejected(self, lengths):
+        # either length leaves its row a zero final state: the encoder never
+        # reaches the row's last step; a zero length also leaves it nothing
+        # but padding to attend to
+        m = toy_model()
+        with pytest.raises(InputError, match=r"each in 1\.\.3"):
+            m.encode(np.array([[1, 2, 3], [4, 5, 6]]), lengths=lengths)
+
+    def test_lengths_not_one_per_row_rejected(self):
+        m = toy_model()
+        with pytest.raises(InputError, match="one per row"):
+            m.encode(np.array([[1, 2, 3], [4, 5, 6]]), lengths=[3])
+
     def test_variable_lengths_match_unpadded(self):
         m = toy_model()
         full = m.encode(np.array([[1, 2]]))
@@ -353,6 +367,35 @@ class TestEncoderMemory:
         # 4 KiB per step for the Python objects of a step: dicts, lists and
         # array headers
         assert per_step < B * 6 * layers * H * 4 + 4096
+
+
+class TestDecodeStepBackwardMemory:
+    def test_holds_one_annotation_sized_array(self):
+        """One step's backward gathers its rows' annotations [rows, S, H]
+        and turns that buffer into their gradient, adding one product a
+        block of rows at a time: one such array and a quarter of one,
+        besides arrays of rows x (S + H) floats. The rows come from one
+        source, as a beam's hypotheses do, so the scatter into the
+        encoder's gradient adds one row at a time; rows of distinct sources
+        would add its fancy-indexed copy of the whole gradient."""
+        rows, E, H, S = 32, 16, 64, 40
+        rng = np.random.default_rng(0)
+        m = toy_model(src_vocab=9, d_emb=E, d_h=H, dtype=np.float32)
+        enc = m.encode(rng.integers(3, 9, size=(1, S)))
+        state = enc.init_state.select(np.zeros(rows, dtype=np.int64))
+        _, cache = m.decode_step(state, rng.integers(3, 9, size=rows), enc)
+        g = [rng.standard_normal((rows, H)).astype(np.float32) for _ in range(3)]
+        d_state = StateGrad([g[0]], [g[1]], g[2])
+        d_ann = np.zeros_like(enc.annotations)
+        # the gradient buffers exist before the traced call
+        m.decode_step_backward(cache, d_state, d_ann, state)
+        tracemalloc.start()
+        try:
+            m.decode_step_backward(cache, d_state, d_ann, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows * S * H * 4 + rows * (8 * H + 4 * S) * 4
 
 
 class TestAttentionWeights:

@@ -512,9 +512,9 @@ class TestLockstepBatch:
     @pytest.mark.parametrize("kind", ["none", "perm"])
     def test_search_ranks_the_batch_together(self, kind, monkeypatch):
         """One successor set, one advance and one top_k per step for the
-        whole beam (plus one successor set and one advance per step
+        whole beam (plus one gold-word check and one advance per step
         validating the golds), never one per sentence or per hypothesis."""
-        calls = {"top_k": 0, "allowed_mask": 0, "advance": 0}
+        calls = {"top_k": 0, "allowed_mask": 0, "allows": 0, "advance": 0}
 
         def count(owner, name):
             fn = getattr(owner, name)
@@ -526,7 +526,7 @@ class TestLockstepBatch:
 
         cls = NoConstraint if kind == "none" else PermutationConstraint
         count(beam_mod, "top_k")
-        for name in ("allowed_mask", "advance"):
+        for name in ("allowed_mask", "allows", "advance"):
             count(cls, name)
         rng = np.random.default_rng(4)
         model = toy_model(4, dtype=np.float32)
@@ -544,7 +544,8 @@ class TestLockstepBatch:
                           delta_01, BOS)
         assert fwd.records
         t_max = max(len(g) for g in golds)
-        assert calls == {"top_k": t_max, "allowed_mask": 2 * t_max, "advance": 2 * t_max}
+        assert calls == {"top_k": t_max, "allowed_mask": t_max, "allows": t_max,
+                         "advance": 2 * t_max}
 
     def test_epoch_minibatch_runs_in_lockstep(self):
         model = toy_model(2, dtype=np.float32)
