@@ -10,22 +10,23 @@ passes can be replayed later. States and caches are batched along the first
 axis. A cache keeps only what its backward cannot rebuild exactly and
 cheaply. The encoder and the decoder are the same stacked LSTM, with
 dropout between layers, run one time step at a time by ``_stack_forward``
-and ``_stack_backward``. A step of either side keeps, per layer, the LSTM
-cell's cache (the gates and the new cell state ``c``) and the layer's
-output, plus the step's dropout masks, which the ``EncodedSource`` carries
-for both sides (a decoder step's are those of ``state.step``). A step keeps
-nothing of the state it started from, which the step before keeps as its
-output: the caller hands the backward that state. ``encode_backward`` takes
-it from the previous step's cache (zeros at the first step); a decoder
-step's caller passes ``decode_step_backward`` the state it passed
-``decode_step``, its input feed included. The backward rebuilds bit for bit
-each layer's input: the embedded source word for encoder layer 0, the
-embedded word joined to the input feed for decoder layer 0, and above them
-the masked output of the layer beneath. It also rebuilds tanh(c). The
-encoder's top-layer outputs are views of the annotations. A decoder step
-adds the attention weights, the attention hidden state and the consumed
-words; its backward recomputes the attention context from the annotations
-it gathers anyway.
+and ``_stack_backward``. A step of either side keeps, per layer, the new
+cell state ``c`` and the layer's output ``h``, plus the step's dropout
+masks, which the ``EncodedSource`` carries for both sides (a decoder step's
+are those of ``state.step``). A step keeps nothing of the state it started
+from, which the step before keeps as its output: the caller hands the
+backward that state. ``encode_backward`` takes it from the previous step's
+cache (zeros at the first step); a decoder step's caller passes
+``decode_step_backward`` the state it passed ``decode_step``, its input
+feed included. The backward rebuilds bit for bit each layer's input: the
+embedded source word for encoder layer 0, the embedded word joined to the
+input feed for decoder layer 0, and above them the masked output of the
+layer beneath. From those inputs and the step's input state the LSTM
+cell's backward rebuilds the gates, through the forward's own code, and
+tanh(c), also bit for bit. The encoder's top-layer outputs are views of
+the annotations. A decoder step adds the attention weights, the attention
+hidden state and the consumed words; its backward recomputes the
+attention context from the annotations it gathers anyway.
 The output layer keeps nothing: ``score_f_backward`` turns a step's [B, V]
 score gradient into a [B, H] one at once, which is added to the state's
 feed gradient. Decoder rows need not map one to one onto encoded sources:
@@ -268,18 +269,17 @@ class Seq2SeqModel:
     def _stack_forward(self, side, x, h, c, masks, step):
         """One time step of the ``side`` ("enc" or "dec") LSTM stack from
         layer 0's input ``x`` and the per-layer states ``h`` and ``c``.
-        Returns the new h and c lists and the step's cache: the cell caches,
-        the step's dropout masks and the layer outputs (the list ``h``)."""
+        Returns the new h and c lists and the step's cache: those two lists
+        and the step's dropout masks."""
         drop = None if masks is None else masks.get(side, step).astype(self.dtype, copy=False)
-        new_h, new_c, cells = [], [], []
-        cache = {"h": new_h, "cells": cells, "drop": drop}
+        new_h, new_c = [], []
+        cache = {"h": new_h, "c": new_c, "drop": drop}
         for l in range(self.config.layers):
             wx, wh, b = self._cell_params(side, l)
-            hl, cl, cell = nn.lstm_cell_forward(_layer_input(cache, l, x), h[l], c[l],
-                                                wx.value, wh.value, b.value)
+            hl, cl = nn.lstm_cell_forward(_layer_input(cache, l, x), h[l], c[l],
+                                          wx.value, wh.value, b.value)
             new_h.append(hl)
             new_c.append(cl)
-            cells.append(cell)
         return new_h, new_c, cache
 
     def _stack_backward(self, side, cache, x, h, c, dh, dc):
@@ -299,8 +299,8 @@ class Seq2SeqModel:
                 cur_dh = cur_dh + (dx if drop is None else dx * drop[l])
             wx, wh, b = self._cell_params(side, l)
             dx, dh_prev[l], dc_prev[l] = nn.lstm_cell_backward(
-                cache["cells"][l], cur_dh, dc[l], _layer_input(cache, l, x), h[l], c[l],
-                wx.value, wh.value, wx.grad, wh.grad, b.grad)
+                cache["c"][l], cur_dh, dc[l], _layer_input(cache, l, x), h[l], c[l],
+                wx.value, wh.value, b.value, wx.grad, wh.grad, b.grad)
         return dx, dh_prev, dc_prev
 
     def _cell_params(self, side, l):
@@ -372,6 +372,8 @@ class Seq2SeqModel:
         steps = cache["steps"]
         zero = [np.zeros((B, cfg.d_h), dtype=self.dtype)] * cfg.layers
         last_steps = set((lengths - 1).tolist())
+        # each step's source-word gradient, last step first
+        d_words = np.empty((S, B, cfg.d_emb), dtype=self.dtype)
         for t in range(S - 1, -1, -1):
             if t in last_steps:
                 at_end = lengths - 1 == t
@@ -380,11 +382,12 @@ class Seq2SeqModel:
                     dc[l][at_end] += d_init.c[l][at_end]
             dh[-1] += d_annotations[:, t]
             # step t started from step t - 1's outputs, or from zeros
-            h, c = (zero, zero) if t == 0 else \
-                (steps[t - 1]["h"], [cell["c"] for cell in steps[t - 1]["cells"]])
+            h, c = (zero, zero) if t == 0 else (steps[t - 1]["h"], steps[t - 1]["c"])
             dx, dh, dc = self._stack_backward("enc", steps[t], emb.value.take(src[:, t], axis=0),
                                               h, c, dh, dc)
-            np.add.at(emb.grad, src[:, t], dx)
+            d_words[S - 1 - t] = dx
+        # one scatter, in the order of one per step from the last step back
+        np.add.at(emb.grad, src[:, ::-1].T.ravel(), d_words.reshape(S * B, cfg.d_emb))
 
     # -- decoder ------------------------------------------------------------
 

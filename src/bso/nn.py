@@ -73,71 +73,85 @@ def sigmoid(x):
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell. The four gates are one [B, 4H] array, blocks along the last
-# axis [input, forget, candidate, output]: the forward pass takes one
-# sigmoid over the whole pre-activation, then overwrites the candidate
-# block with its tanh, and caches that array as ``gates``. The cache holds
-# ``gates`` and the new cell state ``c``, which a recurrence keeps alive
-# anyway as the next step's ``c_prev``. It holds nothing the step started
-# from: the caller passes the backward the input ``x`` and the states
-# ``h_prev`` and ``c_prev``, which a recurrence keeps in the step before.
-# Nor does it hold tanh(c), which the backward recomputes bit for bit
-# from ``c``.
+# LSTM cell. The four gates are one gate-major [4, B, H] array, blocks
+# [input, forget, candidate, output], which ``_gates`` makes from the
+# [B, 4H] pre-activation: one sigmoid over all of it, then the candidate
+# block's tanh written over its sigmoid. Elementwise arithmetic on whole
+# contiguous blocks is cheaper than on strided column slices; for one row
+# the gate-major pre-activation is a view, so decoding pays no copy. The
+# forward returns the new states h and c and keeps nothing else: a
+# recurrence keeps c alive anyway as the next step's ``c_prev``. The
+# caller passes the backward that c, the step's input ``x`` and its states
+# ``h_prev`` and ``c_prev``, which a recurrence keeps in the step before,
+# and the weights. From them the backward rebuilds the gates through
+# ``_gates``, the forward's own code path, and tanh(c), both bit for bit:
+# the weights do not change between a forward and its backward.
+
+
+def _gates(x, h_prev, w_x, w_h, b):
+    """The gate-major [4, B, H] gates of a step; the backward rebuilds them
+    here."""
+    B, H = h_prev.shape
+    # the sums in place, in the order of x @ w_x + h_prev @ w_h + b
+    pre = x @ w_x
+    pre += h_prev @ w_h
+    pre += b
+    pre = np.ascontiguousarray(pre.reshape(B, 4, H).transpose(1, 0, 2))
+    gates = sigmoid(pre)
+    np.tanh(pre[2], out=gates[2])
+    return gates
 
 
 def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     """One LSTM step over a batch of rows.
 
     x: [B, d_in], h_prev/c_prev: [B, H]; w_x: [d_in, 4H], w_h: [H, 4H],
-    b: [4H]. Returns (h, c, cache).
+    b: [4H]. Returns (h, c).
     """
     H = h_prev.shape[1]
     if w_x.shape != (x.shape[1], 4 * H) or w_h.shape != (H, 4 * H) or b.shape != (4 * H,):
         raise DimensionError(
             f"lstm shapes: x{x.shape} h{h_prev.shape} wx{w_x.shape} wh{w_h.shape} b{b.shape}")
-    # the sums in place, in the order of x @ w_x + h_prev @ w_h + b
-    pre = x @ w_x
-    pre += h_prev @ w_h
-    pre += b
-    gates = sigmoid(pre)
-    i, f, g, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
-    np.tanh(pre[:, 2 * H:3 * H], out=g)
+    i, f, g, o = _gates(x, h_prev, w_x, w_h, b)
     c = f * c_prev
     c += i * g
     h = np.tanh(c)
     h *= o
-    return h, c, {"gates": gates, "c": c}
+    return h, c
 
 
-def lstm_cell_backward(cache, dh, dc, x, h_prev, c_prev, w_x, w_h, gw_x, gw_h, gb):
-    """Backward of :func:`lstm_cell_forward`, whose inputs ``x``,
-    ``h_prev`` and ``c_prev`` were the given ones; adds into
-    gw_x/gw_h/gb."""
-    gates = cache["gates"]
-    tc = np.tanh(cache["c"])
+def lstm_cell_backward(c, dh, dc, x, h_prev, c_prev, w_x, w_h, b, gw_x, gw_h, gb):
+    """Backward of :func:`lstm_cell_forward`, whose inputs were ``x``,
+    ``h_prev``, ``c_prev`` and the weights, and whose new cell state was
+    ``c``; adds into gw_x/gw_h/gb."""
+    tc = np.tanh(c)
     B, H = tc.shape
-    # a gate-major copy [4, B, H]: elementwise arithmetic on whole
-    # contiguous blocks is cheaper than on strided column slices. A copy
-    # always, as it is written below: for one row the transpose is already
-    # contiguous, and ascontiguousarray would hand back a view of the cache
-    g4 = gates.reshape(B, 4, H).transpose(1, 0, 2).copy()
+    # the rebuilt gates are the backward's own: it writes into them below
+    g4 = _gates(x, h_prev, w_x, w_h, b)
     i, f, g, o = g4
 
-    dc_full = dc + dh * o * (1.0 - tc * tc)
+    # dc + dh * o * (1 - tc * tc), formed in two buffers
+    t = np.multiply(tc, tc)
+    np.subtract(1.0, t, out=t)
+    dc_full = dh * o
+    dc_full *= t
+    dc_full += dc
     dc_prev = dc_full * f
     # gradient w.r.t. each gate's value, then times the gate's derivative:
-    # s * (1 - s), or 1 - g * g for the tanh candidate
+    # s * (1 - s), or 1 - g * g for the tanh candidate, formed in t
     d4 = np.empty(g4.shape, dtype=dc_full.dtype)
     np.multiply(dc_full, g, out=d4[0])
     np.multiply(dc_full, c_prev, out=d4[1])
     np.multiply(dc_full, i, out=d4[2])
     np.multiply(dh, tc, out=d4[3])
-    d_cand = d4[2] * (1.0 - g * g)
+    np.multiply(g, g, out=t)
+    np.subtract(1.0, t, out=t)
+    t *= d4[2]
     d4 *= g4
     d4 *= np.subtract(1.0, g4, out=g4)
-    d4[2] = d_cand
+    d4[2] = t
     # the gate-major arrays go before the weight-gradient products
-    del g4, i, f, g, o, d_cand
+    del g4, i, f, g, o, t
     dpre = d4.transpose(1, 0, 2).reshape(B, 4 * H)
     del d4
     gw_x += x.T @ dpre
@@ -180,9 +194,14 @@ def scatter_add(out, rows, values):
     every row that has one left, so every row of ``out`` sums its values
     in the order ``np.add.at`` does. Faster than ``np.add.at`` when the
     rows are large ([rows, S, H] annotation gradients); for 2-D rows of a
-    few dozen columns ``np.add.at`` wins.
+    few dozen columns ``np.add.at`` wins. Rows 0..n-1 in order, one row
+    per source as in a batch's teacher-forced step, add in place, with no
+    fancy-indexed copy.
     """
     rows = np.asarray(rows)
+    if np.array_equal(rows, np.arange(len(rows))):
+        out[:len(rows)] += values
+        return
     order = np.argsort(rows, kind="stable")
     ranked = rows[order]
     # occurrence number of each entry of rows, in sorted order

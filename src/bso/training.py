@@ -325,13 +325,13 @@ def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
     scores, log-probabilities and score gradient share one [B, V] buffer,
     which the step frees, so nothing of vocabulary size outlives it. A step
     keeps for the reverse sweep its decoder cache and the [B, H] gradient
-    w.r.t. its attention hidden state: per row and layer the gates (4H),
-    cell state and output (H each), plus the attention weights (S), the
-    attention hidden state and that gradient (H each). A cache keeps
-    nothing of the state its step started from: the sweep hands each
-    step's backward the previous step's output state, which that step's
-    cache holds anyway (the start state for the first). The backward
-    rebuilds the layer inputs, tanh(c) and the attention context, and the
+    w.r.t. its attention hidden state: per row and layer the cell state and
+    output (H each), plus the attention weights (S), the attention hidden
+    state and that gradient (H each). A cache keeps nothing of the state
+    its step started from: the sweep hands each step's backward the
+    previous step's output state, which that step's cache holds anyway (the
+    start state for the first). The backward rebuilds the layer inputs, the
+    gates (4H per layer), tanh(c) and the attention context, and the
     reverse sweep frees each step's cache once ``decode_step_backward`` has
     used it.
     """

@@ -9,8 +9,9 @@ the quantity the merged backward pass is finite-differenced against. The
 per-hypothesis beam step is the reference for the array beam step: one
 sentence, one Hypothesis object and one constraint state per hypothesis,
 whose successors it reads from a dense mask of the state's pairs.
-The three-sigmoid LSTM cell, with its gates as four arrays, is the
-reference for the fused one-array cell in ``bso.nn``. Dropout masks drawn
+The three-sigmoid LSTM cell, which keeps its gates as four arrays for its
+backward, is the reference for the fused one-array cell in ``bso.nn``,
+whose backward rebuilds them. Dropout masks drawn
 one (step, layer boundary) at a time are the reference for
 ``MaskSet.build``'s one draw.
 """
@@ -38,9 +39,12 @@ def reference_lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     return h, c, cache
 
 
-def reference_lstm_cell_backward(cache, dh, dc, x, h_prev, c_prev, w_x, w_h, gw_x, gw_h, gb):
+def reference_lstm_cell_backward(cache, dh, dc, x, h_prev, c_prev, w_x, w_h, b, gw_x, gw_h, gb):
     """Backward of :func:`reference_lstm_cell_forward` at inputs ``x``,
-    ``h_prev`` and ``c_prev``; adds into gw_x/gw_h/gb."""
+    ``h_prev`` and ``c_prev``; adds into gw_x/gw_h/gb. It takes the
+    arguments of ``nn.lstm_cell_backward``, but its first is the forward's
+    cache: it reads the gates and tanh(c) from there and never rebuilds
+    them, so ``b`` goes unused."""
     i, f, g, o, tc = (cache[k] for k in ("i", "f", "g", "o", "tc"))
 
     do = dh * tc

@@ -16,6 +16,9 @@ def test_same_seed_same_fingerprint():
     assert "bso.perm-zero_one.k6.layers2.dropout0.3.grad" in names
     assert "bso.perm-zero_one.k6.grad0.out" in names
     assert "bso.perm-zero_one.k6.grad0.rest" in names
+    # the one line that checks the two-layer encoder and decoder backward,
+    # which rebuilds each layer's gates, under dropout
+    assert "xent.layers2.dropout0.3.grad" in names
     # a digest nothing was fed into would pass any comparison unnoticed
     empty = hashlib.sha256().hexdigest()
     assert [name for name, h in first if h == empty] == []

@@ -312,11 +312,11 @@ class TestXentMemory:
     @pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.3)])
     def test_a_step_keeps_only_what_the_backward_cannot_rebuild(self, layers, dropout):
         """Per extra target step and row, xent_loss keeps per layer the
-        gates (4H), the cell state and the output (H each), plus the
-        attention weights (S), the attention hidden state and its gradient
-        (H each): 6LH + 2H + S floats. The layer inputs, tanh(c) and the
-        attention context are rebuilt by the backward. E and H outweigh V
-        here, so caching any of those would break the bound."""
+        cell state and the output (H each), plus the attention weights (S),
+        the attention hidden state and its gradient (H each): 2LH + 2H + S
+        floats. The layer inputs, the gates (4H), tanh(c) and the attention
+        context are rebuilt by the backward. E and H outweigh V here, so
+        caching any of those would break the bound."""
         B, E, H, V, S = 32, 64, 32, 10, 4
         rng = np.random.default_rng(0)
         m = toy_model(src_vocab=7, tgt_vocab=V, d_emb=E, d_h=H, layers=layers,
@@ -337,17 +337,18 @@ class TestXentMemory:
         per_step = (peaks[40] - peaks[10]) / 30
         # 4 KiB per step for the Python objects of a step: dicts, lists,
         # array headers and the int64 words
-        assert per_step < B * (6 * layers * H + 2 * H + S) * 4 + 4096
+        assert per_step < B * (2 * layers * H + 2 * H + S) * 4 + 4096
 
 
 class TestEncoderMemory:
     @pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.3)])
     def test_a_step_keeps_no_layer_input(self, layers, dropout):
         """Per extra source step and row, an EncodedSource keeps per layer
-        the gates (4H), the cell state and the output (H each): 6LH floats.
-        The top layer's outputs are the annotations. The layer inputs, the
-        embedded words among them, are rebuilt by encode_backward; E
-        outweighs 6LH here, so keeping them would break the bound."""
+        the cell state and the output (H each): 2LH floats. The top layer's
+        outputs are the annotations. The layer inputs, the embedded words
+        among them, and the gates (4H per layer) are rebuilt by
+        encode_backward; E outweighs 2LH here, so keeping either would
+        break the bound."""
         B, E, H = 32, 64, 8
         rng = np.random.default_rng(0)
         m = toy_model(src_vocab=7, d_emb=E, d_h=H, layers=layers, dtype=np.float32)
@@ -366,7 +367,7 @@ class TestEncoderMemory:
         per_step = (kept[40] - kept[10]) / 30
         # 4 KiB per step for the Python objects of a step: dicts, lists and
         # array headers
-        assert per_step < B * 6 * layers * H * 4 + 4096
+        assert per_step < B * 2 * layers * H * 4 + 4096
 
 
 class TestDecodeStepBackwardMemory:

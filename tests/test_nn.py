@@ -27,7 +27,7 @@ class TestLstmCell:
         wx = np.zeros((d_in, 4 * h))
         wh = np.zeros((h, 4 * h))
         b = np.zeros(4 * h)
-        out_h, out_c, _ = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
+        out_h, out_c = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
         # gates sit at 0.5 and the candidate at 0, so nothing flows
         assert np.allclose(out_h, 0.0)
         assert np.allclose(out_c, 0.0)
@@ -45,7 +45,7 @@ class TestLstmCell:
         g = math.tanh(1.5)
         c_expect = s * (-1.0) + s * g
         h_expect = s * math.tanh(c_expect)
-        out_h, out_c, _ = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
+        out_h, out_c = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
         assert out_c[0, 0] == pytest.approx(c_expect, rel=1e-12)
         assert out_h[0, 0] == pytest.approx(h_expect, rel=1e-12)
 
@@ -60,10 +60,10 @@ class TestLstmCell:
         d_in, h = 3, 4
         args = (rand(rng, 2, d_in), rand(rng, 2, h), rand(rng, 2, h))
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
-        _, _, cache = nn.lstm_cell_forward(*args, wx, wh, b)
+        _, c = nn.lstm_cell_forward(*args, wx, wh, b)
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
-        dx, dhp, dcp = nn.lstm_cell_backward(cache, np.zeros((2, h)),
-                                             np.zeros((2, h)), *args, wx, wh, gwx, gwh, gb)
+        dx, dhp, dcp = nn.lstm_cell_backward(c, np.zeros((2, h)), np.zeros((2, h)), *args,
+                                             wx, wh, b, gwx, gwh, gb)
         for arr in (dx, dhp, dcp, gwx, gwh, gb):
             assert np.allclose(arr, 0.0)
 
@@ -72,12 +72,12 @@ class TestLstmCell:
         d_in, h = 3, 4
         args = (rand(rng, 1, d_in), rand(rng, 1, h), rand(rng, 1, h))
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
-        _, _, cache = nn.lstm_cell_forward(*args, wx, wh, b)
+        _, c = nn.lstm_cell_forward(*args, wx, wh, b)
         dh = rand(rng, 1, h)
-        out1 = nn.lstm_cell_backward(cache, dh, np.zeros((1, h)), *args, wx, wh,
+        out1 = nn.lstm_cell_backward(c, dh, np.zeros((1, h)), *args, wx, wh, b,
                                      np.zeros_like(wx), np.zeros_like(wh),
                                      np.zeros_like(b))
-        out2 = nn.lstm_cell_backward(cache, 2 * dh, np.zeros((1, h)), *args, wx, wh,
+        out2 = nn.lstm_cell_backward(c, 2 * dh, np.zeros((1, h)), *args, wx, wh, b,
                                      np.zeros_like(wx), np.zeros_like(wh),
                                      np.zeros_like(b))
         for a, b_ in zip(out1, out2):
@@ -93,14 +93,14 @@ class TestLstmCell:
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
 
         def loss():
-            out_h, _, _ = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
+            out_h, _ = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
             return float(out_h.sum())
 
-        _, _, cache = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
+        _, c = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
         dh = np.ones((2, h))
-        dx, dhp, dcp = nn.lstm_cell_backward(cache, dh, np.zeros((2, h)),
-                                             x, hp, cp, wx, wh, gwx, gwh, gb)
+        dx, dhp, dcp = nn.lstm_cell_backward(c, dh, np.zeros((2, h)),
+                                             x, hp, cp, wx, wh, b, gwx, gwh, gb)
         for analytic, arr in [(gwx, wx), (gwh, wh), (gb, b), (dx, x),
                               (dhp, hp), (dcp, cp)]:
             num = numerical_grad(loss, arr)
@@ -108,8 +108,9 @@ class TestLstmCell:
 
 
 class TestLstmCellMatchesReference:
-    """The one-array cell reproduces the three-sigmoid reference bit for
-    bit: states, input gradients and weight gradients."""
+    """The one-array cell, whose backward rebuilds its gates, reproduces
+    the three-sigmoid reference, which keeps its gates, bit for bit:
+    states, input gradients and weight gradients."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 5, 32])
@@ -124,24 +125,32 @@ class TestLstmCellMatchesReference:
         b = rng.uniform(-1, 1, size=4 * h).astype(dtype)
         dh, dc = (rng.uniform(-1, 1, size=(batch, h)).astype(dtype) for _ in range(2))
         outs = []
-        for forward, backward in ((nn.lstm_cell_forward, nn.lstm_cell_backward),
-                                  (reference_lstm_cell_forward, reference_lstm_cell_backward)):
-            h_new, c_new, cache = forward(x, hp, cp, wx, wh, b)
+        h_new, c_new = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
+        ref_h, ref_c, ref_cache = reference_lstm_cell_forward(x, hp, cp, wx, wh, b)
+        for backward, kept, h_, c_ in ((nn.lstm_cell_backward, c_new, h_new, c_new),
+                                       (reference_lstm_cell_backward, ref_cache, ref_h, ref_c)):
             grads = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
-            dx, dhp, dcp = backward(cache, dh, dc, x, hp, cp, wx, wh, *grads)
-            outs.append([h_new, c_new, dx, dhp, dcp, *grads])
+            dx, dhp, dcp = backward(kept, dh, dc, x, hp, cp, wx, wh, b, *grads)
+            outs.append([h_, c_, dx, dhp, dcp, *grads])
         pre = x @ wx + hp @ wh + b
         assert np.abs(pre).max() > scale / 10
         for got, want in zip(*outs):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_one_sigmoid_call_per_step(self, monkeypatch):
+        """One sigmoid over the whole pre-activation, gate-major [4, B, H],
+        in the forward, and one more in the backward, which rebuilds the
+        gates."""
         calls = []
         sigmoid = nn.sigmoid
         monkeypatch.setattr(nn, "sigmoid", lambda z: calls.append(z.shape) or sigmoid(z))
-        nn.lstm_cell_forward(np.zeros((3, 2)), np.zeros((3, 4)), np.zeros((3, 4)),
-                             np.zeros((2, 16)), np.zeros((4, 16)), np.zeros(16))
-        assert calls == [(3, 16)]
+        args = (np.zeros((3, 2)), np.zeros((3, 4)), np.zeros((3, 4)))
+        weights = (np.zeros((2, 16)), np.zeros((4, 16)), np.zeros(16))
+        _, c = nn.lstm_cell_forward(*args, *weights)
+        assert calls == [(4, 3, 4)]
+        grads = [np.zeros_like(w) for w in weights]
+        nn.lstm_cell_backward(c, np.ones((3, 4)), np.zeros((3, 4)), *args, *weights, *grads)
+        assert calls == [(4, 3, 4), (4, 3, 4)]
 
 
 class TestScatterAdd:
@@ -168,6 +177,28 @@ class TestScatterAdd:
         got = np.zeros((3, 1))
         nn.scatter_add(got, rows, values)
         assert got[:, 0].tolist() == [3.0, 3.0, 1.0]
+
+    def test_rows_in_order_add_in_place(self):
+        """Rows 0..n-1 in order, one per source as in a teacher-forced step,
+        give np.add.at's bytes with no copy of the values: the traced peak,
+        the values included, stays within their size and a few KiB."""
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((40, 30, 16)).astype(np.float32)
+        source = rng.standard_normal((32, 30, 16)).astype(np.float32)
+        rows = np.arange(32)
+        want = base.copy()
+        np.add.at(want, rows, source)
+        got = base.copy()
+        tracemalloc.start()
+        try:
+            values = np.empty_like(source)
+            values[...] = source
+            nn.scatter_add(got, rows, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < values.nbytes + 4096
 
     def test_no_rows(self):
         out = np.ones((2, 3))

@@ -701,13 +701,14 @@ class TestBackwardMemory:
     def test_a_recompute_step_keeps_only_what_the_backward_cannot_rebuild(self, layers,
                                                                           dropout):
         """Per extra recompute step and row, bso_backward keeps what
-        xent_loss keeps (TestXentMemory): per layer the gates (4H), the cell
-        state and the output (H each), plus the attention weights (S), the
-        attention hidden state and its score gradient (H each): 6LH + 2H + S
-        floats. A step's input state is the previous step's output, so a
-        cache that kept its gathered copy would break the bound, as would
-        keeping a layer input (E outweighs everything else here). Each
-        sentence keeps a gold row and, from step 2, a violating row."""
+        xent_loss keeps (TestXentMemory): per layer the cell state and the
+        output (H each), plus the attention weights (S), the attention
+        hidden state and its score gradient (H each): 2LH + 2H + S floats.
+        A step's input state is the previous step's output, so a cache that
+        kept its gathered copy would break the bound, as would keeping a
+        layer input (E outweighs everything else here) or the gates (4H per
+        layer). Each sentence keeps a gold row and, from step 2, a violating
+        row."""
         B, E, H, V, S = 16, 64, 32, 10, 4
         rng = np.random.default_rng(0)
         m = toy_model(0, tgt_vocab=V, d_emb=E, d_h=H, layers=layers)
@@ -733,7 +734,7 @@ class TestBackwardMemory:
         per_step = (peaks[40] - peaks[10]) / 30
         # 4 KiB per step for the Python objects of a step: dicts, lists,
         # array headers, the rows and the int64 words and sources
-        assert per_step < 2 * B * (6 * layers * H + 2 * H + S) * 4 + 4096
+        assert per_step < 2 * B * (2 * layers * H + 2 * H + S) * 4 + 4096
 
 
 class TestOptimizerMemory:
