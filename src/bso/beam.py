@@ -126,6 +126,7 @@ class NoConstraint:
         self.allowed = np.ones(vocab_size, dtype=bool)
         self.allowed[list(self.blocked)] = False
         self.words = np.flatnonzero(self.allowed)
+        self.blocked_ids = np.flatnonzero(~self.allowed)
         self.rows = 1
 
     def settings(self):
@@ -138,13 +139,23 @@ class NoConstraint:
         such a row keeps every word."""
         if f is None or k >= len(self.words):
             return np.repeat(np.arange(self.rows), len(self.words)), np.tile(self.words, self.rows)
-        f = f.copy() if f_rows is None else f[f_rows]
-        f[:, list(self.blocked)] = -np.inf
-        kth = np.partition(f, -k, axis=1)[:, -k]
+        # the one [rows, V] copy, partitioned in place for each row's kth
+        part = f.copy() if f_rows is None else f.take(f_rows, axis=0)
+        part[:, self.blocked_ids] = -np.inf
+        part.partition(-k, axis=1)
+        kth = part[:, -k].copy()
+        del part
         # a word below kth has K words of its own sentence above it, as
         # long as its sum with seg stays below theirs: every f below kth
-        # is at most the next float down from it
-        keep = f >= kth[:, None]
+        # is at most the next float down from it. f's own rows are
+        # compared, each with the kth of the state rows it scores
+        if f_rows is None:
+            keep = f >= kth[:, None]
+        else:
+            bound = np.full(len(f), np.inf, dtype=kth.dtype)
+            bound[f_rows] = kth
+            keep = (f >= bound[:, None]).take(f_rows, axis=0)
+        keep[:, self.blocked_ids] = False
         tie = seg + np.nextafter(kth, -np.inf) >= seg + kth
         if tie.any():
             keep[tie] = self.allowed

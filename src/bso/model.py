@@ -29,9 +29,13 @@ hidden state and the consumed words; its backward recomputes the
 attention context from the annotations it gathers anyway.
 The output layer keeps nothing: ``score_f_backward`` turns a step's [B, V]
 score gradient into a [B, H] one at once, which is added to the state's
-feed gradient. Decoder rows need not map one to one onto encoded sources:
-each state row carries the index of the source it attends to, so the rows
-of many hypotheses of many sentences can share one decoder step.
+feed gradient. A gradient buffer is made where it is first written: an
+LSTM layer's when its first backward step has rebuilt and freed its
+gates, and the target embedding's by the caller of
+``decode_step_backward``, to which each step returns its [B, E] word
+gradient. Decoder rows need not map one to one onto encoded sources: each
+state row carries the index of the source it attends to, so the rows of
+many hypotheses of many sentences can share one decoder step.
 """
 
 from __future__ import annotations
@@ -299,8 +303,7 @@ class Seq2SeqModel:
                 cur_dh = cur_dh + (dx if drop is None else dx * drop[l])
             wx, wh, b = self._cell_params(side, l)
             dx, dh_prev[l], dc_prev[l] = nn.lstm_cell_backward(
-                cache["c"][l], cur_dh, dc[l], _layer_input(cache, l, x), h[l], c[l],
-                wx.value, wh.value, b.value, wx.grad, wh.grad, b.grad)
+                cache["c"][l], cur_dh, dc[l], _layer_input(cache, l, x), h[l], c[l], wx, wh, b)
         return dx, dh_prev, dc_prev
 
     def _cell_params(self, side, l):
@@ -451,9 +454,12 @@ class Seq2SeqModel:
         input_feed is the whole gradient w.r.t. the attention hidden state:
         what the next step's input feed receives plus, added by the caller,
         what the step's scores give (score_f_backward). Parameter grads
-        accumulate in place; annotation grads accumulate into d_annotations
-        (shape [enc_batch, S, H]) at each row's source. Returns the
-        StateGrad w.r.t. the input state.
+        accumulate in place, the target embedding's apart; annotation grads
+        accumulate into d_annotations (shape [enc_batch, S, H]) at each
+        row's source. Returns the StateGrad w.r.t. the input state and the
+        [rows, E] gradient w.r.t. the embedded words the step consumed,
+        ``cache["words"]``, which the caller adds into the target
+        embedding's gradient.
         """
         cfg = self.config
         p = self.params
@@ -489,8 +495,7 @@ class Seq2SeqModel:
             "dec", cache, self._dec_input(cache["words"], state.input_feed), state.h, state.c,
             dh, d_state.c)
         E = cfg.d_emb
-        np.add.at(p["tgt_embed"].grad, cache["words"], dx[:, :E])
-        return StateGrad(dh_prev, dc_prev, dx[:, E:])
+        return StateGrad(dh_prev, dc_prev, dx[:, E:]), dx[:, :E]
 
     def state_grad_zeros(self, batch):
         return StateGrad.zeros(self.config.layers, batch, self.config.d_h, self.dtype)

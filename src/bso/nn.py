@@ -83,9 +83,12 @@ def sigmoid(x):
 # recurrence keeps c alive anyway as the next step's ``c_prev``. The
 # caller passes the backward that c, the step's input ``x`` and its states
 # ``h_prev`` and ``c_prev``, which a recurrence keeps in the step before,
-# and the weights. From them the backward rebuilds the gates through
-# ``_gates``, the forward's own code path, and tanh(c), both bit for bit:
-# the weights do not change between a forward and its backward.
+# and the weights' ParamSlots. From them the backward rebuilds the gates
+# through ``_gates``, the forward's own code path, and tanh(c), both bit
+# for bit: the weights do not change between a forward and its backward.
+# It reads each slot's gradient only once the rebuilt gates are freed, so
+# a gradient buffer the read makes (``ParamSlot.grad``) never shares the
+# memory of a step with them.
 
 
 def _gates(x, h_prev, w_x, w_h, b):
@@ -120,14 +123,15 @@ def lstm_cell_forward(x, h_prev, c_prev, w_x, w_h, b):
     return h, c
 
 
-def lstm_cell_backward(c, dh, dc, x, h_prev, c_prev, w_x, w_h, b, gw_x, gw_h, gb):
+def lstm_cell_backward(c, dh, dc, x, h_prev, c_prev, w_x, w_h, b):
     """Backward of :func:`lstm_cell_forward`, whose inputs were ``x``,
-    ``h_prev``, ``c_prev`` and the weights, and whose new cell state was
-    ``c``; adds into gw_x/gw_h/gb."""
+    ``h_prev``, ``c_prev`` and the values of the ParamSlots ``w_x``, ``w_h``
+    and ``b``, and whose new cell state was ``c``; adds into the slots'
+    gradients, each read only once the rebuilt gates are freed."""
     tc = np.tanh(c)
     B, H = tc.shape
     # the rebuilt gates are the backward's own: it writes into them below
-    g4 = _gates(x, h_prev, w_x, w_h, b)
+    g4 = _gates(x, h_prev, w_x.value, w_h.value, b.value)
     i, f, g, o = g4
 
     # dc + dh * o * (1 - tc * tc), formed in two buffers
@@ -150,16 +154,28 @@ def lstm_cell_backward(c, dh, dc, x, h_prev, c_prev, w_x, w_h, b, gw_x, gw_h, gb
     d4 *= g4
     d4 *= np.subtract(1.0, g4, out=g4)
     d4[2] = t
-    # the gate-major arrays go before the weight-gradient products
+    # the gate-major arrays go before the weight gradients and their products
     del g4, i, f, g, o, t
     dpre = d4.transpose(1, 0, 2).reshape(B, 4 * H)
     del d4
-    gw_x += x.T @ dpre
-    gw_h += h_prev.T @ dpre
-    gb += dpre.sum(axis=0)
-    dx = dpre @ w_x.T
-    dh_prev = dpre @ w_h.T
+    # each gradient is read here first, and made if this is its pass's
+    # first write; the sums go into it in place
+    for slot, inp in ((w_x, x), (w_h, h_prev)):
+        grad = slot.grad
+        grad += _outer_sum(inp, dpre)
+    grad = b.grad
+    grad += dpre.sum(axis=0)
+    dx = dpre @ w_x.value.T
+    dh_prev = dpre @ w_h.value.T
     return dx, dh_prev, dc_prev
+
+
+def _outer_sum(a, b):
+    """``a.T @ b``, the weight gradient of a batch of rows. At one row the
+    product is an outer product, which numpy runs outside BLAS at about
+    three times the time of the broadcast product; that gives the same
+    bytes."""
+    return a.T * b if len(a) == 1 else a.T @ b
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +193,7 @@ def affine_forward(x, w, b):
 
 def affine_backward(x, w, d_out, gw, gb):
     """Backward of affine_forward; adds into gw/gb, returns dx."""
-    gw += x.T @ d_out
+    gw += _outer_sum(x, d_out)
     gb += d_out.sum(axis=0)
     return d_out @ w.T
 

@@ -295,18 +295,28 @@ def _reverse_sweep(model, enc, steps):
     for all of them in order. A cache holds nothing of the state it started
     from: the sweep hands ``decode_step_backward`` that state, gathered
     again for the step alone, and scatters its gradient back to
-    ``state``'s rows. The last step has a score gradient."""
+    ``state``'s rows. The last step has a score gradient. The steps' word
+    gradients go into the target embedding's gradient in one scatter after
+    the decoder steps, last step first and rows in order, so that [V, E]
+    buffer is made once every decoder cache is freed."""
     d_ann = np.zeros_like(enc.annotations)
     d_state = model.state_grad_zeros(len(steps[-1][1]))
+    words, d_words = [], []
     while steps:
         # popped, so each step's cache is freed once it has been used
         cache, d_feed, state, rows = steps.pop()
         if d_feed is not None:
             d_state.input_feed += d_feed
-        d_state = model.decode_step_backward(
+        words.append(cache["words"])
+        d_state, d_w = model.decode_step_backward(
             cache, d_state, d_ann, state if rows is None else state.select(rows))
+        d_words.append(d_w)
         if rows is not None:
             d_state = d_state.scatter(rows, state.batch)
+    # one scatter, in the order of one per step from the last step back; the
+    # word gradients go before the encoder's backward
+    np.add.at(model.params["tgt_embed"].grad, np.concatenate(words), np.concatenate(d_words))
+    del d_words
     model.encode_backward(enc, d_ann, d_state)
 
 
@@ -333,7 +343,9 @@ def xent_loss(model, enc, tgt, tgt_lengths, bos_id, backward=True):
     start state for the first). The backward rebuilds the layer inputs, the
     gates (4H per layer), tanh(c) and the attention context, and the
     reverse sweep frees each step's cache once ``decode_step_backward`` has
-    used it.
+    used it. The sweep makes each gradient buffer at its first write: an
+    LSTM layer's once the first step has rebuilt and freed that layer's
+    gates, and the [V, E] target embedding's after the last decoder step.
     """
     B, T = tgt.shape
     state = enc.init_state

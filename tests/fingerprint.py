@@ -1,13 +1,13 @@
 """Byte-identity fingerprint of the training and decoding arithmetic.
 
-Prints one sha256 per artefact for a seed: the start models, cross-entropy
-losses, gradients and parameters, BSO violation records, gradients and
-parameters, and beam-search tokens and scores, of batches of 20 sentences
-and of one sentence at a time, and the bytes ``save`` writes for each start
-model. Two versions of the code that do the same arithmetic and write the
-same checkpoint format print the same lines, so a change meant to keep
-every number can be checked against its parent by running this script on
-both and comparing the output:
+Prints one sha256 per artefact for a seed: the start models;
+cross-entropy losses, gradients and parameters; BSO violation records,
+gradients and parameters, of minibatches of eight sentences and of one;
+beam-search tokens and scores, of batches of 20 sentences and of one; and
+the bytes ``save`` writes for each start model. Two versions of the code
+that do the same arithmetic and write the same checkpoint format print the
+same lines, so a change meant to keep every number can be checked against
+its parent by running this script on both and comparing the output:
 
     PYTHONPATH=src python tests/fingerprint.py --seed 7
 
@@ -120,9 +120,10 @@ def record_digest(rec):
 
 
 def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative",
-                  dropout=0.0):
-    """Records and gradients of four minibatches of eight, with an update
-    after each: permutation constraint with 0/1 cost, or no constraint with
+                  dropout=0.0, size=8):
+    """Records and gradients of the first 32 pairs in minibatches of
+    ``size`` (four of eight by default), with an update after each:
+    permutation constraint with 0/1 cost, or no constraint with
     sentence-BLEU cost, under ``margin_score``. With ``dropout``, each
     minibatch draws one MaskSet, which the search applies and the backward
     replays. ``grad0.out`` is the first minibatch's out.w and out.b
@@ -131,8 +132,8 @@ def bso_artefacts(start, pairs, constrained, seed, k=6, margin_score="cumulative
     rng = np.random.default_rng(seed + 3)
     delta = delta_01 if constrained else delta_sentence_bleu
     records, grads = digest(), digest()
-    for lo in range(0, 32, 8):
-        batch = pairs[lo:lo + 8]
+    for lo in range(0, 32, size):
+        batch = pairs[lo:lo + size]
         src, lengths = pad_ids([s for s, _ in batch])
         golds = [t for _, t in batch]
         constraints = [PermutationConstraint(VOCAB, s, EOS_ID) if constrained
@@ -200,6 +201,11 @@ def fingerprint(seed):
         out.append((f"bso.perm-zero_one.k6.laststep.{name}", h))
     for name, h in bso_artefacts(starts[2], train, True, seed, dropout=0.3).items():
         out.append((f"bso.perm-zero_one.k6.layers2.dropout0.3.{name}", h))
+    # one sentence per minibatch: every backward step runs at one or two
+    # rows, the gold row and a violating one
+    one = bso_artefacts(starts[1], train, True, seed, size=1)
+    for name in ("records", "grad", "params"):
+        out.append((f"bso.perm-zero_one.k6.batch1.{name}", one[name]))
     for constrained, regime in ((True, "perm"), (False, "free")):
         for k in (1, 5, 10):
             out.append((f"decode.{regime}.k{k}", decode_artefact(starts[1], dev, k, constrained)))

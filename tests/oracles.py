@@ -239,7 +239,8 @@ def oracle_bso_forward(model, enc, gold, k, constraint, delta_fn, bos_id,
 def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
     """Rerun a prefix with teacher forcing, then backprop coefs[t] onto the
     f-score of tokens[t] at every step, through the decoder into d_ann and
-    the returned initial-state gradient."""
+    the returned initial-state gradient. Each step's word gradient is added
+    into the target embedding's gradient as the step is backpropagated."""
     _, caches, states = rescore_prefix(model, enc, tokens, bos_id)
     d_state = model.state_grad_zeros(1)
     v = model.config.tgt_vocab
@@ -248,7 +249,8 @@ def _bptt_prefix(model, enc, tokens, coefs, bos_id, d_ann):
             d_f = np.zeros((1, v), dtype=model.dtype)
             d_f[0, tokens[t]] = coefs[t]
             d_state.input_feed += model.score_f_backward(caches[t]["attn_hidden"], d_f)
-        d_state = model.decode_step_backward(caches[t], d_state, d_ann, states[t])
+        d_state, d_words = model.decode_step_backward(caches[t], d_state, d_ann, states[t])
+        np.add.at(model.params["tgt_embed"].grad, caches[t]["words"], d_words)
     return d_state
 
 

@@ -481,6 +481,26 @@ class TestUnconstrainedCut:
         assert self.step(f, [0.0], 1) == [9]
 
 
+class TestUnconstrainedCutMemory:
+    def test_holds_one_copy_of_the_scored_rows(self):
+        """The cut copies the f rows of its state rows once and finds each
+        row's K-th best in that copy; the comparison reads f itself. 16 gold
+        rows score no state row, as in a BSO search step."""
+        rows, V_big = 96, 3000
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal((16 + rows, V_big)).astype(np.float32)
+        f_rows = 16 + rng.permutation(rows)
+        c = join_constraints([NoConstraint(V_big, blocked=(PAD_ID, BOS_ID))] * rows)
+        tracemalloc.start()
+        try:
+            kept_rows, _ = c.allowed_mask(f=f, f_rows=f_rows, seg=np.zeros(rows), k=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept_rows) == 6 * rows
+        assert peak < rows * V_big * 4 + rows * V_big + 65536
+
+
 class TestInterleavedRows:
     @pytest.mark.parametrize("kind", ["none", "perm", "arc"])
     @given(st.integers(0, 2 ** 32 - 1))

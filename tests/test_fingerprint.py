@@ -16,6 +16,8 @@ def test_same_seed_same_fingerprint():
     assert "bso.perm-zero_one.k6.layers2.dropout0.3.grad" in names
     assert "bso.perm-zero_one.k6.grad0.out" in names
     assert "bso.perm-zero_one.k6.grad0.rest" in names
+    # one-sentence minibatches: the one-row backward steps
+    assert "bso.perm-zero_one.k6.batch1.grad" in names
     # the one line that checks the two-layer encoder and decoder backward,
     # which rebuilds each layer's gates, under dropout
     assert "xent.layers2.dropout0.3.grad" in names

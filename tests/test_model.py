@@ -339,6 +339,58 @@ class TestXentMemory:
         # array headers and the int64 words
         assert per_step < B * (2 * layers * H + 2 * H + S) * 4 + 4096
 
+    def test_the_sweep_makes_each_gradient_at_its_first_write(self, monkeypatch):
+        """Beyond what the forward leaves, the reverse sweep's traced peak
+        holds the annotation gradient, the gradients of the attention layer
+        and of decoder layer 0, and what one step's backward holds alone
+        with every gradient made. The [V, E] target-embedding gradient is
+        made after the decoder steps, and a layer's gradients after the
+        first step has rebuilt and freed its gates. The shape is that of
+        the xent-b32 benchmark: the embedding gradient outweighs one step's
+        cache, and a layer's gradients outweigh what the first step frees,
+        so making either one earlier breaks the bound."""
+        B, E, H, V, S, T = 32, 32, 48, 304, 8, 10
+        rng = np.random.default_rng(0)
+        m = toy_model(src_vocab=7, tgt_vocab=V, d_emb=E, d_h=H, dtype=np.float32)
+        src, tgt = rng.integers(3, 7, size=(B, S)), rng.integers(3, V, size=(B, T))
+        sweep, held = training._reverse_sweep, []
+
+        def traced_sweep(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return sweep(*args)
+        monkeypatch.setattr(training, "_reverse_sweep", traced_sweep)
+        # measured at the second call: the first also fills numpy's caches
+        for _ in range(2):
+            held.clear()
+            m.zero_grads()
+            tracemalloc.start()
+            try:
+                training.xent_loss(m, m.encode(src), tgt, np.full(B, T), BOS)
+                rise = tracemalloc.get_traced_memory()[1] - held[0]
+            finally:
+                tracemalloc.stop()
+        # the last step's backward alone, every gradient buffer made
+        enc = m.encode(src)
+        state = enc.init_state
+        for t in range(T):
+            prev = state
+            state, cache = m.decode_step(prev, tgt[:, t - 1] if t else np.full(B, BOS), enc)
+        d_state = StateGrad([np.ones((B, H), np.float32)], [np.zeros((B, H), np.float32)],
+                            np.ones((B, H), np.float32))
+        d_ann = np.zeros_like(enc.annotations)
+        tracemalloc.start()
+        try:
+            m.decode_step_backward(cache, d_state, d_ann, prev)
+            one_step = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = sum(m.params[n].value.nbytes
+                    for n in ("attn.w", "attn.b", "dec0.wx", "dec0.wh", "dec0.b"))
+        # 8 KiB for the Python objects of the sweep and its first step's
+        # state gradient
+        assert rise < d_ann.nbytes + grads + one_step + 8192
+
 
 class TestEncoderMemory:
     @pytest.mark.parametrize("layers, dropout", [(1, 0.0), (2, 0.3)])

@@ -18,6 +18,12 @@ def rand(rng, *shape):
     return rng.uniform(-0.5, 0.5, size=shape)
 
 
+def slots(w_x, w_h, b):
+    """ParamSlots over the LSTM weights, for lstm_cell_backward: their
+    values are the arrays themselves."""
+    return [nn.ParamSlot(name, w) for name, w in (("wx", w_x), ("wh", w_h), ("b", b))]
+
+
 class TestLstmCell:
     def test_all_zero_inputs_give_zero_state(self):
         d_in, h = 3, 4
@@ -61,10 +67,10 @@ class TestLstmCell:
         args = (rand(rng, 2, d_in), rand(rng, 2, h), rand(rng, 2, h))
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
         _, c = nn.lstm_cell_forward(*args, wx, wh, b)
-        gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+        weights = slots(wx, wh, b)
         dx, dhp, dcp = nn.lstm_cell_backward(c, np.zeros((2, h)), np.zeros((2, h)), *args,
-                                             wx, wh, b, gwx, gwh, gb)
-        for arr in (dx, dhp, dcp, gwx, gwh, gb):
+                                             *weights)
+        for arr in (dx, dhp, dcp, *(w.grad for w in weights)):
             assert np.allclose(arr, 0.0)
 
     def test_backward_linear_in_upstream(self):
@@ -74,13 +80,10 @@ class TestLstmCell:
         wx, wh, b = rand(rng, d_in, 4 * h), rand(rng, h, 4 * h), rand(rng, 4 * h)
         _, c = nn.lstm_cell_forward(*args, wx, wh, b)
         dh = rand(rng, 1, h)
-        out1 = nn.lstm_cell_backward(c, dh, np.zeros((1, h)), *args, wx, wh, b,
-                                     np.zeros_like(wx), np.zeros_like(wh),
-                                     np.zeros_like(b))
-        out2 = nn.lstm_cell_backward(c, 2 * dh, np.zeros((1, h)), *args, wx, wh, b,
-                                     np.zeros_like(wx), np.zeros_like(wh),
-                                     np.zeros_like(b))
-        for a, b_ in zip(out1, out2):
+        w1, w2 = slots(wx, wh, b), slots(wx, wh, b)
+        out1 = nn.lstm_cell_backward(c, dh, np.zeros((1, h)), *args, *w1)
+        out2 = nn.lstm_cell_backward(c, 2 * dh, np.zeros((1, h)), *args, *w2)
+        for a, b_ in zip([*out1, *(w.grad for w in w1)], [*out2, *(w.grad for w in w2)]):
             assert np.allclose(2 * a, b_, rtol=1e-12)
 
     @pytest.mark.parametrize("h", [3, 4])
@@ -97,10 +100,10 @@ class TestLstmCell:
             return float(out_h.sum())
 
         _, c = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
-        gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+        weights = slots(wx, wh, b)
         dh = np.ones((2, h))
-        dx, dhp, dcp = nn.lstm_cell_backward(c, dh, np.zeros((2, h)),
-                                             x, hp, cp, wx, wh, b, gwx, gwh, gb)
+        dx, dhp, dcp = nn.lstm_cell_backward(c, dh, np.zeros((2, h)), x, hp, cp, *weights)
+        gwx, gwh, gb = (w.grad for w in weights)
         for analytic, arr in [(gwx, wx), (gwh, wh), (gb, b), (dx, x),
                               (dhp, hp), (dcp, cp)]:
             num = numerical_grad(loss, arr)
@@ -124,18 +127,19 @@ class TestLstmCellMatchesReference:
         wh = (rng.uniform(-1, 1, size=(h, 4 * h)) * scale / h).astype(dtype)
         b = rng.uniform(-1, 1, size=4 * h).astype(dtype)
         dh, dc = (rng.uniform(-1, 1, size=(batch, h)).astype(dtype) for _ in range(2))
-        outs = []
         h_new, c_new = nn.lstm_cell_forward(x, hp, cp, wx, wh, b)
+        weights = slots(wx, wh, b)
+        dx, dhp, dcp = nn.lstm_cell_backward(c_new, dh, dc, x, hp, cp, *weights)
+        got = [h_new, c_new, dx, dhp, dcp, *(w.grad for w in weights)]
         ref_h, ref_c, ref_cache = reference_lstm_cell_forward(x, hp, cp, wx, wh, b)
-        for backward, kept, h_, c_ in ((nn.lstm_cell_backward, c_new, h_new, c_new),
-                                       (reference_lstm_cell_backward, ref_cache, ref_h, ref_c)):
-            grads = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
-            dx, dhp, dcp = backward(kept, dh, dc, x, hp, cp, wx, wh, b, *grads)
-            outs.append([h_, c_, dx, dhp, dcp, *grads])
+        grads = [np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)]
+        dx, dhp, dcp = reference_lstm_cell_backward(ref_cache, dh, dc, x, hp, cp, wx, wh, b,
+                                                    *grads)
+        want = [ref_h, ref_c, dx, dhp, dcp, *grads]
         pre = x @ wx + hp @ wh + b
         assert np.abs(pre).max() > scale / 10
-        for got, want in zip(*outs):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_one_sigmoid_call_per_step(self, monkeypatch):
         """One sigmoid over the whole pre-activation, gate-major [4, B, H],
@@ -148,8 +152,7 @@ class TestLstmCellMatchesReference:
         weights = (np.zeros((2, 16)), np.zeros((4, 16)), np.zeros(16))
         _, c = nn.lstm_cell_forward(*args, *weights)
         assert calls == [(4, 3, 4)]
-        grads = [np.zeros_like(w) for w in weights]
-        nn.lstm_cell_backward(c, np.ones((3, 4)), np.zeros((3, 4)), *args, *weights, *grads)
+        nn.lstm_cell_backward(c, np.ones((3, 4)), np.zeros((3, 4)), *args, *slots(*weights))
         assert calls == [(4, 3, 4), (4, 3, 4)]
 
 
